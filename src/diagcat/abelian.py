@@ -123,14 +123,6 @@ class GroupElement:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def add(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x + y
-
-
-def negate(x: GroupElement) -> GroupElement:
-    return -x
-
-
 _GROUP_RE = re.compile(r"^\s*(Z(\^\d+)?|Z/\d+)\s*$")
 
 
@@ -206,17 +198,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def int_det(m: list[list[int]]) -> int:
     """Exact determinant via fraction-based elimination."""
     n = len(m)
@@ -242,7 +223,8 @@ def int_det(m: list[list[int]]) -> int:
             if f:
                 for c in range(col, n):
                     a[r][c] -= f * a[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise RuntimeError(f"determinant of an integer matrix came out {det}")
     return int(det)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import diagrep as dr
 from . import field as fieldmod
@@ -346,10 +347,6 @@ def _dense(f: HomMorphism):
     return dr.dense_matrix(f)
 
 
-def _matmul(field, a, b):
-    return fieldmod.mat_mul(field, a, b)
-
-
 def _fail(index, name, detail, **witness):
     return AxiomResult(index, name, "fail", detail, witness or None)
 
@@ -641,7 +638,7 @@ def check_composition(model: FragmentModel):
                         if h.source != a or h.target != c:
                             return _fail(i, name, "composite has wrong endpoints",
                                          a=str(a), b=str(b), c=str(c))
-                        want = _matmul(field, _dense(g), _dense(f))
+                        want = fieldmod.mat_mul(field, _dense(g), _dense(f))
                         if _dense(h) != want:
                             return _fail(
                                 i, name,
@@ -787,8 +784,7 @@ def check_tensor_functorial(model: FragmentModel):
                     for f in fs:
                         for g in gs:
                             h = model.tensor_hom(f, g)
-                            fm, gm = _dense(f), _dense(g)
-                            want = _kron_dense(field, fm, gm)
+                            want = fieldmod.kron(field, [_dense(f), _dense(g)])
                             if _dense(h) != want:
                                 return _fail(
                                     i, name,
@@ -799,21 +795,6 @@ def check_tensor_functorial(model: FragmentModel):
                             if done >= 600:
                                 return _ok(i, name, f"{done} tensor pairs verified")
     return _ok(i, name, f"{done} tensor pairs verified")
-
-
-def _kron_dense(field, a, b):
-    ra, rb = len(a), len(b)
-    ca = len(a[0]) if ra else 0
-    cb = len(b[0]) if rb else 0
-    out = [[field.zero()] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if a[i][j] == field.zero():
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = field.mul(a[i][j], b[k][l])
-    return out
 
 
 def check_associativity(model: FragmentModel):
@@ -1163,7 +1144,8 @@ AXIOM_CHECKS = [
     check_linear_independence,
 ]
 
-assert len(AXIOM_CHECKS) == 27
+if len(AXIOM_CHECKS) != 27:
+    raise RuntimeError(f"expected 27 axiom checks, found {len(AXIOM_CHECKS)}")
 
 
 def check_axioms(
@@ -1184,15 +1166,32 @@ def check_axioms(
 
 @dataclass(frozen=True)
 class Mutation:
+    """A corruption of one model hook, meant to flip exactly `axiom`."""
+
     name: str
     axiom: int
     description: str
+    patch: Callable[[FragmentModel], None]
 
     def apply(self, model: FragmentModel) -> FragmentModel:
-        _MUTATION_PATCHES[self.name](model)
+        self.patch(model)
         return model
 
 
+MUTATIONS: dict[str, Mutation] = {}
+
+
+def _mutation(name: str, axiom: int, description: str):
+    """Register the decorated model patch as the corruption `name`."""
+
+    def register(patch):
+        MUTATIONS[name] = Mutation(name, axiom, description, patch)
+        return patch
+
+    return register
+
+
+@_mutation("field-mul-corrupted", 1, "one product rewired to 0")
 def _patch_field_mul(model):
     f = model.field
     bad = {(f.of(2), f.of(3)), (f.of(3), f.of(2))}
@@ -1205,22 +1204,27 @@ def _patch_field_mul(model):
     model.override("field_mul", mul)
 
 
+@_mutation("fiber-sample-missing", 2, "object fibers emptied")
 def _patch_sample_vector(model):
     model.override("sample_vector", lambda m, b: None)
 
 
+@_mutation("zero-relation-empty", 3, "zero relation emptied")
 def _patch_zero_vectors(model):
     model.override("zero_vectors", lambda m, b: [])
 
 
+@_mutation("addition-projects-left", 4, "addition returns its first argument")
 def _patch_vector_add(model):
     model.override("vector_add", lambda m, v, w: v)
 
 
+@_mutation("scaling-ignores-scalar", 5, "scalar action ignores the scalar")
 def _patch_scalar_mul(model):
     model.override("scalar_mul", lambda m, lam, v: v)
 
 
+@_mutation("spanning-set-degenerate", 6, "fiber presented by a rank-deficient set")
 def _patch_spanning_set(model):
     def span(m, b):
         first = dr.basis_vector(m.field, b, 0)
@@ -1229,6 +1233,7 @@ def _patch_spanning_set(model):
     model.override("fiber_spanning_set", span)
 
 
+@_mutation("hom-duplicate-labels", 9, "two morphism labels share one linear map")
 def _patch_hom_duplicates(model):
     def hom(m, b, c):
         key = (b, c)
@@ -1242,6 +1247,7 @@ def _patch_hom_duplicates(model):
     model.override("hom_basis", hom)
 
 
+@_mutation("identity-rescaled", 10, "identity scaled by 2")
 def _patch_identity(model):
     def ident(m, b):
         return dr.scale_morphism(m.field.of(2), dr.identity_morphism(m.field, b))
@@ -1249,6 +1255,7 @@ def _patch_identity(model):
     model.override("identity_morphism", ident)
 
 
+@_mutation("composition-collapses", 11, "every composite replaced by zero")
 def _patch_compose(model):
     def comp(m, g, f):
         return dr.zero_morphism(m.field, f.source, g.target)
@@ -1256,6 +1263,9 @@ def _patch_compose(model):
     model.override("compose_morphisms", comp)
 
 
+@_mutation(
+    "tensor-owner-inconsistent", 13, "tensor projection depends on representatives"
+)
 def _patch_tensor_owner(model):
     def tvec(m, v, w):
         out = dr.tensor_vec(v, w)
@@ -1272,6 +1282,7 @@ def _patch_tensor_owner(model):
     model.override("tensor_vec", tvec)
 
 
+@_mutation("tensor-collapses-to-zero", 15, "tensor of vectors replaced by the zero map")
 def _patch_tensor_zero(model):
     def tvec(m, v, w):
         return dr.zero_vector(m.field, dr.tensor_obj(v.obj, w.obj))
@@ -1279,6 +1290,7 @@ def _patch_tensor_zero(model):
     model.override("tensor_vec", tvec)
 
 
+@_mutation("tensor-hom-dropped", 16, "tensor of morphisms replaced by zero")
 def _patch_tensor_hom(model):
     def thom(m, f, g):
         h = dr.tensor_hom(f, g)
@@ -1287,6 +1299,7 @@ def _patch_tensor_hom(model):
     model.override("tensor_hom", thom)
 
 
+@_mutation("duplicate-irreducible", 21, "two isomorphic irreducible objects")
 def _patch_duplicate_irreducible(model):
     def irr(m, n):
         out = [
@@ -1304,6 +1317,7 @@ def _patch_duplicate_irreducible(model):
     model.override("irreducible_objects", irr)
 
 
+@_mutation("coevaluation-erased", 23, "coevaluation zeroed")
 def _patch_coev(model):
     def dual(m, b):
         dd = dr.dual_data(m.field, b)
@@ -1313,6 +1327,7 @@ def _patch_coev(model):
     model.override("dual_data", dual)
 
 
+@_mutation("biproduct-projection-erased", 24, "second projection zeroed")
 def _patch_biproduct(model):
     def bip(m, b, c):
         data = dr.direct_sum_data(m.field, b, c)
@@ -1322,6 +1337,7 @@ def _patch_biproduct(model):
     model.override("biproduct_data", bip)
 
 
+@_mutation("kernel-truncated", 25, "kernels reported as zero")
 def _patch_kernel(model):
     def ker(m, f):
         u, inc = dr.kernel_of(m.field, f)
@@ -1332,6 +1348,7 @@ def _patch_kernel(model):
     model.override("kernel_data", ker)
 
 
+@_mutation("cokernel-truncated", 26, "cokernels reported as zero")
 def _patch_cokernel(model):
     def coker(m, f):
         w, proj = dr.cokernel_of(m.field, f)
@@ -1342,75 +1359,9 @@ def _patch_cokernel(model):
     model.override("cokernel_data", coker)
 
 
+@_mutation("independence-tautology", 27, "independence relation always holds")
 def _patch_li(model):
     model.override("li_predicate", lambda m, vs: True)
-
-
-_MUTATION_PATCHES = {
-    "field-mul-corrupted": _patch_field_mul,
-    "fiber-sample-missing": _patch_sample_vector,
-    "zero-relation-empty": _patch_zero_vectors,
-    "addition-projects-left": _patch_vector_add,
-    "scaling-ignores-scalar": _patch_scalar_mul,
-    "spanning-set-degenerate": _patch_spanning_set,
-    "hom-duplicate-labels": _patch_hom_duplicates,
-    "identity-rescaled": _patch_identity,
-    "composition-collapses": _patch_compose,
-    "tensor-owner-inconsistent": _patch_tensor_owner,
-    "tensor-collapses-to-zero": _patch_tensor_zero,
-    "tensor-hom-dropped": _patch_tensor_hom,
-    "duplicate-irreducible": _patch_duplicate_irreducible,
-    "coevaluation-erased": _patch_coev,
-    "biproduct-projection-erased": _patch_biproduct,
-    "kernel-truncated": _patch_kernel,
-    "cokernel-truncated": _patch_cokernel,
-    "independence-tautology": _patch_li,
-}
-
-MUTATIONS = {
-    "field-mul-corrupted": Mutation("field-mul-corrupted", 1, "one product rewired to 0"),
-    "fiber-sample-missing": Mutation("fiber-sample-missing", 2, "object fibers emptied"),
-    "zero-relation-empty": Mutation("zero-relation-empty", 3, "zero relation emptied"),
-    "addition-projects-left": Mutation(
-        "addition-projects-left", 4, "addition returns its first argument"
-    ),
-    "scaling-ignores-scalar": Mutation(
-        "scaling-ignores-scalar", 5, "scalar action ignores the scalar"
-    ),
-    "spanning-set-degenerate": Mutation(
-        "spanning-set-degenerate", 6, "fiber presented by a rank-deficient set"
-    ),
-    "hom-duplicate-labels": Mutation(
-        "hom-duplicate-labels", 9, "two morphism labels share one linear map"
-    ),
-    "identity-rescaled": Mutation("identity-rescaled", 10, "identity scaled by 2"),
-    "composition-collapses": Mutation(
-        "composition-collapses", 11, "every composite replaced by zero"
-    ),
-    "tensor-owner-inconsistent": Mutation(
-        "tensor-owner-inconsistent", 13, "tensor projection depends on representatives"
-    ),
-    "tensor-collapses-to-zero": Mutation(
-        "tensor-collapses-to-zero", 15, "tensor of vectors replaced by the zero map"
-    ),
-    "tensor-hom-dropped": Mutation(
-        "tensor-hom-dropped", 16, "tensor of morphisms replaced by zero"
-    ),
-    "duplicate-irreducible": Mutation(
-        "duplicate-irreducible", 21, "two isomorphic irreducible objects"
-    ),
-    "coevaluation-erased": Mutation("coevaluation-erased", 23, "coevaluation zeroed"),
-    "biproduct-projection-erased": Mutation(
-        "biproduct-projection-erased", 24, "second projection zeroed"
-    ),
-    "kernel-truncated": Mutation("kernel-truncated", 25, "kernels reported as zero"),
-    "cokernel-truncated": Mutation(
-        "cokernel-truncated", 26, "cokernels reported as zero"
-    ),
-    "independence-tautology": Mutation(
-        "independence-tautology", 27, "independence relation always holds"
-    ),
-}
 
 
 def mutated_model(

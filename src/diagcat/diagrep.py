@@ -474,20 +474,8 @@ def compose(g: HomMorphism, f: HomMorphism) -> HomMorphism:
     fb = dict(f.blocks)
     for w, gm in g.blocks:
         fm = fb.get(w)
-        if fm is None:
-            continue
-        rows = len(gm)
-        inner = len(fm)
-        cols = len(fm[0]) if inner else 0
-        m = [[k.zero()] * cols for _ in range(rows)]
-        for i in range(rows):
-            for t in range(inner):
-                x = gm[i][t]
-                if x == k.zero():
-                    continue
-                for j in range(cols):
-                    m[i][j] = k.add(m[i][j], k.mul(x, fm[t][j]))
-        blocks[w] = m
+        if fm is not None:
+            blocks[w] = fieldmod.mat_mul(k, gm, fm)
     return make_morphism(k, f.source, g.target, blocks)
 
 
@@ -497,26 +485,8 @@ def tensor_hom(f: HomMorphism, g: HomMorphism) -> HomMorphism:
     tgt = tensor_obj(f.target, g.target)
     if src.is_zero or tgt.is_zero:
         return zero_morphism(f.field, src, tgt)
-    k = f.field
-    fm = dense_matrix(f)
-    gm = dense_matrix(g)
-    rows_f, cols_f = len(fm), f.source.dimension
-    rows_g, cols_g = len(gm), g.source.dimension
-    dense = [
-        [k.zero()] * (cols_f * cols_g) for _ in range(rows_f * rows_g)
-    ]
-    for i1 in range(rows_f):
-        for j1 in range(cols_f):
-            x = fm[i1][j1]
-            if x == k.zero():
-                continue
-            for i2 in range(rows_g):
-                for j2 in range(cols_g):
-                    y = gm[i2][j2]
-                    if y == k.zero():
-                        continue
-                    dense[i1 * rows_g + i2][j1 * cols_g + j2] = k.mul(x, y)
-    return morphism_from_dense(k, src, tgt, dense)
+    dense = fieldmod.kron(f.field, [dense_matrix(f), dense_matrix(g)])
+    return morphism_from_dense(f.field, src, tgt, dense)
 
 
 def _reindexing_identity(field, source, target) -> HomMorphism:

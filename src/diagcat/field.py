@@ -121,14 +121,6 @@ def parse_field(text: str) -> ExactField:
     raise ValueError(f"cannot parse field spec {text!r}")
 
 
-def parse_scalar(field: ExactField, text: str):
-    return field.of(Fraction(text.strip()))
-
-
-def format_scalar(x) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Matrices: list of rows of field elements
 
@@ -150,25 +142,72 @@ def mat_of(field: ExactField, rows):
     return [[field.of(x) for x in row] for row in rows]
 
 
-def mat_mul(field: ExactField, a, b):
+def mat_mul(ring, a, b):
+    """Matrix product over `ring`: anything with zero(), add and mul, so an
+    ExactField or a `PolyRing` of polynomial entries."""
     if not a:
         return []
     if not b:
         return [[] for _ in a]
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner, "dimension mismatch"
-    out = zeros(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x == field.zero():
+    inner, cols = len(b), len(b[0])
+    if len(a[0]) != inner:
+        raise ValueError(
+            f"dimension mismatch: {len(a)}x{len(a[0])} times {inner}x{cols}"
+        )
+    zero = ring.zero()
+    out = [[zero] * cols for _ in a]
+    for ai, oi in zip(a, out):
+        for x, bk in zip(ai, b):
+            if x == zero:
                 continue
-            bk = b[k]
-            oi = out[i]
             for j in range(cols):
-                oi[j] = field.add(oi[j], field.mul(x, bk[j]))
+                oi[j] = ring.add(oi[j], ring.mul(x, bk[j]))
     return out
+
+
+def kron(ring, mats):
+    """Kronecker product of the matrices over `ring`, row-major index order;
+    the empty product is the 1 x 1 identity."""
+    zero = ring.zero()
+    out, cols = [[ring.one()]], 1
+    for m in mats:
+        mrows = len(m)
+        mcols = len(m[0]) if mrows else 0
+        new = [[zero] * (cols * mcols) for _ in range(len(out) * mrows)]
+        for i0, row0 in enumerate(out):
+            for j0, x in enumerate(row0):
+                if x == zero:
+                    continue
+                for i1, row1 in enumerate(m):
+                    dst = new[i0 * mrows + i1]
+                    for j1, y in enumerate(row1):
+                        if y != zero:
+                            dst[j0 * mcols + j1] = ring.mul(x, y)
+        out, cols = new, cols * mcols
+    return out
+
+
+@dataclass(frozen=True)
+class PolyRing:
+    """Matrix-entry ring for polynomials (`SparsePoly`, `LaurentElement`):
+    the entries carry their own + and *, this supplies the constants."""
+
+    zero_element: object
+    one_element: object
+
+    def zero(self):
+        return self.zero_element
+
+    def one(self):
+        return self.one_element
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
 
 
 def mat_vec(field: ExactField, a, v):
@@ -273,11 +312,6 @@ def solve_linear(field: ExactField, m, b):
     return x
 
 
-def solve_many(field: ExactField, m, bs):
-    """Solve m x = b for each column b in bs; None entries mark inconsistency."""
-    return [solve_linear(field, m, b) for b in bs]
-
-
 def inverse(field: ExactField, m):
     n = len(m)
     aug = [list(row) + list(idrow) for row, idrow in zip(m, identity(field, n))]
@@ -312,8 +346,3 @@ def det(field: ExactField, m):
                 f = field.mul(a[i][c], inv)
                 a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[c])]
     return out
-
-
-def column_span_contains(field: ExactField, m, v) -> bool:
-    """Is v in the column span of m?"""
-    return solve_linear(field, m, v) is not None

@@ -476,14 +476,17 @@ def _to_diag_poly(field, n, f: LaurentElement) -> SparsePoly:
     return sp.from_dict(field, 2 * n, d)
 
 
+def _diagonal_exponents(n: int, e) -> tuple:
+    """Exponents over (z_11..z_nn, w_11..w_nn) as exponents of k[Z, W]."""
+    big = [0] * (2 * n * n)
+    for i in range(n):
+        big[z_index(n, i, i)] = e[i]
+        big[w_index(n, i, i)] = e[n + i]
+    return tuple(big)
+
+
 def _from_diag_poly(field, n, p: SparsePoly) -> LaurentElement:
-    d = {}
-    for e, c in p.terms:
-        big = [0] * (2 * n * n)
-        for i in range(n):
-            big[z_index(n, i, i)] = e[i]
-            big[w_index(n, i, i)] = e[n + i]
-        d[tuple(big)] = c
+    d = {_diagonal_exponents(n, e): c for e, c in p.terms}
     return LaurentElement(n, sp.from_dict(field, 2 * n * n, d))
 
 
@@ -636,7 +639,8 @@ def _diagonal_membership(f, I, split, cap) -> MembershipResult:
         if not cof.is_zero():
             pairs.append((off_gens[idx], cof))
     result = MembershipResult("member", cap, tuple(pairs))
-    assert verify_membership_witness(f, result), "witness lifting failed"
+    if not verify_membership_witness(f, result):
+        raise RuntimeError("lifted membership witness does not re-verify")
     return result
 
 
@@ -855,6 +859,36 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
     )
 
 
+def _character_kernel(field: ExactField, weights, monos) -> list[LaurentElement]:
+    """Basis of the kernel of the character evaluation on the span of the
+    monomials `monos` (exponent tuples of k[Z, W], in order). A monomial
+    with an off-diagonal exponent maps to 0 and is a basis element alone;
+    every later diagonal monomial m of a character chi gives m - m0, with
+    m0 the first monomial of chi. This is the basis `field.kernel` returns
+    for the monomial-by-character incidence matrix (Eisenbud-Sturmfels)."""
+    n = len(weights)
+    nvars = 2 * n * n
+    offdiag = _offdiag_indices(n)
+    one, minus_one = field.one(), field.neg(field.one())
+    first: dict[GroupElement, tuple] = {}
+    basis = []
+    for e in monos:
+        if any(e[idx] for idx in offdiag):
+            basis.append(lau_monomial(field, n, e))
+            continue
+        chi = weights[0].group.zero()
+        for i, w in enumerate(weights):
+            k = e[z_index(n, i, i)] - e[w_index(n, i, i)]
+            if k:
+                chi = chi + w.scale(k)
+        if chi not in first:
+            first[chi] = e
+            continue
+        terms = {e: one, first[chi]: minus_one}
+        basis.append(LaurentElement(n, sp.from_dict(field, nvars, terms)))
+    return basis
+
+
 def character_slice(
     field: ExactField, weights, d: int
 ) -> tuple[LaurentElement, ...]:
@@ -862,42 +896,8 @@ def character_slice(
     image of the diagonalizable group acting by the given weights: the kernel
     of the evaluation of monomials in the group algebra of A."""
     weights = list(weights)
-    n = len(weights)
-    nvars = 2 * n * n
-    monos = sp.monomials_up_to(nvars, d)
-    images: list[GroupElement | None] = []
-    offsets = _offdiag_indices(n)
-    for e in monos:
-        if any(e[idx] > 0 for idx in offsets):
-            images.append(None)  # maps to zero in the group algebra
-            continue
-        acc = weights[0].group.zero()
-        for i in range(n):
-            zc = e[z_index(n, i, i)]
-            wc = e[w_index(n, i, i)]
-            if zc:
-                acc = acc + weights[i].scale(zc)
-            if wc:
-                acc = acc + weights[i].scale(-wc)
-        images.append(acc)
-    cols: dict[GroupElement, int] = {}
-    for img in images:
-        if img is not None and img not in cols:
-            cols[img] = len(cols)
-    mat = [[field.zero()] * len(cols) for _ in monos]
-    one = field.one()
-    for r, img in enumerate(images):
-        if img is not None:
-            mat[r][cols[img]] = one
-    null = fieldmod.kernel(field, fieldmod.transpose(mat))
-    basis = []
-    for v in null:
-        terms = {}
-        for e, c in zip(monos, v):
-            if c != field.zero():
-                terms[e] = c
-        basis.append(LaurentElement(n, sp.from_dict(field, nvars, terms)))
-    return tuple(basis)
+    monos = sp.monomials_up_to(2 * len(weights) ** 2, d)
+    return tuple(_character_kernel(field, weights, monos))
 
 
 def character_slice_generators(
@@ -916,33 +916,8 @@ def character_slice_generators(
                 if i != j:
                     gens.append(z_var(field, n, i, j))
                     gens.append(w_var(field, n, i, j))
-    # diagonal monomials only, in the small 2n-variable ring
-    diag_monos = sp.monomials_up_to(2 * n, d)
-    images = []
-    for e in diag_monos:
-        acc = weights[0].group.zero()
-        for i in range(n):
-            if e[i]:
-                acc = acc + weights[i].scale(e[i])
-            if e[n + i]:
-                acc = acc + weights[i].scale(-e[n + i])
-        images.append(acc)
-    cols: dict[GroupElement, int] = {}
-    for img in images:
-        if img not in cols:
-            cols[img] = len(cols)
-    mat = [[field.zero()] * len(cols) for _ in diag_monos]
-    one = field.one()
-    for r, img in enumerate(images):
-        mat[r][cols[img]] = one
-    null = fieldmod.kernel(field, fieldmod.transpose(mat))
-    for v in null:
-        terms = {}
-        for e, c in zip(diag_monos, v):
-            if c != field.zero():
-                terms[e] = c
-        gens.append(_from_diag_poly(field, n, sp.from_dict(field, 2 * n, terms)))
-    return tuple(g for g in gens if not g.is_zero())
+    diag_monos = [_diagonal_exponents(n, e) for e in sp.monomials_up_to(2 * n, d)]
+    return tuple(gens + _character_kernel(field, weights, diag_monos))
 
 
 def presentation_truncation(

@@ -70,14 +70,6 @@ def _shapes(m: int) -> tuple[ParenShape, ...]:
     return tuple(out)
 
 
-def catalan(n: int) -> int:
-    """C_n by the recursion C_n = sum_i C_i C_{n-1-i}."""
-    cs = [1]
-    for k in range(1, n + 1):
-        cs.append(sum(cs[i] * cs[k - 1 - i] for i in range(k)))
-    return cs[n]
-
-
 # ---------------------------------------------------------------------------
 # Slot patterns and the codec
 

@@ -1,103 +1,34 @@
-"""Generic free parenthesized tensor closure over a provider of irreducibles.
+"""The free parenthesized tensor closure of a set of irreducible labels.
 
-A provider supplies irreducible object labels, a hom-set oracle between
-evaluated tensor words, and associativity data. Closing the labels under a
-formal pair-forming tensor yields a category with the unique tensor
-factorization property by construction; the diagonalizable model is the
-canonical instantiation. Provider oracles must be pure for thread safety.
+Closing the labels under a formal pair-forming tensor yields a category with
+the unique tensor factorization property by construction. The closure is the
+canonical model's own object layer: a closure object is a `diagrep` object
+whose leaves are weight-multiset labels, so the tensor and the tree walk
+exist once, in `diagrep`. The provider supplies the labels and the hom-set
+and associativity oracles; its oracles are pure, for thread safety.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-
-from .paren import LEAF, ParenShape, pair
 from . import diagrep
 from .field import ExactField
 
-
-@dataclass(frozen=True)
-class ClosureObject:
-    """`shape is None` marks the adjoined zero object."""
-
-    shape: ParenShape | None
-    labels: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return self.shape is None
-
-
-ZERO_CLOSURE = ClosureObject(None, ())
-
-
-def closure_leaf(label) -> ClosureObject:
-    return ClosureObject(LEAF, (label,))
-
-
-def closure_tensor(x: ClosureObject, y: ClosureObject) -> ClosureObject:
-    if x.is_zero or y.is_zero:
-        return ZERO_CLOSURE
-    return ClosureObject(pair(x.shape, y.shape), x.labels + y.labels)
-
-
-def is_tensor_irreducible(x: ClosureObject) -> bool:
-    return (not x.is_zero) and x.shape.is_leaf
+ClosureObject = diagrep.BaseObject
+ZERO_CLOSURE = diagrep.ZERO
+closure_leaf = diagrep.make_irreducible
+closure_tensor = diagrep.tensor_obj
+closure_factorize = diagrep.tensor_factorize
+closure_retensor = diagrep.retensor
+is_tensor_irreducible = diagrep.is_tensor_irreducible
 
 
 def tensor_length(x: ClosureObject) -> int:
-    if x.is_zero:
-        raise ValueError("the zero object has no tensor length")
-    return len(x.labels)
+    return x.tensor_length
 
 
-def closure_factorize(x: ClosureObject):
-    """Nested pair tree of leaf closure objects mirroring the shape."""
-    if x.is_zero:
-        raise ValueError("the zero object is not tensor irreducible")
-
-    def walk(shape: ParenShape, at: int):
-        if shape.is_leaf:
-            return closure_leaf(x.labels[at]), at + 1
-        l, r = shape.children
-        lt, at = walk(l, at)
-        rt, at = walk(r, at)
-        return (lt, rt), at
-
-    tree, _ = walk(x.shape, 0)
-    return tree
-
-
-def closure_retensor(tree) -> ClosureObject:
-    if isinstance(tree, ClosureObject):
-        return tree
-    l, r = tree
-    return closure_tensor(closure_retensor(l), closure_retensor(r))
-
-
-class SkeletonProvider(ABC):
-    """Oracles backing a closure; no two distinct labels may be isomorphic."""
-
-    @abstractmethod
-    def labels(self) -> list:
-        """The irreducible object labels (a finite sample for infinite sets)."""
-
-    @abstractmethod
-    def evaluate(self, x: ClosureObject):
-        """The underlying object of an evaluated tensor word."""
-
-    @abstractmethod
-    def hom_basis(self, x: ClosureObject, y: ClosureObject) -> list:
-        """A basis of the linear maps evaluate(x) -> evaluate(y)."""
-
-    @abstractmethod
-    def associator(self, x: ClosureObject, y: ClosureObject, z: ClosureObject):
-        """The constraint x (x) (y (x) z) -> (x (x) y) (x) z on evaluations."""
-
-
-class DiagonalizableProvider(SkeletonProvider):
-    """The canonical instantiation: labels are weight multisets."""
+class DiagonalizableProvider:
+    """The canonical instantiation: labels are weight multisets, and no two
+    distinct labels are isomorphic."""
 
     def __init__(self, field: ExactField, group, max_size: int = 2):
         self.field = field
@@ -105,36 +36,24 @@ class DiagonalizableProvider(SkeletonProvider):
         self.max_size = max_size
 
     def labels(self) -> list:
+        """The irreducible object labels up to `max_size` weights."""
         out = []
         for size in range(1, self.max_size + 1):
             out.extend(diagrep.enumerate_multisets(self.group, size))
         return out
 
-    def as_base_object(self, x: ClosureObject) -> diagrep.BaseObject:
-        if x.is_zero:
-            return diagrep.ZERO
-        return diagrep.BaseObject(x.shape, x.labels)
-
-    def evaluate(self, x: ClosureObject) -> diagrep.BaseObject:
-        return self.as_base_object(x)
+    def evaluate(self, x: ClosureObject) -> ClosureObject:
+        """The underlying object of an evaluated tensor word: itself."""
+        return x
 
     def hom_basis(self, x: ClosureObject, y: ClosureObject) -> list:
-        return list(
-            diagrep.hom_space(
-                self.field, self.as_base_object(x), self.as_base_object(y)
-            ).basis
-        )
+        return list(diagrep.hom_space(self.field, x, y).basis)
 
     def associator(self, x, y, z):
-        return diagrep.associator(
-            self.field,
-            self.as_base_object(x),
-            self.as_base_object(y),
-            self.as_base_object(z),
-        )
+        """The constraint x (x) (y (x) z) -> (x (x) y) (x) z."""
+        return diagrep.associator(self.field, x, y, z)
 
     def isomorphism_exists(self, x: ClosureObject, y: ClosureObject) -> bool:
-        bx, by = self.as_base_object(x), self.as_base_object(y)
-        if bx.is_zero or by.is_zero:
-            return bx.is_zero and by.is_zero
-        return diagrep.isotypic_weights(bx) == diagrep.isotypic_weights(by)
+        if x.is_zero or y.is_zero:
+            return x.is_zero and y.is_zero
+        return diagrep.isotypic_weights(x) == diagrep.isotypic_weights(y)

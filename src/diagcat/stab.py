@@ -187,50 +187,23 @@ def label_weight(label: CanonicalLabel, weights):
 # Action matrices
 
 
-def _kron(field: ExactField, mats):
-    """Kronecker product of numeric matrices (row-major index order)."""
-    out = [[field.one()]]
-    for m in mats:
-        rows = len(m)
-        cols = len(m[0]) if rows else 0
-        new = [
-            [field.zero()] * (len(out[0]) * cols)
-            for _ in range(len(out) * rows)
-        ]
-        for i0, row0 in enumerate(out):
-            for j0, x in enumerate(row0):
-                if x == field.zero():
-                    continue
-                for i1 in range(rows):
-                    for j1 in range(cols):
-                        y = m[i1][j1]
-                        if y == field.zero():
-                            continue
-                        new[i0 * rows + i1][j0 * cols + j1] = field.mul(x, y)
-        out = new
-    return out
+def _laurent_ring(field: ExactField, n: int) -> fieldmod.PolyRing:
+    return fieldmod.PolyRing(la.lau_zero(field, n), la.lau_const(field, n, 1))
 
 
-def _kron_laurent(field: ExactField, n: int, mats):
-    out = [[la.lau_const(field, n, 1)]]
-    for m in mats:
-        rows = len(m)
-        cols = len(m[0])
-        new = [
-            [la.lau_zero(field, n) for _ in range(len(out[0]) * cols)]
-            for _ in range(len(out) * rows)
-        ]
-        for i0, row0 in enumerate(out):
-            for j0, x in enumerate(row0):
-                if x.is_zero():
-                    continue
-                for i1 in range(rows):
-                    for j1 in range(cols):
-                        y = m[i1][j1]
-                        if y.is_zero():
-                            continue
-                        new[i0 * rows + i1][j0 * cols + j1] = x * y
-        out = new
+def _block_diagonal(ring, P: ShapePolynomial, v, vdual):
+    """s x s matrix over `ring`, block diagonal over the terms of P and
+    their copies; the (a, b) block is v^(x)a (x) vdual^(x)b."""
+    blocks = []
+    for (a, b), c in P.terms:
+        blocks += [fieldmod.kron(ring, [v] * a + [vdual] * b)] * c
+    s = sum(len(b) for b in blocks)
+    out = [[ring.zero()] * s for _ in range(s)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at : at + len(row)] = row
+        at += len(block)
     return out
 
 
@@ -239,41 +212,12 @@ def action_matrix(field: ExactField, P: ShapePolynomial, n: int):
     copies; on V the block is Z, on V* it is W^T, tensor factors Kronecker."""
     zm = [[la.z_var(field, n, i, j) for j in range(n)] for i in range(n)]
     wt = [[la.w_var(field, n, j, i) for j in range(n)] for i in range(n)]
-    blocks = []
-    for (a, b), c in P.terms:
-        block = _kron_laurent(field, n, [zm] * a + [wt] * b)
-        for _ in range(c):
-            blocks.append(block)
-    s = sum(len(b) for b in blocks)
-    out = [[la.lau_zero(field, n) for _ in range(s)] for _ in range(s)]
-    at = 0
-    for block in blocks:
-        k = len(block)
-        for i in range(k):
-            for j in range(k):
-                out[at + i][at + j] = block[i][j]
-        at += k
-    return out
+    return _block_diagonal(_laurent_ring(field, n), P, zm, wt)
 
 
 def point_action_matrix(field: ExactField, P: ShapePolynomial, n: int, g, ginv):
     """The action matrix evaluated at a concrete point (g, g^{-1})."""
-    gt = fieldmod.transpose(ginv)
-    blocks = []
-    for (a, b), c in P.terms:
-        block = _kron(field, [g] * a + [gt] * b)
-        for _ in range(c):
-            blocks.append(block)
-    s = sum(len(b) for b in blocks)
-    out = fieldmod.zeros(field, s, s)
-    at = 0
-    for block in blocks:
-        k = len(block)
-        for i in range(k):
-            for j in range(k):
-                out[at + i][at + j] = block[i][j]
-        at += k
-    return out
+    return _block_diagonal(field, P, g, fieldmod.transpose(ginv))
 
 
 # ---------------------------------------------------------------------------
@@ -326,36 +270,19 @@ def stabilizer_polys(prob: StabilizerProblem) -> list[LaurentElement]:
     of the subspace, each of degree <= deg(shape)."""
     field, n = prob.field, prob.n
     A = [list(row) for row in prob.matrix]
-    s = len(A)
     r = len(A[0])
     tmat = _extend_matrix(field, A, prob.pivot_rows)
     tinv = fieldmod.inverse(field, tmat)
+    ring = _laurent_ring(field, n)
+
+    def lift(rows):
+        return [[la.lau_const(field, n, x) for x in row] for row in rows]
+
+    # the lower-left (s-r) x r block of tinv * B * tmat over the ring
     B = action_matrix(field, prob.shape, n)
-    # M = tinv * B * tmat over the ring
-    left = [
-        [
-            _scalar_combo(field, n, [tinv[i][k] for k in range(s)], [B[k][j] for k in range(s)])
-            for j in range(s)
-        ]
-        for i in range(s)
-    ]
-    out = []
-    for i in range(r, s):
-        for j in range(r):
-            acc = la.lau_zero(field, n)
-            for k in range(s):
-                if tmat[k][j] != field.zero():
-                    acc = acc + left[i][k].scale(tmat[k][j])
-            out.append(acc)
-    return out
-
-
-def _scalar_combo(field, n, scalars, elements) -> LaurentElement:
-    acc = la.lau_zero(field, n)
-    for c, e in zip(scalars, elements):
-        if c != field.zero() and not e.is_zero():
-            acc = acc + e.scale(c)
-    return acc
+    left = fieldmod.mat_mul(ring, lift(tinv[r:]), B)
+    block = fieldmod.mat_mul(ring, left, lift(row[:r] for row in tmat))
+    return [q for row in block for q in row]
 
 
 def point_stabilizes(field: ExactField, P: ShapePolynomial, n: int, g, ginv, A) -> bool:
@@ -427,24 +354,6 @@ def _substitute_to_laurent(field, poly, assign, nT, n) -> LaurentElement:
         else:
             d[rest] = s0
     return LaurentElement(n, sp.from_dict(field, 2 * n * n, d))
-
-
-def _poly_matmul(mats_a, mats_b):
-    s = len(mats_a)
-    cols = len(mats_b[0])
-    inner = len(mats_b)
-    zero = None
-    out = []
-    for i in range(s):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                prod = mats_a[i][k] * mats_b[k][j]
-                acc = prod if acc is None else acc + prod
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _adjugate(field, m, nvars):
@@ -520,12 +429,11 @@ def stabilizer_polys_symbolic(
         for row in B_small
     ]
     adj, det = _adjugate(field, tmat, nvars)
-    M = _poly_matmul(_poly_matmul(adj, B), tmat)
-    numerators = []
-    for i in range(r, s):
-        for j in range(r):
-            numerators.append(M[i][j])
-    return SymbolicStabilizer(n, s, r, pivot_rows, det, tuple(numerators))
+    ring = fieldmod.PolyRing(zero(), sp.constant(field, nvars, 1))
+    left = fieldmod.mat_mul(ring, adj[r:], B)
+    block = fieldmod.mat_mul(ring, left, [row[:r] for row in tmat])
+    numerators = tuple(q for row in block for q in row)
+    return SymbolicStabilizer(n, s, r, pivot_rows, det, numerators)
 
 
 def _shift_vars(field, poly, offset, nvars):

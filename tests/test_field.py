@@ -105,3 +105,27 @@ def test_finite_field_ops():
     assert F7.of(Fraction(1, 2)) == 4  # 2*4 = 1 mod 7
     g = F7.multiplicative_generator()
     assert sorted(pow(g, k, 7) for k in range(6)) == [1, 2, 3, 4, 5, 6]
+
+
+def test_mat_mul_shape_mismatch_raises():
+    a = fm.mat_of(QQ, [[1, 2, 3]])
+    b = fm.mat_of(QQ, [[1], [2]])
+    with pytest.raises(ValueError):
+        fm.mat_mul(QQ, a, b)
+
+
+@pytest.mark.parametrize("p", [5, None])
+def test_kron_mixed_product(p):
+    """(A (x) B)(C (x) D) = (AC) (x) (BD) for the shared kron and mat_mul."""
+    field = ExactField(p)
+    rng = random.Random(7)
+    for _ in range(25):
+        m, n, k, q, r, s = (rng.randint(1, 3) for _ in range(6))
+        a = _random_matrix(field, rng, m, n)
+        b = _random_matrix(field, rng, k, q)
+        c = _random_matrix(field, rng, n, r)
+        d = _random_matrix(field, rng, q, s)
+        lhs = fm.mat_mul(field, fm.kron(field, [a, b]), fm.kron(field, [c, d]))
+        rhs = fm.kron(field, [fm.mat_mul(field, a, c), fm.mat_mul(field, b, d)])
+        assert lhs == rhs
+    assert fm.kron(field, []) == [[field.one()]]

@@ -192,6 +192,86 @@ def test_character_slice_matches_truncation_route():
             assert _span_equal(QQ, exact, lower.basis, 1)
 
 
+def _incidence_kernel(field, n, monos, lift):
+    """Reference route: the kernel of the monomial-by-character incidence
+    matrix by row reduction; `monos` pairs each exponent tuple with its
+    character (None for monomials that evaluate to 0)."""
+    from diagcat import field as fieldmod
+    from diagcat import sparsepoly as sp
+
+    cols = {}
+    for _, img in monos:
+        if img is not None:
+            cols.setdefault(img, len(cols))
+    mat = [[field.zero()] * len(cols) for _ in monos]
+    for r, (_, img) in enumerate(monos):
+        if img is not None:
+            mat[r][cols[img]] = field.one()
+    out = []
+    for v in fieldmod.kernel(field, fieldmod.transpose(mat)):
+        terms = {lift(e): c for (e, _), c in zip(monos, v) if c != field.zero()}
+        out.append(la.LaurentElement(n, sp.from_dict(field, 2 * n * n, terms)))
+    return out
+
+
+def _reference_slices(field, weights, d):
+    from diagcat import sparsepoly as sp
+
+    n = len(weights)
+    zero = weights[0].group.zero()
+
+    def char(zexp, wexp):
+        acc = zero
+        for i in range(n):
+            acc = acc + weights[i].scale(zexp[i]) + weights[i].scale(-wexp[i])
+        return acc
+
+    diag_z = [la.z_index(n, i, i) for i in range(n)]
+    diag_w = [la.w_index(n, i, i) for i in range(n)]
+    full = []
+    for e in sp.monomials_up_to(2 * n * n, d):
+        off = any(e[k] for k in range(2 * n * n) if k not in diag_z + diag_w)
+        img = None if off else char([e[k] for k in diag_z], [e[k] for k in diag_w])
+        full.append((e, img))
+    basis = _incidence_kernel(field, n, full, lambda e: e)
+    gens = []
+    if d >= 1:
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    gens += [la.z_var(field, n, i, j), la.w_var(field, n, i, j)]
+    small = [(e, char(e[:n], e[n:])) for e in sp.monomials_up_to(2 * n, d)]
+
+    def lift(e):
+        big = [0] * (2 * n * n)
+        for i in range(n):
+            big[diag_z[i]], big[diag_w[i]] = e[i], e[n + i]
+        return tuple(big)
+
+    gens += _incidence_kernel(field, n, small, lift)
+    return tuple(basis), tuple(gens)
+
+
+def test_character_slices_match_incidence_kernel():
+    """The closed-form slices equal, tuple for tuple, the kernel that row
+    reduction of the incidence matrix returns."""
+    Z2 = ab.parse_group("Z^2")
+    Z4 = ab.parse_group("Z/4")
+    weight_sets = [
+        ([Z.element([1])], 3),
+        ([Z4.element([1])], 3),
+        ([Z.element([1]), Z.element([2])], 3),
+        ([Z2.element([1, 0]), Z2.element([0, 1])], 2),
+        ([Z4.element([1]), Z4.element([3]), Z4.element([2])], 2),
+    ]
+    for field in (QQ, ExactField(101), ExactField(2)):
+        for weights, dmax in weight_sets:
+            for d in range(dmax + 1):
+                basis, gens = _reference_slices(field, weights, d)
+                assert la.character_slice(field, weights, d) == basis
+                assert la.character_slice_generators(field, weights, d) == gens
+
+
 def _span_equal(field, basis_a, basis_b, n):
     from diagcat import field as fieldmod
     from diagcat import sparsepoly as sp

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -109,6 +110,25 @@ def test_action_matrix_diagonal_points():
                     assert got == chi.value(stab.label_weight(labels[i], weights))
                 else:
                     assert got == F5.zero()
+
+
+@pytest.mark.parametrize("shape", ["X*Y + X", "X^2"])
+def test_action_matrix_matches_point_action_matrix(shape):
+    """At every non-diagonal point of GL_2(F_5), the symbolic action matrix
+    evaluates to the point action matrix."""
+    P = stab.parse_shape(shape)
+    B = stab.action_matrix(F5, P, 2)
+    points = 0
+    for a, b, c, d in itertools.product(range(5), repeat=4):
+        if (b == 0 and c == 0) or (a * d - b * c) % 5 == 0:
+            continue
+        g = [[a, b], [c, d]]
+        ginv = fm.inverse(F5, g)
+        want = stab.point_action_matrix(F5, P, 2, g, ginv)
+        got = [[la.evaluate_at_point(e, g, ginv) for e in row] for row in B]
+        assert got == want
+        points += 1
+    assert points == 480 - 16
 
 
 def test_stabilizer_polys_examples():
