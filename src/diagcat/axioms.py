@@ -171,7 +171,9 @@ class FragmentModel:
 
         for m in range(1, self.bound.max_tensor_length + 1):
             for shape in enumerate_shapes(m):
-                for sizes in _compositions(m, self.bound.max_dimension):
+                for sizes in dr.compositions_with_product_at_most(
+                    m, self.bound.max_dimension
+                ):
                     for choice in itertools.product(*(irr[s] for s in sizes)):
                         leaves = tuple(b.leaves[0] for b in choice)
                         out.append(BaseObject(shape, leaves))
@@ -319,15 +321,6 @@ class FragmentModel:
         return self._call(
             "cokernel_data", lambda f: dr.cokernel_of(self.field, f), f
         )
-
-
-def _compositions(m: int, cap: int):
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, cap + 1):
-        for rest in _compositions(m - 1, cap // first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +691,7 @@ def check_tensor_projection_compatible(model: FragmentModel):
                 return _fail(
                     i, name,
                     "projection of a tensor depends on the representatives",
-                    b=str(b), c=str(c), owners=[str(o) for o in owners],
+                    b=str(b), c=str(c), owners=sorted(str(o) for o in owners),
                 )
     return _ok(i, name, f"representative independence over {len(reps)}^2 pairs")
 

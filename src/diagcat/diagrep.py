@@ -865,19 +865,20 @@ def objects_from(elements, max_dim: int, max_len: int) -> list[BaseObject]:
     out: list[BaseObject] = []
     for m in range(1, max_len + 1):
         for shape in enumerate_shapes(m):
-            for sizes in _compositions_with_product_at_most(m, max_dim):
+            for sizes in compositions_with_product_at_most(m, max_dim):
                 leaf_choices = [multisets_from(elements, s) for s in sizes]
                 for leaves in itertools.product(*leaf_choices):
                     out.append(BaseObject(shape, tuple(leaves)))
     return out
 
 
-def _compositions_with_product_at_most(m: int, cap: int):
+def compositions_with_product_at_most(m: int, cap: int):
+    """Tuples of m positive sizes whose product is at most cap."""
     if m == 0:
         yield ()
         return
     for first in range(1, cap + 1):
-        for rest in _compositions_with_product_at_most(m - 1, cap // first):
+        for rest in compositions_with_product_at_most(m - 1, cap // first):
             yield (first,) + rest
 
 

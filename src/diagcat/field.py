@@ -22,6 +22,9 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class ExactField:
     """`p is None` means the rationals, otherwise the prime field F_p."""
@@ -46,10 +49,10 @@ class ExactField:
         return int(n) % self.p
 
     def zero(self):
-        return self.of(0)
+        return _Q_ZERO if self.p is None else 0
 
     def one(self):
-        return self.of(1)
+        return _Q_ONE if self.p is None else 1
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -62,6 +65,9 @@ class ExactField:
 
     def neg(self, a):
         return (-a) % self.p if self.p else -a
+
+    def pow(self, a, k: int):
+        return pow(a, k, self.p) if self.p else a**k
 
     def inv(self, a):
         if a == self.zero():

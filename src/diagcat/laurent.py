@@ -16,6 +16,7 @@ points, when found, upgrade a negative answer to a definitive one.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -105,22 +106,14 @@ def lau_monomial(field: ExactField, n: int, exps, c=1) -> LaurentElement:
 
 def antipode(f: LaurentElement) -> LaurentElement:
     """Swap Z <-> W on representatives; an involution preserving degree."""
-    nn = f.n * f.n
-
-    def swap(e):
-        return tuple(e[nn:]) + tuple(e[:nn])
-
-    return LaurentElement(f.n, f.poly.map_exponents(swap))
+    nvars = 2 * f.n * f.n
+    swap = [sp.variable(f.field, nvars, (i + nvars // 2) % nvars) for i in range(nvars)]
+    return LaurentElement(f.n, f.poly.substitute(swap))
 
 
 def evaluate_at_point(f: LaurentElement, zmat, wmat):
     """Value at a point of GL_n given as the pair (g, g^{-1})."""
-    values = []
-    n = f.n
-    for i in range(n):
-        values.extend(zmat[i])
-    for i in range(n):
-        values.extend(wmat[i])
+    values = [x for row in zmat for x in row] + [x for row in wmat for x in row]
     return f.poly.evaluate(values)
 
 
@@ -219,106 +212,58 @@ def format_element(f: LaurentElement) -> str:
 
 @dataclass(frozen=True)
 class TensorSquareElement:
-    """An element of the tensor square of the coordinate ring."""
+    """An element of the tensor square of the coordinate ring, stored as a
+    polynomial in 4n^2 variables: the left factor's 2n^2, then the right's."""
 
     n: int
-    field: ExactField
-    terms: tuple  # sorted (((expsL, expsR), coeff), ...)
+    poly: SparsePoly
+
+    @property
+    def field(self) -> ExactField:
+        return self.poly.field
+
+    @property
+    def terms(self) -> tuple:
+        """Sorted (((expsL, expsR), coeff), ...)."""
+        m = 2 * self.n * self.n
+        return tuple(((e[:m], e[m:]), c) for e, c in self.poly.terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def __add__(self, other: TensorSquareElement) -> TensorSquareElement:
-        d = dict(self.terms)
-        z = self.field.zero()
-        for e, c in other.terms:
-            s = self.field.add(d.get(e, z), c)
-            if s == z:
-                d.pop(e, None)
-            else:
-                d[e] = s
-        return _ts_from_dict(self.field, self.n, d)
+        return TensorSquareElement(self.n, self.poly + other.poly)
 
     def __mul__(self, other: TensorSquareElement) -> TensorSquareElement:
-        f = self.field
-        z = f.zero()
-        d: dict = {}
-        for (l1, r1), c1 in self.terms:
-            for (l2, r2), c2 in other.terms:
-                key = (
-                    tuple(a + b for a, b in zip(l1, l2)),
-                    tuple(a + b for a, b in zip(r1, r2)),
-                )
-                s = f.add(d.get(key, z), f.mul(c1, c2))
-                if s == z:
-                    d.pop(key, None)
-                else:
-                    d[key] = s
-        return _ts_from_dict(f, self.n, d)
+        return TensorSquareElement(self.n, self.poly * other.poly)
 
     def max_bidegree(self) -> tuple[int, int]:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return (-1, -1)
         return (
-            max(sum(l) for (l, _r), _ in self.terms),
-            max(sum(r) for (_l, r), _ in self.terms),
+            max(sum(l) for (l, _r), _ in terms),
+            max(sum(r) for (_l, r), _ in terms),
         )
-
-
-def _ts_from_dict(field, n, d) -> TensorSquareElement:
-    z = field.zero()
-    return TensorSquareElement(
-        n, field, tuple(sorted((k, c) for k, c in d.items() if c != z))
-    )
-
-
-def _ts_const(field, n, c) -> TensorSquareElement:
-    zero_e = (0,) * (2 * n * n)
-    c = field.of(c)
-    if c == field.zero():
-        return TensorSquareElement(n, field, ())
-    return TensorSquareElement(n, field, (((zero_e, zero_e), c),))
 
 
 def comultiply(f: LaurentElement) -> TensorSquareElement:
     """Substitute Z[i,j] -> sum_l Z[i,l] (x) Z[l,j] and
     W[i,j] -> sum_l W[l,j] (x) W[i,l]."""
-    n = f.n
-    k = f.field
-    nn = n * n
-    zero_e = (0,) * (2 * nn)
+    n, k = f.n, f.field
+    m = 2 * n * n
 
-    def delta_of_var(idx: int) -> TensorSquareElement:
-        d = {}
-        if idx < nn:
-            i, j = idx // n, idx % n
-            for l in range(n):
-                le = list(zero_e)
-                re = list(zero_e)
-                le[z_index(n, i, l)] = 1
-                re[z_index(n, l, j)] = 1
-                d[(tuple(le), tuple(re))] = k.one()
-        else:
-            i, j = (idx - nn) // n, (idx - nn) % n
-            for l in range(n):
-                le = list(zero_e)
-                re = list(zero_e)
-                le[w_index(n, l, j)] = 1
-                re[w_index(n, i, l)] = 1
-                d[(tuple(le), tuple(re))] = k.one()
-        return _ts_from_dict(k, n, d)
+    def tensor(left: int, right: int) -> SparsePoly:
+        return sp.variable(k, 2 * m, left) * sp.variable(k, 2 * m, m + right)
 
-    out = TensorSquareElement(n, k, ())
-    for exps, coeff in f.poly.terms:
-        term = _ts_const(k, n, coeff)
-        for idx, e in enumerate(exps):
-            if e == 0:
-                continue
-            dv = delta_of_var(idx)
-            for _ in range(e):
-                term = term * dv
-        out = out + term
-    return out
+    images = [sp.zero(k, 2 * m) for _ in range(m)]
+    for i in range(n):
+        for j in range(n):
+            zi, wi = z_index(n, i, j), w_index(n, i, j)
+            for l in range(n):
+                images[zi] = images[zi] + tensor(z_index(n, i, l), z_index(n, l, j))
+                images[wi] = images[wi] + tensor(w_index(n, l, j), w_index(n, i, l))
+    return TensorSquareElement(n, f.poly.substitute(images))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +361,14 @@ def _offdiag_indices(n: int) -> list[int]:
     return out
 
 
+def _offdiag_variables(field: ExactField, n: int) -> list[LaurentElement]:
+    """Z[i,j], W[i,j] for i != j, in `_offdiag_indices` order."""
+    return [
+        LaurentElement(n, sp.variable(field, 2 * n * n, idx))
+        for idx in _offdiag_indices(n)
+    ]
+
+
 def _is_single_variable(f: LaurentElement) -> int | None:
     if len(f.poly.terms) != 1:
         return None
@@ -453,27 +406,23 @@ def _diagonal_split(I: LaurentIdeal):
     return off_gens, diag_gens
 
 
+@lru_cache(maxsize=32)
+def _diagonal_images(field: ExactField, n: int) -> tuple[tuple, tuple]:
+    """Images of the substitutions between k[Z, W] and the diagonal ring in
+    (z_11..z_nn, w_11..w_nn): down sends off-diagonal variables to 0, up
+    sends the diagonal variables back to Z[i,i] and W[i,i]."""
+    down = [sp.zero(field, 2 * n) for _ in range(2 * n * n)]
+    for i in range(n):
+        down[z_index(n, i, i)] = sp.variable(field, 2 * n, i)
+        down[w_index(n, i, i)] = sp.variable(field, 2 * n, n + i)
+    up = [z_var(field, n, i, i).poly for i in range(n)]
+    up += [w_var(field, n, i, i).poly for i in range(n)]
+    return tuple(down), tuple(up)
+
+
 def _to_diag_poly(field, n, f: LaurentElement) -> SparsePoly:
     """Project onto the 2n diagonal variables (z_11..z_nn, w_11..w_nn)."""
-    d: dict = {}
-    z = field.zero()
-    for e, c in f.poly.terms:
-        if any(
-            e[k] != 0
-            for k in range(2 * n * n)
-            if k not in [z_index(n, i, i) for i in range(n)]
-            and k not in [w_index(n, i, i) for i in range(n)]
-        ):
-            continue
-        key = tuple(e[z_index(n, i, i)] for i in range(n)) + tuple(
-            e[w_index(n, i, i)] for i in range(n)
-        )
-        s = field.add(d.get(key, z), c)
-        if s == z:
-            d.pop(key, None)
-        else:
-            d[key] = s
-    return sp.from_dict(field, 2 * n, d)
+    return f.poly.substitute(_diagonal_images(field, n)[0])
 
 
 def _diagonal_exponents(n: int, e) -> tuple:
@@ -486,8 +435,7 @@ def _diagonal_exponents(n: int, e) -> tuple:
 
 
 def _from_diag_poly(field, n, p: SparsePoly) -> LaurentElement:
-    d = {_diagonal_exponents(n, e): c for e, c in p.terms}
-    return LaurentElement(n, sp.from_dict(field, 2 * n * n, d))
+    return LaurentElement(n, p.substitute(_diagonal_images(field, n)[1]))
 
 
 def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
@@ -527,8 +475,8 @@ def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
 
 
 def _solve_work_estimate(nvars: int, ngens: int, cap: int, max_deg: int) -> int:
-    cols = len(sp.monomials_up_to(nvars, cap)) * ngens
-    rows = len(sp.monomials_up_to(nvars, cap + max_deg))
+    cols = math.comb(nvars + cap, cap) * ngens
+    rows = math.comb(nvars + cap + max_deg, cap + max_deg)
     return rows * cols * min(rows, cols)
 
 
@@ -684,6 +632,18 @@ def matrix_inverse_exact(field, m):
         return None
 
 
+def _diagonal_point(field: ExactField, entries):
+    """The pair (g, g^{-1}) for g the diagonal matrix of the given units."""
+    n = len(entries)
+    zero = field.zero()
+    g = [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
+    ginv = [
+        [field.inv(entries[i]) if i == j else zero for j in range(n)]
+        for i in range(n)
+    ]
+    return g, ginv
+
+
 def candidate_points(field: ExactField, n: int):
     """Deterministic stream of invertible matrices (as (g, g^{-1}) pairs):
     diagonal grids first, then, over small finite fields, all of GL_n."""
@@ -702,15 +662,7 @@ def candidate_points(field: ExactField, n: int):
             Fraction(5),
         ]
     for diag in itertools.product(diag_entries, repeat=n):
-        g = [
-            [diag[i] if i == j else field.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        ginv = [
-            [field.inv(diag[i]) if i == j else field.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        yield g, ginv
+        yield _diagonal_point(field, diag)
     # elementary transvections and permutation matrices reach coordinates a
     # diagonal grid cannot refute
     one = field.one()
@@ -909,13 +861,7 @@ def character_slice_generators(
     Generates the same ideal as the full slice."""
     weights = list(weights)
     n = len(weights)
-    gens: list[LaurentElement] = []
-    if d >= 1:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    gens.append(z_var(field, n, i, j))
-                    gens.append(w_var(field, n, i, j))
+    gens = _offdiag_variables(field, n) if d >= 1 else []
     diag_monos = [_diagonal_exponents(n, e) for e in sp.monomials_up_to(2 * n, d)]
     return tuple(gens + _character_kernel(field, weights, diag_monos))
 
@@ -969,12 +915,7 @@ def diagonalizable_image_ideal(
     if not weights:
         raise ValueError("need at least one weight")
     n = len(weights)
-    gens: list[LaurentElement] = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gens.append(z_var(field, n, i, j))
-                gens.append(w_var(field, n, i, j))
+    gens = _offdiag_variables(field, n)
     for i in range(n):
         for j in range(i + 1, n):
             if weights[i] == weights[j]:
@@ -1003,20 +944,10 @@ def image_points(field: ExactField, group: FgAbelianGroup, weights):
     from .diagrep import all_characters
 
     weights = list(weights)
-    n = len(weights)
-    pts = []
-    for chi in all_characters(field, group):
-        vals = [chi.value(w) for w in weights]
-        g = [
-            [vals[i] if i == j else field.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        ginv = [
-            [field.inv(vals[i]) if i == j else field.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        pts.append((g, ginv))
-    return pts
+    return [
+        _diagonal_point(field, [chi.value(w) for w in weights])
+        for chi in all_characters(field, group)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ immutable; all operations return new polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .field import ExactField
 
@@ -58,17 +59,7 @@ class SparsePoly:
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
         f = self.field
-        z = f.zero()
-        d: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(d.get(e, z), f.mul(c1, c2))
-                if s == z:
-                    d.pop(e, None)
-                else:
-                    d[e] = s
-        return from_dict(f, self.nvars, d)
+        return from_dict(f, self.nvars, _product(f, self.terms, other.terms))
 
     def scale(self, lam) -> SparsePoly:
         f = self.field
@@ -85,36 +76,56 @@ class SparsePoly:
             out = out * self
         return out
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """Terms as (coeff, ((variable, exponent), ...)), zero exponents dropped."""
+        return tuple(
+            (c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in self.terms
+        )
+
     def evaluate(self, values):
+        """The value at the point with coordinates `values`."""
         f = self.field
         acc = f.zero()
-        for e, c in self.terms:
-            t = c
-            for i, k in enumerate(e):
-                if k:
-                    t = f.mul(t, _pow(f, values[i], k))
-            acc = f.add(acc, t)
+        for c, factors in self._compiled:
+            for i, k in factors:
+                c = f.mul(c, f.pow(values[i], k))
+            acc = f.add(acc, c)
         return acc
 
-    def map_exponents(self, fn) -> SparsePoly:
-        d: dict = {}
-        f = self.field
-        z = f.zero()
-        for e, c in self.terms:
-            e2 = fn(e)
-            s = f.add(d.get(e2, z), c)
+    def substitute(self, images) -> SparsePoly:
+        """The ring map sending variable i to the polynomial `images[i]`; all
+        images lie in one target ring."""
+        if not images or len(images) != self.nvars:
+            raise ValueError(f"need {self.nvars} images, got {len(images)}")
+        f, nvars = images[0].field, images[0].nvars
+        unit = (0,) * nvars
+        powers: dict = {}
+        acc: dict = {}
+        for c, factors in self._compiled:
+            term = {unit: c}
+            for i, k in factors:
+                if (i, k) not in powers:
+                    powers[i, k] = images[i].pow(k).terms
+                term = _product(f, term.items(), powers[i, k])
+            for e, x in term.items():
+                acc[e] = f.add(acc.get(e, f.zero()), x)
+        return from_dict(f, nvars, acc)
+
+
+def _product(field: ExactField, a, b) -> dict:
+    """Exponents -> nonzero coefficient of the product of two term lists."""
+    z = field.zero()
+    d: dict = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = field.add(d.get(e, z), field.mul(c1, c2))
             if s == z:
-                d.pop(e2, None)
+                d.pop(e, None)
             else:
-                d[e2] = s
-        return from_dict(f, self.nvars, d)
-
-
-def _pow(field: ExactField, x, k: int):
-    out = field.one()
-    for _ in range(k):
-        out = field.mul(out, x)
-    return out
+                d[e] = s
+    return d
 
 
 def from_dict(field: ExactField, nvars: int, d: dict) -> SparsePoly:
@@ -166,6 +177,5 @@ def monomials_up_to(nvars: int, d: int) -> list[tuple]:
                 result.append(())
             continue
         rec((), total, nvars)
-        # only tuples of exact total degree `total`
-        result.extend(e for e in out if sum(e) == total)
+        result.extend(out)
     return result

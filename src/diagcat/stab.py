@@ -250,18 +250,14 @@ class StabilizerProblem:
             raise ValueError("pivot minor is singular")
 
 
-def _extend_matrix(field: ExactField, A, pivot_rows_1based):
-    """T~ = [A | E] with E the unit vectors in the non-pivot rows."""
-    s = len(A)
-    r = len(A[0])
+def _extend_matrix(ring, A, pivot_rows_1based):
+    """T~ = [A | E] over `ring`, E the unit vectors in the non-pivot rows."""
+    s, r = len(A), len(A[0])
     pivots = set(i - 1 for i in pivot_rows_1based)
     nonpivot = [i for i in range(s) if i not in pivots]
-    t = [[field.zero()] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(r):
-            t[i][j] = A[i][j]
+    t = [list(row) + [ring.zero()] * (s - r) for row in A]
     for col, row in enumerate(nonpivot):
-        t[row][r + col] = field.one()
+        t[row][r + col] = ring.one()
     return t
 
 
@@ -309,55 +305,23 @@ class SymbolicStabilizer:
 
     def specialize(self, field: ExactField, A) -> list[LaurentElement]:
         """Evaluate the T variables at a concrete matrix; returns the Q_i."""
-        n, s, r = self.n, self.s, self.r
-        nT = s * r
-        assign = {}
-        for i in range(s):
-            for j in range(r):
-                assign[i * r + j] = field.of(A[i][j])
-        detval = _substitute(field, self.det, assign, nT, n)
+        n, nvars = self.n, 2 * self.n * self.n
+        tvals = [field.of(x) for row in A for x in row[: self.r]]
+        detval = self.det.evaluate(tvals + [field.zero()] * nvars)
         if detval == field.zero():
             raise ValueError("pivot minor is singular at this specialization")
+        images = [sp.constant(field, nvars, x) for x in tvals]
+        images += [sp.variable(field, nvars, k) for k in range(nvars)]
         dinv = field.inv(detval)
-        out = []
-        for num in self.numerators:
-            lau = _substitute_to_laurent(field, num, assign, nT, n)
-            out.append(lau.scale(dinv))
-        return out
+        return [
+            LaurentElement(n, num.substitute(images)).scale(dinv)
+            for num in self.numerators
+        ]
 
 
-def _substitute(field, poly, assign, nT, n):
-    acc = field.zero()
-    for e, c in poly.terms:
-        t = field.of(c)
-        for idx in range(nT):
-            for _ in range(e[idx]):
-                t = field.mul(t, assign[idx])
-        acc = field.add(acc, t)
-    return acc
-
-
-def _substitute_to_laurent(field, poly, assign, nT, n) -> LaurentElement:
-    d: dict = {}
-    z = field.zero()
-    for e, c in poly.terms:
-        t = field.of(c)
-        for idx in range(nT):
-            for _ in range(e[idx]):
-                t = field.mul(t, assign[idx])
-        if t == z:
-            continue
-        rest = tuple(e[nT:])
-        s0 = field.add(d.get(rest, z), t)
-        if s0 == z:
-            d.pop(rest, None)
-        else:
-            d[rest] = s0
-    return LaurentElement(n, sp.from_dict(field, 2 * n * n, d))
-
-
-def _adjugate(field, m, nvars):
-    """Adjugate of a small matrix of polynomials by cofactor expansion."""
+def _adjugate(field, m, nvars, first: int):
+    """Rows first.. of the adjugate of a small matrix of polynomials, and
+    its determinant, by cofactor expansion."""
     s = len(m)
 
     def minor_det(rows, cols):
@@ -373,18 +337,17 @@ def _adjugate(field, m, nvars):
             acc = term if acc is None else acc + term
         return acc
 
-    full_rows = list(range(s))
-    adj = [[None] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            rows = [r for r in full_rows if r != i]
-            cols = [c for c in full_rows if c != j]
-            c0 = minor_det(rows, cols)
+    full = list(range(s))
+    adj = []
+    for j in range(first, s):
+        row = []
+        for i in range(s):
+            c0 = minor_det([k for k in full if k != i], [k for k in full if k != j])
             if (i + j) % 2 == 1:
                 c0 = c0.scale(field.neg(field.one()))
-            adj[j][i] = c0  # transpose of the cofactor matrix
-    det = minor_det(full_rows, full_rows)
-    return adj, det
+            row.append(c0)  # transpose of the cofactor matrix
+        adj.append(row)
+    return adj, minor_det(full, full)
 
 
 MAX_SYMBOLIC_DIMENSION = 6
@@ -404,43 +367,18 @@ def stabilizer_polys_symbolic(
     nT = s * r
     nvars = nT + 2 * n * n
 
-    def tvar(i, j):
-        return sp.variable(field, nvars, i * r + j)
+    ring = fieldmod.PolyRing(sp.zero(field, nvars), sp.constant(field, nvars, 1))
+    tvars = [[sp.variable(field, nvars, i * r + j) for j in range(r)] for i in range(s)]
+    tmat = _extend_matrix(ring, tvars, pivot_rows)
 
-    def zero():
-        return sp.zero(field, nvars)
-
-    pivots = set(i - 1 for i in pivot_rows)
-    nonpivot = [i for i in range(s) if i not in pivots]
-    tmat = [[zero() for _ in range(s)] for _ in range(s)]
-    for i in range(s):
-        for j in range(r):
-            tmat[i][j] = tvar(i, j)
-    for col, row in enumerate(nonpivot):
-        tmat[row][r + col] = sp.constant(field, nvars, 1)
-
-    # embed the action matrix into the big variable ring
-    B_small = action_matrix(field, P, n)
-    B = [
-        [
-            _shift_vars(field, e.poly, nT, nvars)
-            for e in row
-        ]
-        for row in B_small
-    ]
-    adj, det = _adjugate(field, tmat, nvars)
-    ring = fieldmod.PolyRing(zero(), sp.constant(field, nvars, 1))
-    left = fieldmod.mat_mul(ring, adj[r:], B)
+    # embed the action matrix into the big variable ring, after the T variables
+    embed = [sp.variable(field, nvars, nT + k) for k in range(2 * n * n)]
+    B = [[e.poly.substitute(embed) for e in row] for row in action_matrix(field, P, n)]
+    adj, det = _adjugate(field, tmat, nvars, r)
+    left = fieldmod.mat_mul(ring, adj, B)
     block = fieldmod.mat_mul(ring, left, [row[:r] for row in tmat])
     numerators = tuple(q for row in block for q in row)
     return SymbolicStabilizer(n, s, r, pivot_rows, det, numerators)
-
-
-def _shift_vars(field, poly, offset, nvars):
-    d = {}
-    for e, c in poly.terms:
-        d[(0,) * offset + tuple(e)] = c
-    return sp.from_dict(field, nvars, d)
 
 
 # ---------------------------------------------------------------------------

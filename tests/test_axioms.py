@@ -92,3 +92,14 @@ def test_duplicate_irreducible_counterexample():
 def test_mutation_catalog_targets():
     targets = sorted(m.axiom for m in ax.MUTATIONS.values())
     assert len(targets) == len(set(targets)) >= 10
+
+
+def test_tensor_owner_witness_is_sorted():
+    """The owners witness of axiom 13 comes from a set of objects whose hash
+    varies between processes (leaf shapes hash None, which Python 3.11
+    hashes by address), so it is sorted to keep `--json` bytes stable."""
+    model = ax.mutated_model(F5, Z4, ax.bounds(2, 2), "tensor-owner-inconsistent")
+    result = ax.check_tensor_projection_compatible(model)
+    owners = result.witness["owners"]
+    assert result.status == "fail" and len(owners) == 2
+    assert owners == sorted(owners)

@@ -360,3 +360,83 @@ def test_hermann_bound():
     assert la.hermann_bound(2, 1) == 4 ** (2**2)
     # astronomically large already for n = 2
     assert la.hermann_bound(1, 2) == 2**256
+
+
+def _reference_to_diag_poly(field, n, f):
+    """The former term loop: drop terms with an off-diagonal exponent and
+    keep the diagonal exponents (z_11..z_nn, w_11..w_nn)."""
+    from diagcat import sparsepoly as sp
+
+    diag = [la.z_index(n, i, i) for i in range(n)] + [la.w_index(n, i, i) for i in range(n)]
+    d = {}
+    for e, c in f.poly.terms:
+        if any(e[k] for k in range(2 * n * n) if k not in diag):
+            continue
+        key = tuple(e[k] for k in diag)
+        d[key] = field.add(d.get(key, field.zero()), c)
+    return sp.from_dict(field, 2 * n, d)
+
+
+def _reference_comultiply_terms(f):
+    """The former tensor-square loop: expand each term as a product of
+    Delta(x) over its variables, keyed by (left, right) exponents."""
+    n, k = f.n, f.field
+    nn = n * n
+
+    def unit(idx):
+        e = [0] * (2 * nn)
+        e[idx] = 1
+        return tuple(e)
+
+    def mul(a, b):
+        d = {}
+        for (l1, r1), c1 in a.items():
+            for (l2, r2), c2 in b.items():
+                key = (
+                    tuple(x + y for x, y in zip(l1, l2)),
+                    tuple(x + y for x, y in zip(r1, r2)),
+                )
+                d[key] = k.add(d.get(key, k.zero()), k.mul(c1, c2))
+        return {key: c for key, c in d.items() if c != k.zero()}
+
+    def delta(idx):
+        i, j = divmod(idx % nn, n)
+        if idx < nn:
+            pairs = [(la.z_index(n, i, l), la.z_index(n, l, j)) for l in range(n)]
+        else:
+            pairs = [(la.w_index(n, l, j), la.w_index(n, i, l)) for l in range(n)]
+        return {(unit(a), unit(b)): k.one() for a, b in pairs}
+
+    zero_e = (0,) * (2 * nn)
+    out = {}
+    for exps, coeff in f.poly.terms:
+        term = {(zero_e, zero_e): coeff}
+        for idx, e in enumerate(exps):
+            for _ in range(e):
+                term = mul(term, delta(idx))
+        for key, c in term.items():
+            out[key] = k.add(out.get(key, k.zero()), c)
+    return tuple(sorted((key, c) for key, c in out.items() if c != k.zero()))
+
+
+@pytest.mark.parametrize("p", [None, 101, 5])
+def test_diagonal_projection_matches_reference_loop(p):
+    field = ExactField(p)
+    elements = []
+    for pres in la.catalog(field).values():
+        elements += pres.ideal.generators
+        for d in range(4):
+            elements += la.character_slice(field, pres.weights, d)
+    for f in elements:
+        got = la._to_diag_poly(field, f.n, f)
+        assert got == _reference_to_diag_poly(field, f.n, f)
+        back = la._from_diag_poly(field, f.n, got)
+        assert la._to_diag_poly(field, f.n, back) == got
+
+
+def test_comultiply_matches_reference_loop():
+    rng = random.Random(50)
+    for n in (1, 2):
+        for _ in range(25):
+            f = _random_element(rng, QQ, n, deg=3)
+            assert la.comultiply(f).terms == _reference_comultiply_terms(f)

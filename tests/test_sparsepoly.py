@@ -1,0 +1,83 @@
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagcat import sparsepoly as sp
+from diagcat.field import ExactField
+
+
+def _random_poly(field, rng, nvars, max_terms=4, max_deg=3):
+    out = sp.zero(field, nvars)
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(nvars)] += 1
+        out = out + sp.monomial(field, nvars, exps, rng.randint(-4, 4))
+    return out
+
+
+def _random_point(field, rng, nvars):
+    return [field.of(rng.randint(-6, 6)) for _ in range(nvars)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([5, None]))
+def test_substitute_is_a_ring_map(seed, p):
+    field = ExactField(p)
+    rng = random.Random(seed)
+    nvars, target = rng.randint(1, 3), rng.randint(1, 3)
+    images = [_random_poly(field, rng, target, max_terms=3, max_deg=2) for _ in range(nvars)]
+    f = _random_poly(field, rng, nvars)
+    g = _random_poly(field, rng, nvars)
+    sub_f, sub_g = f.substitute(images), g.substitute(images)
+    assert (f * g).substitute(images) == sub_f * sub_g
+    assert (f + g).substitute(images) == sub_f + sub_g
+    assert sp.constant(field, nvars, 3).substitute(images) == sp.constant(field, target, 3)
+    for i in range(nvars):
+        assert sp.variable(field, nvars, i).substitute(images) == images[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([5, None]))
+def test_evaluate_commutes_with_substitute(seed, p):
+    field = ExactField(p)
+    rng = random.Random(seed)
+    nvars, target = rng.randint(1, 3), rng.randint(1, 3)
+    images = [_random_poly(field, rng, target, max_terms=3, max_deg=2) for _ in range(nvars)]
+    f = _random_poly(field, rng, nvars)
+    pt = _random_point(field, rng, target)
+    assert f.substitute(images).evaluate(pt) == f.evaluate(
+        [img.evaluate(pt) for img in images]
+    )
+
+
+@pytest.mark.parametrize("p", [5, None])
+def test_evaluate_matches_expanded_products(p):
+    field = ExactField(p)
+    rng = random.Random(12)
+    for _ in range(40):
+        f = _random_poly(field, rng, 3)
+        pt = _random_point(field, rng, 3)
+        want = field.zero()
+        for e, c in f.terms:
+            for x, k in zip(pt, e):
+                for _ in range(k):
+                    c = field.mul(c, x)
+            want = field.add(want, c)
+        assert f.evaluate(pt) == want
+
+
+def test_substitute_needs_one_image_per_variable():
+    field = ExactField(5)
+    f = sp.variable(field, 2, 0)
+    with pytest.raises(ValueError):
+        f.substitute([sp.variable(field, 1, 0)])
+
+
+def test_monomial_count_is_binomial():
+    for v in range(19):
+        for d in range(5):
+            assert len(sp.monomials_up_to(v, d)) == math.comb(v + d, d)
