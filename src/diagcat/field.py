@@ -1,12 +1,16 @@
 """Exact coefficient fields (Q and F_p) and exact linear algebra.
 
 Elements are plain `Fraction`s for Q and reduced ints for F_p; the field
-object supplies the arithmetic. All matrix routines are pure functions on
-list-of-list matrices and return reduced canonical forms.
+object supplies the arithmetic. Matrix routines are pure functions on
+list-of-list matrices and return reduced canonical forms. Every exact solve
+runs through one sparse elimination core, `echelon`, on dict rows; `rref`,
+`rank`, `kernel`, `solve_linear` and `inverse` are dense adapters over it
+(`det` keeps its own loop to track the sign of row swaps).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,34 +240,93 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def rref(field: ExactField, m):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    zero = field.zero()
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != zero:
-                piv = i
+def echelon(field: ExactField, rows):
+    """Reduced row echelon form of sparse rows, the one elimination core.
+
+    `rows` are dicts {column: nonzero value}. Returns [(pivot_column, row)]
+    sorted by pivot column; each row is a dict of its nonzero entries, 1 at
+    its pivot, with no column left of the pivot and no other pivot column.
+    Rows are first reduced one at a time against the pivots found so far,
+    leftmost column first, then back-substituted from the rightmost pivot;
+    each update touches only the nonzeros of the subtracted row. The result
+    is the unique reduced form for this column order."""
+    p = field.p
+    pivots: dict[int, dict] = {}
+    for src in rows:
+        row = dict(src)
+        queue = list(row)
+        heapq.heapify(queue)
+        while queue:
+            c = heapq.heappop(queue)
+            x = row.get(c)
+            if x is None:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                inv = field.inv(x)
+                for k, y in row.items():
+                    row[k] = y * inv % p if p else y * inv
+                pivots[c] = row
                 break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != zero:
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+            _subtract(row, x, prow, p, queue)
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _subtract(row, row[k], pivots[k], p, None)
+    return sorted(pivots.items())
+
+
+def _subtract(row, x, prow, p, queue):
+    """row -= x * prow in place, dropping entries that cancel; columns that
+    become nonzero are pushed on the heap `queue` when one is given. The
+    field test sits outside the loop: this is the hot loop of every solve."""
+    if p:
+        for k, y in prow.items():
+            v = row.get(k)
+            if v is None:
+                row[k] = -x * y % p
+                if queue is not None:
+                    heapq.heappush(queue, k)
+            else:
+                v = (v - x * y) % p
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+    else:
+        for k, y in prow.items():
+            v = row.get(k)
+            if v is None:
+                row[k] = -x * y
+                if queue is not None:
+                    heapq.heappush(queue, k)
+            else:
+                v -= x * y
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+
+
+def _sparse_rows(field: ExactField, m):
+    zero = field.zero()
+    return [{j: x for j, x in enumerate(row) if x != zero} for row in m]
+
+
+def rref(field: ExactField, m):
+    """Reduced row echelon form of a dense matrix. Returns (R, pivot_columns),
+    the zero rows of R last."""
+    cols = len(m[0]) if m else 0
+    zero = field.zero()
+    red = echelon(field, _sparse_rows(field, m))
+    out = []
+    for _, row in red:
+        dense = [zero] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    out += [[zero] * cols for _ in range(len(m) - len(red))]
+    return out, [c for c, _ in red]
 
 
 def rank(field: ExactField, m) -> int:
@@ -279,7 +342,8 @@ def kernel(field: ExactField, m):
     if rows == 0:
         return [unit_vector(field, cols, j) for j in range(cols)]
     r, pivots = rref(field, m)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     zero = field.zero()
     one = field.one()
@@ -304,17 +368,24 @@ def solve_linear(field: ExactField, m, b):
     if rows != len(b):
         raise ValueError("dimension mismatch")
     cols = len(m[0]) if rows else 0
-    aug = [list(row) + [bb] for row, bb in zip(m, b)]
-    r, pivots = rref(field, aug)
+    aug = _sparse_rows(field, m)
     zero = field.zero()
-    for row in r:
-        if all(x == zero for x in row[:cols]) and row[cols] != zero:
-            return None
+    for row, bb in zip(aug, b):
+        if bb != zero:
+            row[cols] = bb
+    return solve_echelon(field, echelon(field, aug), cols)
+
+
+def solve_echelon(field: ExactField, red, cols: int):
+    """The solution of an augmented system from its `echelon` form, the
+    right-hand side in column `cols`: free variables 0, None if a pivot
+    lands on the right-hand side."""
+    zero = field.zero()
     x = [zero] * cols
-    for i, c in enumerate(pivots):
+    for c, row in red:
         if c == cols:
             return None
-        x[c] = r[i][cols]
+        x[c] = row.get(cols, zero)
     return x
 
 

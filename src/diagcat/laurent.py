@@ -19,7 +19,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import sparsepoly as sp
 from .abelian import FgAbelianGroup, GroupElement, relation_lattice
@@ -440,35 +440,33 @@ def _from_diag_poly(field, n, p: SparsePoly) -> LaurentElement:
 
 def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
     """Solve f = sum h_i g_i with deg h_i <= cap in a small polynomial ring.
-    Returns list of cofactor SparsePolys or None."""
+
+    One sparse row per monomial of the products m*g_i: the unknown coefficient
+    of m in h_i is a column, f's coefficient sits in the last column. The
+    system is inconsistent exactly when `echelon` puts a pivot there;
+    otherwise free unknowns are 0. Returns list of cofactor SparsePolys or
+    None."""
     if not gens:
         return None if not f.is_zero() else []
     nvars = gens[0].nvars
     cof_monos = sp.monomials_up_to(nvars, cap)
-    columns = []  # (gen_index, monomial_exps, product poly)
+    columns = []  # (gen_index, monomial_exps)
+    rows: dict[tuple, dict] = {}
     for gi, g in enumerate(gens):
         for m in cof_monos:
-            prod = sp.monomial(field, nvars, m) * g
-            columns.append((gi, m, prod))
-    row_monos: dict[tuple, int] = {}
-    for _, _, prod in columns:
-        for e, _ in prod.terms:
-            row_monos.setdefault(e, len(row_monos))
-    for e, _ in f.terms:
-        row_monos.setdefault(e, len(row_monos))
-    nrows = len(row_monos)
-    mat = [[field.zero()] * len(columns) for _ in range(nrows)]
-    for ci, (_, _, prod) in enumerate(columns):
-        for e, c in prod.terms:
-            mat[row_monos[e]][ci] = c
-    rhs = [field.zero()] * nrows
+            col = len(columns)
+            columns.append((gi, m))
+            for e, c in g.terms:
+                prod = tuple(x + y for x, y in zip(m, e))
+                rows.setdefault(prod, {})[col] = c
+    rhs = len(columns)
     for e, c in f.terms:
-        rhs[row_monos[e]] = c
-    sol = fieldmod.solve_linear(field, mat, rhs)
+        rows.setdefault(e, {})[rhs] = c
+    sol = fieldmod.solve_echelon(field, fieldmod.echelon(field, rows.values()), rhs)
     if sol is None:
         return None
     cofs = [sp.zero(field, nvars) for _ in gens]
-    for (gi, m, _), x in zip(columns, sol):
+    for (gi, m), x in zip(columns, sol):
         if x != field.zero():
             cofs[gi] = cofs[gi] + sp.monomial(field, nvars, m, x)
     return cofs
@@ -486,10 +484,11 @@ def _work_budget(field: ExactField) -> int:
 
 
 def ideal_membership(
-    f: LaurentElement, I: LaurentIdeal, cofactor_degree_cap: int
+    f: LaurentElement, I: LaurentIdeal, cofactor_degree_cap: int, refute=None
 ) -> MembershipResult:
     """Decide f = sum h_i g_i (deg h_i <= cap) with the relation ideal
-    included among the generators; `member` carries expandable witnesses."""
+    included among the generators; `member` carries expandable witnesses.
+    `refute()`, when given, stands in for `find_refutation_point(f, I)`."""
     if f.n != I.n:
         raise ValueError("inconsistent matrix sizes")
     field = I.field
@@ -499,10 +498,12 @@ def ideal_membership(
         raise ValueError("cofactor degree cap must be >= 0")
     if f.is_zero():
         return MembershipResult("member", cap, ())
+    if refute is None:
+        refute = lambda: find_refutation_point(f, I)
 
     split = _diagonal_split(I)
     if split is not None:
-        return _diagonal_membership(f, I, split, cap)
+        return _diagonal_membership(f, I, split, cap, refute)
 
     gens = list(I.generators) + relation_generators(field, n)
     max_deg = max([g.degree() for g in gens] + [f.degree()])
@@ -510,14 +511,14 @@ def ideal_membership(
         return MembershipResult("unknown", cap)
     cofs = _solve_cofactors(field, [g.poly for g in gens], f.poly, cap)
     if cofs is None:
-        return _negative_result(f, I, cap)
+        return _negative_result(f, I, cap, refute)
     pairs = tuple(
         (g, LaurentElement(n, h)) for g, h in zip(gens, cofs) if not h.is_zero()
     )
     return MembershipResult("member", cap, pairs)
 
 
-def _diagonal_membership(f, I, split, cap) -> MembershipResult:
+def _diagonal_membership(f, I, split, cap, refute) -> MembershipResult:
     """Fast path when the presentation contains every off-diagonal variable:
     work in the 2n diagonal variables with relations z_i w_i = 1, then lift
     the witness back to the full ring."""
@@ -563,7 +564,7 @@ def _diagonal_membership(f, I, split, cap) -> MembershipResult:
         return MembershipResult("unknown", cap)
     cofs = _solve_cofactors(field, all_gens, _to_diag_poly(field, n, f_diag), cap)
     if cofs is None:
-        return _negative_result(f, I, cap)
+        return _negative_result(f, I, cap, refute)
 
     pairs = []
     for g, h in zip(diag_gens, cofs[: len(diag_gens)]):
@@ -592,8 +593,8 @@ def _diagonal_membership(f, I, split, cap) -> MembershipResult:
     return result
 
 
-def _negative_result(f, I, cap) -> MembershipResult:
-    pt = find_refutation_point(f, I)
+def _negative_result(f, I, cap, refute) -> MembershipResult:
+    pt = refute()
     return MembershipResult(
         "not_member_up_to", cap, None, pt, definitive=pt is not None
     )
@@ -603,22 +604,24 @@ def ideal_membership_ascending(
     f: LaurentElement, I: LaurentIdeal, max_cap: int
 ) -> MembershipResult:
     """Try small caps, then a refutation point (a definitive negative that
-    short-circuits large solves), then the remaining caps up to max_cap."""
+    short-circuits large solves), then the remaining caps up to max_cap.
+    The point scan runs at most once per call."""
+    refute = cache(lambda: find_refutation_point(f, I))
     last = None
     for cap in range(min(1, max_cap) + 1):
-        last = ideal_membership(f, I, cap)
+        last = ideal_membership(f, I, cap, refute)
         if last.is_member:
             return last
     if last is not None and last.definitive:
         return last
-    pt = find_refutation_point(f, I)
+    pt = refute()
     if pt is not None:
         return MembershipResult("not_member_up_to", max_cap, None, pt, True)
     for cap in range(2, max_cap + 1):
-        last = ideal_membership(f, I, cap)
+        last = ideal_membership(f, I, cap, refute)
         if last.is_member:
             return last
-    return last if last is not None else ideal_membership(f, I, max_cap)
+    return last if last is not None else ideal_membership(f, I, max_cap, refute)
 
 
 # ---------------------------------------------------------------------------
@@ -764,18 +767,20 @@ def _prune_generators(gens) -> tuple[LaurentElement, ...]:
 def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationResult:
     """A basis of a subspace of (I + relations) intersected with the
     degree <= d slice: the span of monomial multiples m*g of degree <= cap,
-    cut down by exact row reduction. Complete only beyond the Hermann bound."""
+    cut down by exact row reduction. Each m*g is one sparse row over the
+    monomials of degree > d, then those of degree <= d; the basis is the
+    reduced rows whose pivot lies in the low part, which are exactly the
+    rows with no high-degree term. Complete only beyond the Hermann bound."""
     if d < 0 or work_cap < d:
         raise ValueError("need 0 <= d <= work_cap")
     field, n = I.field, I.n
     nvars = 2 * n * n
     gens = list(I.generators) + relation_generators(field, n)
     monos = sp.monomials_up_to(nvars, work_cap)
-    mono_index = {}
     high = [e for e in monos if sum(e) > d]
     low = [e for e in monos if sum(e) <= d]
-    for e in high + low:
-        mono_index[e] = len(mono_index)
+    columns = high + low
+    mono_index = {e: j for j, e in enumerate(columns)}
     rows = []
     for g in gens:
         if g.is_zero():
@@ -784,27 +789,22 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
         for m in monos:
             if sum(m) + gd > work_cap:
                 continue
-            prod = sp.monomial(field, nvars, m) * g.poly
-            row = [field.zero()] * len(mono_index)
-            for e, c in prod.terms:
-                row[mono_index[e]] = c
-            rows.append(row)
+            rows.append(
+                {
+                    mono_index[tuple(x + y for x, y in zip(m, e))]: c
+                    for e, c in g.poly.terms
+                }
+            )
     if not rows:
         return TruncationResult((), False, d, work_cap)
-    red, _piv = fieldmod.rref(field, rows)
     nhigh = len(high)
-    zero = field.zero()
-    basis = []
-    for row in red:
-        if all(x == zero for x in row):
-            continue
-        if any(x != zero for x in row[:nhigh]):
-            continue
-        terms = {}
-        for e, idx in mono_index.items():
-            if row[idx] != zero:
-                terms[e] = row[idx]
-        basis.append(LaurentElement(n, sp.from_dict(field, nvars, terms)))
+    basis = [
+        LaurentElement(
+            n, sp.from_dict(field, nvars, {columns[j]: x for j, x in row.items()})
+        )
+        for pivot, row in fieldmod.echelon(field, rows)
+        if pivot >= nhigh
+    ]
     complete = work_cap >= hermann_bound(max(d, 1), n)
     return TruncationResult(
         tuple(basis), complete, d, work_cap, _prune_generators(basis)

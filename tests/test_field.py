@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diagcat import field as fm
 from diagcat.field import ExactField, QQ, parse_field
+from dense_reference import dense_rref
 
 
 def test_parse_field():
@@ -129,3 +130,89 @@ def test_kron_mixed_product(p):
         rhs = fm.kron(field, [fm.mat_mul(field, a, c), fm.mat_mul(field, b, d)])
         assert lhs == rhs
     assert fm.kron(field, []) == [[field.one()]]
+
+
+SPARSE_FIELDS = [ExactField(2), ExactField(5), ExactField(101), QQ]
+
+
+@st.composite
+def sparse_matrices(draw, fields=SPARSE_FIELDS):
+    """(field, m): mostly-zero matrices, empty, zero-column and all-zero rows
+    included; rational entries over Q."""
+    field = draw(st.sampled_from(fields))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    zero_weight = draw(st.sampled_from([1, 3, 8]))
+    entry = st.sampled_from([0] * zero_weight + [1, -1, 2, 3, -7])
+    den = st.sampled_from([1, 2, 3] if field.p is None else [1])
+    m = [
+        [field.of(Fraction(draw(entry), draw(den))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    return field, m
+
+
+def _as_dict_rows(field, m):
+    return [{j: x for j, x in enumerate(row) if x != field.zero()} for row in m]
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=str)
+def test_rref_edge_shapes(field):
+    z = field.zero()
+    assert fm.rref(field, []) == ([], [])
+    assert fm.rref(field, [[], []]) == ([[], []], [])
+    assert fm.rref(field, [[z, z], [z, z]]) == ([[z, z], [z, z]], [])
+    assert fm.echelon(field, []) == []
+    assert fm.echelon(field, [{}, {}]) == []
+    assert fm.kernel(field, [[z, z]]) == [[field.one(), z], [z, field.one()]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_reference(case):
+    field, m = case
+    assert fm.rref(field, m) == dense_rref(field, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_echelon_matches_rref(case):
+    field, m = case
+    red = fm.echelon(field, _as_dict_rows(field, m))
+    r, piv = fm.rref(field, m)
+    assert [c for c, _ in red] == piv
+    assert [row for _, row in red] == _as_dict_rows(field, r[: len(piv)])
+    for c, row in red:
+        assert min(row) == c and row[c] == field.one()
+        assert all(x != field.zero() for x in row.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.booleans(), st.integers(0, 10**6))
+def test_solve_linear_exact_or_inconsistent(case, consistent, seed):
+    field, m = case
+    rng = random.Random(seed)
+    cols = len(m[0]) if m else 0
+    if consistent:
+        b = fm.mat_vec(field, m, [field.of(rng.randint(-3, 3)) for _ in range(cols)])
+    else:
+        b = [field.of(rng.randint(-3, 3)) for _ in m]
+    aug = [row + [x] for row, x in zip(m, b)]
+    solvable = len(dense_rref(field, m)[1]) == len(dense_rref(field, aug)[1])
+    sol = fm.solve_linear(field, m, b)
+    assert (sol is not None) == solvable
+    if sol is not None:
+        assert len(sol) == cols and fm.mat_vec(field, m, sol) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(fields=[QQ]))
+def test_rref_matches_sympy_over_q(case):
+    sympy = pytest.importorskip("sympy")
+    _, m = case
+    if not m or not m[0]:
+        return
+    red, piv = sympy.Matrix(m).rref()
+    expected = [
+        [Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(len(m))
+    ]
+    assert fm.rref(QQ, m) == (expected, list(piv))

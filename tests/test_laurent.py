@@ -3,8 +3,10 @@ import random
 import pytest
 
 from diagcat import abelian as ab
+from diagcat import field as fm
 from diagcat import laurent as la
 from diagcat.field import ExactField, QQ
+from dense_reference import dense_echelon
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -440,3 +442,20 @@ def test_comultiply_matches_reference_loop():
         for _ in range(25):
             f = _random_element(rng, QQ, n, deg=3)
             assert la.comultiply(f).terms == _reference_comultiply_terms(f)
+
+
+@pytest.mark.parametrize("p, caps", [(101, (3, 4)), (None, (3,))], ids=["F101", "Q"])
+def test_truncation_matches_dense_reference(monkeypatch, p, caps):
+    """Slices of the catalog GL_2 ideals are the same through the sparse
+    `echelon` core and through the dense reference loop."""
+    field = ExactField(p)
+    cat = la.catalog(field)
+    cases = [
+        (cat[name].ideal, d, cap)
+        for name in ("torus-t-t2-gl2", "diagonal-torus-gl2")
+        for cap in caps
+        for d in range(3)
+    ]
+    sparse = [repr(la.truncated_ideal_part(*case)) for case in cases]
+    monkeypatch.setattr(fm, "echelon", dense_echelon)
+    assert [repr(la.truncated_ideal_part(*case)) for case in cases] == sparse

@@ -19,10 +19,17 @@ def _run(script, *args):
     return proc.stdout.splitlines()
 
 
+def _catalog_witnesses_ok(field):
+    lines = _run("defining_degree_catalog.py", "--field", field, "--dmax", "3", "--cap", "4")
+    return [line for line in lines if re.search(r"defining degree \d .*witnesses ok", line)]
+
+
 def test_defining_degree_catalog_script():
-    lines = _run("defining_degree_catalog.py", "--field", "F101", "--dmax", "3", "--cap", "4")
-    ok = [line for line in lines if re.search(r"defining degree \d .*witnesses ok", line)]
-    assert len(ok) == 8
+    assert len(_catalog_witnesses_ok("F101")) == 8
+
+
+def test_defining_degree_catalog_script_over_q():
+    assert len(_catalog_witnesses_ok("Q")) == 8
 
 
 def test_run_axiom_check_script():

@@ -10,6 +10,7 @@ from diagcat import field as fm
 from diagcat import laurent as la
 from diagcat import stab
 from diagcat.field import ExactField, QQ
+from dense_reference import dense_echelon
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -327,3 +328,28 @@ def test_degrees_equal():
     assert stab.degrees_equal_check(cat["mu3"], 2, 2, 4).status == "equal"
     with pytest.raises(ValueError):
         stab.degrees_equal_check(cat["mu2"], 3, 1, 4)
+
+
+def _weights_stripped(field, name):
+    pres = la.catalog(field)[name]
+    return la.SubgroupPresentation(field, pres.n, pres.ideal, None, "bare")
+
+
+@pytest.mark.parametrize(
+    "p, name, dmax, cap",
+    [(101, "torus-t-t2-gl2", 2, 3), (None, "diagonal-torus-gl2", 1, 3)],
+)
+def test_general_path_degree_matches_dense_reference(monkeypatch, p, name, dmax, cap):
+    """Defining degrees on the Macaulay path are the same through the sparse
+    `echelon` core and through the dense reference loop."""
+    bare = _weights_stripped(ExactField(p), name)
+    sparse = repr(stab.defining_degree(bare, dmax, cap))
+    monkeypatch.setattr(fm, "echelon", dense_echelon)
+    assert repr(stab.defining_degree(bare, dmax, cap)) == sparse
+
+
+@pytest.mark.parametrize("p", [101, None])
+def test_general_path_torus_at_cap_6(p):
+    res = stab.defining_degree(_weights_stripped(ExactField(p), "torus-t-t2-gl2"), 3, 6)
+    assert res.status == "found" and res.degree == 2
+    assert res.witness_ok()
