@@ -281,26 +281,30 @@ class LaurentIdeal:
         return LaurentIdeal(self.field, self.n, tuple(gens), self.name)
 
 
+def _relation_entry(field: ExactField, n: int, i: int, j: int, left, right):
+    """Entry (i, j) of XY - I for X, Y the variable matrices indexed by `left`
+    and `right` (`z_index` or `w_index`): n + 1 terms, built directly."""
+    nvars = 2 * n * n
+    terms = {}
+    for l in range(n):
+        e = [0] * nvars
+        e[left(n, i, l)] = 1
+        e[right(n, l, j)] = 1
+        terms[tuple(e)] = field.one()
+    if i == j:
+        terms[(0,) * nvars] = field.neg(field.one())
+    return LaurentElement(n, sp.from_dict(field, nvars, terms))
+
+
 def relation_generators(field: ExactField, n: int) -> list[LaurentElement]:
     """Entries of ZW - I and WZ - I."""
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            acc = lau_zero(field, n)
-            for l in range(n):
-                acc = acc + z_var(field, n, i, l) * w_var(field, n, l, j)
-            if i == j:
-                acc = acc - lau_const(field, n, 1)
-            gens.append(acc)
-    for i in range(n):
-        for j in range(n):
-            acc = lau_zero(field, n)
-            for l in range(n):
-                acc = acc + w_var(field, n, i, l) * z_var(field, n, l, j)
-            if i == j:
-                acc = acc - lau_const(field, n, 1)
-            gens.append(acc)
-    return gens
+    pairs = ((z_index, w_index), (w_index, z_index))
+    return [
+        _relation_entry(field, n, i, j, left, right)
+        for left, right in pairs
+        for i in range(n)
+        for j in range(n)
+    ]
 
 
 def hermann_bound(d: int, n: int) -> int:
@@ -571,12 +575,11 @@ def _diagonal_membership(f, I, split, cap, refute) -> MembershipResult:
         if not h.is_zero():
             pairs.append((g, _from_diag_poly(field, n, h)))
     # z_i w_i - 1 = (ZW - I)_ii - sum_{l != i} Z[i,l] W[l,i]
-    rels = relation_generators(field, n)
     for i, h in enumerate(cofs[len(diag_gens) :]):
         if h.is_zero():
             continue
         hfull = _from_diag_poly(field, n, h)
-        pairs.append((rels[i * n + i], hfull))
+        pairs.append((_relation_entry(field, n, i, i, z_index, w_index), hfull))
         for l in range(n):
             if l == i:
                 continue
@@ -601,12 +604,15 @@ def _negative_result(f, I, cap, refute) -> MembershipResult:
 
 
 def ideal_membership_ascending(
-    f: LaurentElement, I: LaurentIdeal, max_cap: int
+    f: LaurentElement, I: LaurentIdeal, max_cap: int, scan: PointScan | None = None
 ) -> MembershipResult:
     """Try small caps, then a refutation point (a definitive negative that
     short-circuits large solves), then the remaining caps up to max_cap.
-    The point scan runs at most once per call."""
-    refute = cache(lambda: find_refutation_point(f, I))
+    The point scan runs at most once per call. The refutation point is the
+    first point in `_point_list` order where every generator of I vanishes
+    and f does not, whatever the generator order; pass a `PointScan` of I
+    as `scan` to share the zero points across calls on the same ideal."""
+    refute = cache(lambda: find_refutation_point(f, I, scan))
     last = None
     for cap in range(min(1, max_cap) + 1):
         last = ideal_membership(f, I, cap, refute)
@@ -706,16 +712,71 @@ def _point_list(field: ExactField, n: int, limit: int = 3000):
     return tuple(out)
 
 
-def find_refutation_point(f: LaurentElement, I: LaurentIdeal):
-    """A point killing every generator but not f; certifies non-membership."""
-    field = I.field
-    z = field.zero()
-    for g, ginv in _point_list(field, I.n):
-        if evaluate_at_point(f, g, ginv) == z:
-            continue
-        if all(evaluate_at_point(h, g, ginv) == z for h in I.generators):
-            return g, ginv
-    return None
+class PointScan:
+    """The points of `_point_list(I.field, I.n)` where every generator of I
+    vanishes, found lazily in stream order and shared by every `refute` call
+    on this scan.
+
+    Each stream point is tested once, so each (generator, point) pair is
+    evaluated at most once. Generators are tried in move-to-front order: the
+    one that was nonzero at the last rejected point goes first. Whether every
+    generator vanishes at a point does not depend on that order, so
+    `refute(f)` gives the same answer as a fresh scan: the first point, in
+    `_point_list` order, where every generator of I vanishes and f does not.
+    A scan holds no state outside itself; make one per ideal inside the call
+    that asks about several f."""
+
+    def __init__(self, I: LaurentIdeal):
+        self.ideal = I
+        self._points = _point_list(I.field, I.n)
+        self._order = list(I.generators)
+        self._zeros: list[tuple] = []  # zero points found, in stream order
+        self._scanned = 0  # number of stream points tested
+
+    def _next_zero(self):
+        """Test stream points until every generator vanishes at one; record
+        and return it, or None at the end of the stream."""
+        z = self.ideal.field.zero()
+        order = self._order
+        while self._scanned < len(self._points):
+            pt = self._points[self._scanned]
+            self._scanned += 1
+            for k, h in enumerate(order):
+                if evaluate_at_point(h, *pt) != z:
+                    order.insert(0, order.pop(k))
+                    break
+            else:
+                self._zeros.append(pt)
+                return pt
+        return None
+
+    def refute(self, f: LaurentElement):
+        """The first zero point of I in stream order where f does not
+        vanish, or None."""
+        z = self.ideal.field.zero()
+        for pt in self._zeros:
+            if evaluate_at_point(f, *pt) != z:
+                return pt
+        while (pt := self._next_zero()) is not None:
+            if evaluate_at_point(f, *pt) != z:
+                return pt
+        return None
+
+
+def find_refutation_point(
+    f: LaurentElement, I: LaurentIdeal, scan: PointScan | None = None
+):
+    """A point (g, g^{-1}) where every generator of I vanishes and f does
+    not, which certifies that f is not in I + relations; None when the
+    stream has no such point. The answer is the first such point in
+    `_point_list` order, whatever the order of I's generators. `scan`, a
+    `PointScan` of I, reuses the zero points earlier calls found; without
+    it a one-off scan is made."""
+    if scan is None:
+        scan = PointScan(I)
+    elif scan.ideal != I:
+        raise ValueError("the point scan belongs to another ideal")
+    return scan.refute(f)
 
 
 # ---------------------------------------------------------------------------

@@ -422,8 +422,11 @@ def is_stable(
     pivots = _choose_pivots(field, A)
     prob = StabilizerProblem(P, presentation.n, tuple(pivots), _as_tuple(A), field)
     qs = stabilizer_polys(prob)
+    scan = la.PointScan(presentation.ideal)
     for q in qs:
-        res = la.ideal_membership_ascending(q, presentation.ideal, membership_cap)
+        res = la.ideal_membership_ascending(
+            q, presentation.ideal, membership_cap, scan
+        )
         if not res.is_member:
             if res.definitive:
                 return False
@@ -492,8 +495,9 @@ def defining_degree(
         pres, trunc = group_le_d(G, d, work_cap)
         witnesses = []
         failed = None
+        scan = la.PointScan(pres.ideal)
         for g in G.ideal.generators:
-            res = la.ideal_membership_ascending(g, pres.ideal, work_cap)
+            res = la.ideal_membership_ascending(g, pres.ideal, work_cap, scan)
             if res.is_member:
                 witnesses.append((g, res))
             else:
@@ -546,8 +550,9 @@ def degrees_equal_check(
     pres_d, _ = group_le_d(G, d, work_cap)
     _, trunc_hi = group_le_d(G, d_prime, work_cap)
     witnesses = []
+    scan = la.PointScan(pres_d.ideal)
     for g in trunc_hi.basis:
-        res = la.ideal_membership_ascending(g, pres_d.ideal, work_cap)
+        res = la.ideal_membership_ascending(g, pres_d.ideal, work_cap, scan)
         if res.is_member:
             witnesses.append((g, res))
             continue

@@ -459,3 +459,106 @@ def test_truncation_matches_dense_reference(monkeypatch, p, caps):
     sparse = [repr(la.truncated_ideal_part(*case)) for case in cases]
     monkeypatch.setattr(fm, "echelon", dense_echelon)
     assert [repr(la.truncated_ideal_part(*case)) for case in cases] == sparse
+
+
+def _reference_refutation_point(f, I):
+    """The point scan as one loop: the first stream point where f is nonzero
+    and every generator of I vanishes."""
+    z = I.field.zero()
+    for g, ginv in la._point_list(I.field, I.n):
+        if la.evaluate_at_point(f, g, ginv) == z:
+            continue
+        if all(la.evaluate_at_point(h, g, ginv) == z for h in I.generators):
+            return g, ginv
+    return None
+
+
+def _scan_cases(field):
+    """Every catalog ideal and its truncations of degree <= 2, each with the
+    elements to refute: the catalog generators, the relation generators and
+    a few seeded low-degree elements."""
+    from diagcat import stab
+
+    rng = random.Random(11)
+    for name, G in la.catalog(field).items():
+        fs = list(G.ideal.generators) + la.relation_generators(field, G.n)
+        fs += [_random_element(rng, field, G.n, deg=2) for _ in range(3)]
+        ideals = [G.ideal] + [stab.group_le_d(G, d, 2)[0].ideal for d in range(3)]
+        for I in ideals:
+            yield name, I, fs
+
+
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_point_scan_matches_reference_loop(field):
+    for name, I, fs in _scan_cases(field):
+        expected = [_reference_refutation_point(f, I) for f in fs]
+        for order in (range(len(fs)), reversed(range(len(fs)))):
+            scan = la.PointScan(I)
+            for k in order:
+                got = la.find_refutation_point(fs[k], I, scan)
+                assert got == expected[k], (name, I.name, k)
+    cat = la.catalog(field)
+    other_scan = la.PointScan(cat["mu3"].ideal)
+    with pytest.raises(ValueError):
+        la.find_refutation_point(fs[0], cat["mu2"].ideal, other_scan)
+
+
+def test_point_scan_evaluates_each_generator_once(monkeypatch):
+    from diagcat import stab
+
+    F101 = ExactField(101)
+    calls = []
+    evaluate = la.evaluate_at_point
+
+    def counting(f, zmat, wmat):
+        calls.append((id(f), id(zmat)))
+        return evaluate(f, zmat, wmat)
+
+    monkeypatch.setattr(la, "evaluate_at_point", counting)
+    for name, I, fs in _scan_cases(F101):
+        if name not in ("mu5", "torus-t-t2-gl2"):
+            continue
+        # fresh objects, so that a call on f is never counted as one on a
+        # generator equal to it
+        fs = [la.LaurentElement(f.n, f.poly) for f in fs]
+        scan = la.PointScan(I)
+        del calls[:]
+        for f in fs + fs:
+            la.find_refutation_point(f, I, scan)
+        gens = {id(g) for g in I.generators}
+        pairs = [c for c in calls if c[0] in gens]
+        assert len(pairs) == len(set(pairs)), (name, I.name)
+
+    # the defining degree is the same as with one-off reference scans
+    G = la.catalog(F101)["mu5"]
+    result = stab.defining_degree(G, 4, 6)
+    monkeypatch.setattr(
+        la,
+        "find_refutation_point",
+        lambda f, I, scan=None: _reference_refutation_point(f, I),
+    )
+    assert stab.defining_degree(G, 4, 6) == result
+    assert result.degree == 3 and all(r.definitive for r in result.refutations)
+
+
+def _reference_relation_generators(field, n):
+    """Entries of ZW - I and WZ - I as sums of products of variables."""
+    gens = []
+    for left, right in ((la.z_var, la.w_var), (la.w_var, la.z_var)):
+        for i in range(n):
+            for j in range(n):
+                acc = la.lau_zero(field, n)
+                for l in range(n):
+                    acc = acc + left(field, n, i, l) * right(field, n, l, j)
+                if i == j:
+                    acc = acc - la.lau_const(field, n, 1)
+                gens.append(acc)
+    return gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_generators_match_products(n):
+    for field in (QQ, F5, ExactField(101)):
+        assert la.relation_generators(field, n) == _reference_relation_generators(
+            field, n
+        )

@@ -1,99 +1,97 @@
+"""The free parenthesized tensor closure of the irreducible labels (weight
+multisets) is the canonical model's own object layer in `diagrep`."""
+
 import random
 
 import pytest
 
 from diagcat import abelian as ab
 from diagcat import diagrep as dr
-from diagcat import skeleton as sk
 from diagcat.field import ExactField
 
 F5 = ExactField(5)
 Z4 = ab.parse_group("Z/4")
 
 
-def _provider():
-    return sk.DiagonalizableProvider(F5, Z4, max_size=2)
+def _labels():
+    """The irreducible labels of Z/4 with at most two weights."""
+    return dr.enumerate_multisets(Z4, 1) + dr.enumerate_multisets(Z4, 2)
 
 
 def test_closure_basics():
-    labels = _provider().labels()
-    x = sk.closure_leaf(labels[0])
-    y = sk.closure_leaf(labels[1])
-    t = sk.closure_tensor(x, y)
-    assert sk.tensor_length(t) == 2
-    assert not sk.is_tensor_irreducible(t)
-    assert sk.is_tensor_irreducible(x)
-    assert not sk.is_tensor_irreducible(sk.ZERO_CLOSURE)
-    assert sk.closure_tensor(x, sk.ZERO_CLOSURE) == sk.ZERO_CLOSURE
+    labels = _labels()
+    x = dr.make_irreducible(labels[0])
+    y = dr.make_irreducible(labels[1])
+    t = dr.tensor_obj(x, y)
+    assert t.tensor_length == 2
+    assert not dr.is_tensor_irreducible(t)
+    assert dr.is_tensor_irreducible(x)
+    assert not dr.is_tensor_irreducible(dr.ZERO)
+    assert dr.tensor_obj(x, dr.ZERO) == dr.ZERO
     with pytest.raises(ValueError):
-        sk.tensor_length(sk.ZERO_CLOSURE)
+        dr.ZERO.tensor_length
 
 
 def test_tensor_injective_on_objects():
-    labels = _provider().labels()
+    labels = _labels()
     rng = random.Random(2)
 
     def random_obj():
-        x = sk.closure_leaf(rng.choice(labels))
+        x = dr.make_irreducible(rng.choice(labels))
         for _ in range(rng.randint(0, 2)):
             if rng.random() < 0.5:
-                x = sk.closure_tensor(x, sk.closure_leaf(rng.choice(labels)))
+                x = dr.tensor_obj(x, dr.make_irreducible(rng.choice(labels)))
             else:
-                x = sk.closure_tensor(sk.closure_leaf(rng.choice(labels)), x)
+                x = dr.tensor_obj(dr.make_irreducible(rng.choice(labels)), x)
         return x
 
     objs = [random_obj() for _ in range(40)]
     seen = {}
     for a in objs:
         for b in objs:
-            t = sk.closure_tensor(a, b)
+            t = dr.tensor_obj(a, b)
             if t in seen:
                 assert seen[t] == (a, b)
             seen[t] = (a, b)
-            assert sk.tensor_length(t) == sk.tensor_length(a) + sk.tensor_length(b)
+            assert t.tensor_length == a.tensor_length + b.tensor_length
 
 
 def test_factorize_round_trip():
-    labels = _provider().labels()
-    a = sk.closure_leaf(labels[0])
-    b = sk.closure_leaf(labels[1])
-    c = sk.closure_leaf(labels[2])
-    x = sk.closure_tensor(sk.closure_tensor(a, b), c)
-    tree = sk.closure_factorize(x)
-    assert sk.closure_retensor(tree) == x
+    labels = _labels()
+    a = dr.make_irreducible(labels[0])
+    b = dr.make_irreducible(labels[1])
+    c = dr.make_irreducible(labels[2])
+    x = dr.tensor_obj(dr.tensor_obj(a, b), c)
+    tree = dr.tensor_factorize(x)
+    assert dr.retensor(tree) == x
     (l, r), leaf = tree
     assert l == a and r == b and leaf == c
     with pytest.raises(ValueError):
-        sk.closure_factorize(sk.ZERO_CLOSURE)
+        dr.tensor_factorize(dr.ZERO)
 
 
 def test_no_two_labels_isomorphic():
-    prov = _provider()
-    labels = prov.labels()
+    labels = _labels()
     for i, l1 in enumerate(labels):
         for l2 in labels[i + 1 :]:
-            assert not prov.isomorphism_exists(
-                sk.closure_leaf(l1), sk.closure_leaf(l2)
+            assert dr.isotypic_weights(dr.make_irreducible(l1)) != dr.isotypic_weights(
+                dr.make_irreducible(l2)
             )
 
 
 def test_provider_matches_model():
-    prov = _provider()
-    labels = prov.labels()
-    x = sk.closure_tensor(sk.closure_leaf(labels[1]), sk.closure_leaf(labels[2]))
-    b = prov.evaluate(x)
-    assert isinstance(b, dr.BaseObject)
-    assert b.tensor_length == 2
-    hom = prov.hom_basis(x, x)
-    assert len(hom) == dr.hom_dimension(b, b)
+    labels = _labels()
+    x = dr.tensor_obj(dr.make_irreducible(labels[1]), dr.make_irreducible(labels[2]))
+    assert isinstance(x, dr.BaseObject)
+    assert x.tensor_length == 2
+    hom = dr.hom_space(F5, x, x).basis
+    assert len(hom) == dr.hom_dimension(x, x)
 
 
 def test_pentagon():
     """(Phi (x) id) o Phi o (id (x) Phi) = Phi o Phi on four factors."""
-    prov = _provider()
-    labels = prov.labels()
-    w, x, y, z = (sk.closure_leaf(labels[i]) for i in (1, 2, 3, 4))
-    bw, bx, by, bz = (prov.evaluate(v) for v in (w, x, y, z))
+    labels = _labels()
+    bw, bx, by, bz = (dr.make_irreducible(labels[i]) for i in (1, 2, 3, 4))
 
     import diagcat.field as fieldmod
 
