@@ -12,17 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import abelian, axioms, diagrep, laurent, paren, stab
 from .field import ExactField, parse_field
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    options: dict
 
 
 class UsageError(ValueError):

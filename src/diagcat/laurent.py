@@ -6,11 +6,16 @@ of the stored representative, and membership in the degree filtration is a
 statement about the existence of some representative, decided against the
 relation ideal with a cofactor degree cap.
 
-Ideals always implicitly contain the relation ideal. Membership answers are
-exact: `member` carries expandable cofactor witnesses, `not_member_up_to(D)`
-means no cofactor representation with degrees <= D exists (definitive only
-beyond the Hermann bound, so the cap is always reported), and refutation
-points, when found, upgrade a negative answer to a definitive one.
+Ideals always implicitly contain the relation ideal. Membership is one
+cofactor solve: a generator of the ideal that is a single variable
+eliminates that variable, and the solve runs on the other generators and
+the relations reduced into the ring of the remaining variables. Membership
+answers are exact: `member` carries expandable cofactor witnesses, lifted
+back to k[Z, W]; `not_member_up_to(D)` means no cofactor representation
+exists in which the generators that are not single variables have cofactors
+of degree <= D (definitive only beyond the Hermann bound, so the cap is
+always reported); and refutation points, when found, upgrade a negative
+answer to a definitive one.
 """
 
 from __future__ import annotations
@@ -277,9 +282,6 @@ class LaurentIdeal:
     generators: tuple[LaurentElement, ...]
     name: str = ""
 
-    def with_generators(self, gens) -> LaurentIdeal:
-        return LaurentIdeal(self.field, self.n, tuple(gens), self.name)
-
 
 def _relation_entry(field: ExactField, n: int, i: int, j: int, left, right):
     """Entry (i, j) of XY - I for X, Y the variable matrices indexed by `left`
@@ -335,6 +337,10 @@ class SubgroupPresentation:
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """The answer of `ideal_membership`. `cap` bounds the degrees of the
+    cofactors of the generators that are not single variables; the
+    cofactor of an eliminated (single-variable) generator may exceed it."""
+
     status: str  # 'member' | 'not_member_up_to' | 'unknown'
     cap: int
     cofactors: tuple | None = None  # ((generator, cofactor), ...) when member
@@ -382,53 +388,6 @@ def _is_single_variable(f: LaurentElement) -> int | None:
     return e.index(1)
 
 
-def _diagonal_split(I: LaurentIdeal):
-    """If the ideal contains every off-diagonal variable as a generator and
-    all other generators are supported on diagonal variables, return
-    (offdiag_gens_by_index, diagonal_gens); otherwise None."""
-    n = I.n
-    off_needed = set(_offdiag_indices(n))
-    off_gens: dict[int, LaurentElement] = {}
-    diag_gens: list[LaurentElement] = []
-    diag_vars = set(z_index(n, i, i) for i in range(n)) | set(
-        w_index(n, i, i) for i in range(n)
-    )
-    for g in I.generators:
-        idx = _is_single_variable(g)
-        if idx is not None and idx in off_needed:
-            off_gens[idx] = g
-            continue
-        if all(
-            all(e[k] == 0 for k in range(len(e)) if k not in diag_vars)
-            for e, _ in g.poly.terms
-        ):
-            diag_gens.append(g)
-            continue
-        return None
-    if set(off_gens) != off_needed and n > 1:
-        return None
-    return off_gens, diag_gens
-
-
-@lru_cache(maxsize=32)
-def _diagonal_images(field: ExactField, n: int) -> tuple[tuple, tuple]:
-    """Images of the substitutions between k[Z, W] and the diagonal ring in
-    (z_11..z_nn, w_11..w_nn): down sends off-diagonal variables to 0, up
-    sends the diagonal variables back to Z[i,i] and W[i,i]."""
-    down = [sp.zero(field, 2 * n) for _ in range(2 * n * n)]
-    for i in range(n):
-        down[z_index(n, i, i)] = sp.variable(field, 2 * n, i)
-        down[w_index(n, i, i)] = sp.variable(field, 2 * n, n + i)
-    up = [z_var(field, n, i, i).poly for i in range(n)]
-    up += [w_var(field, n, i, i).poly for i in range(n)]
-    return tuple(down), tuple(up)
-
-
-def _to_diag_poly(field, n, f: LaurentElement) -> SparsePoly:
-    """Project onto the 2n diagonal variables (z_11..z_nn, w_11..w_nn)."""
-    return f.poly.substitute(_diagonal_images(field, n)[0])
-
-
 def _diagonal_exponents(n: int, e) -> tuple:
     """Exponents over (z_11..z_nn, w_11..w_nn) as exponents of k[Z, W]."""
     big = [0] * (2 * n * n)
@@ -438,8 +397,27 @@ def _diagonal_exponents(n: int, e) -> tuple:
     return tuple(big)
 
 
-def _from_diag_poly(field, n, p: SparsePoly) -> LaurentElement:
-    return LaurentElement(n, p.substitute(_diagonal_images(field, n)[1]))
+def _eliminate(p: SparsePoly, kept: list[int]) -> SparsePoly:
+    """p modulo every variable not in `kept`, as a polynomial in the kept
+    variables (in the order given): the terms free of the other variables."""
+    terms = {}
+    for e, c in p.terms:
+        small = tuple(e[k] for k in kept)
+        if sum(small) == sum(e):
+            terms[small] = c
+    return sp.from_dict(p.field, len(kept), terms)
+
+
+def _embed(p: SparsePoly, kept: list[int], nvars: int) -> SparsePoly:
+    """The inverse of `_eliminate` on its image: kept variable i becomes
+    variable kept[i] of a ring in `nvars` variables."""
+    terms = {}
+    for e, c in p.terms:
+        big = [0] * nvars
+        for k, x in zip(kept, e):
+            big[k] = x
+        terms[tuple(big)] = c
+    return sp.from_dict(p.field, nvars, terms)
 
 
 def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
@@ -490,13 +468,24 @@ def _work_budget(field: ExactField) -> int:
 def ideal_membership(
     f: LaurentElement, I: LaurentIdeal, cofactor_degree_cap: int, refute=None
 ) -> MembershipResult:
-    """Decide f = sum h_i g_i (deg h_i <= cap) with the relation ideal
-    included among the generators; `member` carries expandable witnesses.
-    `refute()`, when given, stands in for `find_refutation_point(f, I)`."""
+    """Decide f = sum h_i g_i over the generators of I and the relation
+    ideal; `member` carries expandable witnesses.
+
+    Each generator of I that is a single variable eliminates that variable:
+    k[x]/(x_k : k in E) is k[x_j : j not in E] (Cox-Little-O'Shea). The other
+    generators are reduced modulo the eliminated variables, zero and repeated
+    reductions are dropped, and one cofactor solve with deg h_i <= cap runs
+    in the kept variables. The witness is lifted back: each term of the
+    remainder f - sum h_i g_i goes to the generator of its lowest-index
+    eliminated variable, so the cap bounds the cofactors of the generators
+    that are not single variables, and an eliminated generator's cofactor
+    may exceed it. `refute()`, when given, stands in for
+    `find_refutation_point(f, I)`."""
     if f.n != I.n:
         raise ValueError("inconsistent matrix sizes")
     field = I.field
     n = I.n
+    nvars = 2 * n * n
     cap = cofactor_degree_cap
     if cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
@@ -505,91 +494,47 @@ def ideal_membership(
     if refute is None:
         refute = lambda: find_refutation_point(f, I)
 
-    split = _diagonal_split(I)
-    if split is not None:
-        return _diagonal_membership(f, I, split, cap, refute)
-
-    gens = list(I.generators) + relation_generators(field, n)
-    max_deg = max([g.degree() for g in gens] + [f.degree()])
-    if _solve_work_estimate(2 * n * n, len(gens), cap, max_deg) > _work_budget(field):
+    eliminated: dict[int, LaurentElement] = {}
+    for g in I.generators:
+        idx = _is_single_variable(g)
+        if idx is not None:
+            eliminated.setdefault(idx, g)
+    kept = [k for k in range(nvars) if k not in eliminated]
+    gens, reduced, seen = [], [], set()
+    for g in list(I.generators) + relation_generators(field, n):
+        r = _eliminate(g.poly, kept)
+        if not r.is_zero() and r.terms not in seen:
+            seen.add(r.terms)
+            gens.append(g)
+            reduced.append(r)
+    max_deg = max([r.degree() for r in reduced] + [f.degree()])
+    if _solve_work_estimate(len(kept), len(reduced), cap, max_deg) > _work_budget(field):
         return MembershipResult("unknown", cap)
-    cofs = _solve_cofactors(field, [g.poly for g in gens], f.poly, cap)
+    cofs = _solve_cofactors(field, reduced, _eliminate(f.poly, kept), cap)
     if cofs is None:
         return _negative_result(f, I, cap, refute)
-    pairs = tuple(
-        (g, LaurentElement(n, h)) for g, h in zip(gens, cofs) if not h.is_zero()
-    )
-    return MembershipResult("member", cap, pairs)
-
-
-def _diagonal_membership(f, I, split, cap, refute) -> MembershipResult:
-    """Fast path when the presentation contains every off-diagonal variable:
-    work in the 2n diagonal variables with relations z_i w_i = 1, then lift
-    the witness back to the full ring."""
-    field, n = I.field, I.n
-    off_gens, diag_gens = split
-    off_cof: dict[int, LaurentElement] = {}
-
-    def add_off(idx: int, cof: LaurentElement):
-        if idx in off_cof:
-            off_cof[idx] = off_cof[idx] + cof
-        else:
-            off_cof[idx] = cof
-
-    # peel off-diagonal-supported terms of f
-    diag_part_terms = {}
-    off_positions = _offdiag_indices(n)
-    for e, c in f.poly.terms:
-        hit = None
-        for idx in off_positions:
-            if e[idx] > 0:
-                hit = idx
-                break
-        if hit is None:
-            diag_part_terms[e] = c
-            continue
-        reduced = list(e)
-        reduced[hit] -= 1
-        add_off(hit, lau_monomial(field, n, reduced, c))
-    f_diag = LaurentElement(n, sp.from_dict(field, 2 * n * n, diag_part_terms))
-
-    # diagonal ring: vars z_1..z_n, w_1..w_n; relations z_i w_i - 1
-    dring_gens = [_to_diag_poly(field, n, g) for g in diag_gens]
-    rel_polys = []
-    for i in range(n):
-        e = [0] * (2 * n)
-        e[i] = 1
-        e[n + i] = 1
-        rel = sp.monomial(field, 2 * n, e) - sp.constant(field, 2 * n, 1)
-        rel_polys.append(rel)
-    all_gens = dring_gens + rel_polys
-    max_deg = max([g.degree() for g in all_gens if not g.is_zero()] + [f.degree()], default=0)
-    if _solve_work_estimate(2 * n, len(all_gens), cap, max_deg) > _work_budget(field):
-        return MembershipResult("unknown", cap)
-    cofs = _solve_cofactors(field, all_gens, _to_diag_poly(field, n, f_diag), cap)
-    if cofs is None:
-        return _negative_result(f, I, cap, refute)
-
-    pairs = []
-    for g, h in zip(diag_gens, cofs[: len(diag_gens)]):
-        if not h.is_zero():
-            pairs.append((g, _from_diag_poly(field, n, h)))
-    # z_i w_i - 1 = (ZW - I)_ii - sum_{l != i} Z[i,l] W[l,i]
-    for i, h in enumerate(cofs[len(diag_gens) :]):
-        if h.is_zero():
-            continue
-        hfull = _from_diag_poly(field, n, h)
-        pairs.append((_relation_entry(field, n, i, i, z_index, w_index), hfull))
-        for l in range(n):
-            if l == i:
-                continue
-            add_off(
-                z_index(n, i, l),
-                (hfull * w_var(field, n, l, i)).scale(field.neg(field.one())),
-            )
-    for idx, cof in off_cof.items():
-        if not cof.is_zero():
-            pairs.append((off_gens[idx], cof))
+    pairs = [
+        (g, LaurentElement(n, _embed(h, kept, nvars)))
+        for g, h in zip(gens, cofs)
+        if not h.is_zero()
+    ]
+    if not eliminated:
+        return MembershipResult("member", cap, tuple(pairs))
+    remainder = f.poly
+    for g, h in pairs:
+        remainder = remainder - g.poly * h.poly
+    lifted: dict[int, dict] = {}
+    # a term free of eliminated variables stays unassigned, so the
+    # re-verification below fails on it
+    for e, c in remainder.terms:
+        k = min((k for k in eliminated if e[k]), default=None)
+        if k is not None:
+            lifted.setdefault(k, {})[e[:k] + (e[k] - 1,) + e[k + 1 :]] = c
+    pairs += [
+        (g, LaurentElement(n, sp.from_dict(field, nvars, lifted[k])))
+        for k, g in eliminated.items()
+        if k in lifted
+    ]
     result = MembershipResult("member", cap, tuple(pairs))
     if not verify_membership_witness(f, result):
         raise RuntimeError("lifted membership witness does not re-verify")

@@ -87,10 +87,6 @@ class SlotPattern:
         if any(s < 1 for s in self.slots):
             raise ValueError("every group needs at least one slot")
 
-    @property
-    def total_slots(self) -> int:
-        return sum(self.slots)
-
     def __str__(self) -> str:
         return format_pattern(self)
 
@@ -179,7 +175,6 @@ def decode_pattern(code: str) -> SlotPattern:
             raise CodecError("malformed", "empty group")
         if len(children) == 1:
             raise CodecError("malformed", "unary parenthesization")
-        node = children[0]
         if len(children) > 2:
             raise CodecError("malformed", "parenthesization of arity > 2")
         return pair(children[0], children[1])

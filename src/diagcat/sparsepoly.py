@@ -33,9 +33,6 @@ class SparsePoly:
                 return c
         return self.field.zero()
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def __add__(self, other: SparsePoly) -> SparsePoly:
         d = dict(self.terms)
         z = self.field.zero()

@@ -430,10 +430,12 @@ def test_diagonal_projection_matches_reference_loop(p):
         for d in range(4):
             elements += la.character_slice(field, pres.weights, d)
     for f in elements:
-        got = la._to_diag_poly(field, f.n, f)
-        assert got == _reference_to_diag_poly(field, f.n, f)
-        back = la._from_diag_poly(field, f.n, got)
-        assert la._to_diag_poly(field, f.n, back) == got
+        n = f.n
+        diag = [la.z_index(n, i, i) for i in range(n)] + [la.w_index(n, i, i) for i in range(n)]
+        got = la._eliminate(f.poly, diag)
+        assert got == _reference_to_diag_poly(field, n, f)
+        back = la._embed(got, diag, 2 * n * n)
+        assert la._eliminate(back, diag) == got
 
 
 def test_comultiply_matches_reference_loop():
@@ -562,3 +564,73 @@ def test_relation_generators_match_products(n):
         assert la.relation_generators(field, n) == _reference_relation_generators(
             field, n
         )
+
+
+# (n, generators, elements, largest cap): ideals that hold only some
+# off-diagonal variables, so only those are eliminated
+_PARTIAL_CASES = [
+    (
+        2,
+        ["Z[2,1]", "W[2,1]"],
+        [
+            "Z[1,1]*Z[2,2]*W[1,1]*W[2,2] - 1",
+            "Z[1,1]*W[1,1] - 1",
+            "Z[2,2]*W[2,2] - 1",
+            "Z[1,2]*Z[2,1]",
+            "Z[1,2] + Z[1,1]*Z[2,2]*W[1,2]",
+            "Z[1,2]",
+            "Z[1,1]*W[2,2] - 1",
+        ],
+        2,
+    ),
+    (
+        3,
+        ["Z[3,1]", "W[3,1]", "Z[3,2]", "W[3,2]"],
+        [
+            "Z[3,3]*W[3,3] - 1",
+            "Z[3,1]*Z[1,2] + W[3,2]",
+            "Z[1,1]*W[1,1] - 1",
+            "Z[1,3]",
+        ],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_partial_elimination_matches_full_ring(field):
+    """Eliminating only some variables finds every member the full-ring
+    solve finds, at a cap no larger, and never calls a full-ring member a
+    non-member; every witness re-verifies."""
+    rng = random.Random(7)
+    for n, gen_texts, texts, max_cap in _PARTIAL_CASES:
+        I = la.LaurentIdeal(
+            field, n, tuple(la.parse_element(field, n, t) for t in gen_texts)
+        )
+        full = [g.poly for g in I.generators] + [
+            g.poly for g in la.relation_generators(field, n)
+        ]
+        fs = [la.parse_element(field, n, t) for t in texts]
+        fs += [_random_element(rng, field, n, deg=2) for _ in range(2)]
+        for f in fs:
+            new_cap = ref_cap = None
+            for cap in range(max_cap + 1):
+                res = la.ideal_membership(f, I, cap)
+                ref_member = la._solve_cofactors(field, full, f.poly, cap) is not None
+                if res.is_member:
+                    assert la.verify_membership_witness(f, res)
+                    new_cap = cap if new_cap is None else new_cap
+                else:
+                    assert not ref_member, (n, la.format_element(f), cap)
+                    if res.definitive:
+                        g, ginv = res.refutation_point
+                        assert la.evaluate_at_point(f, g, ginv) != field.zero()
+                if ref_member and ref_cap is None:
+                    ref_cap = cap
+            if ref_cap is not None:
+                assert new_cap is not None and new_cap <= ref_cap
+    # over Q the full-ring path needs cap 3 here, which is over its work
+    # budget; eliminating Z[2,1] and W[2,1] reaches it at cap 2
+    I = la.LaurentIdeal(QQ, 2, (la.z_var(QQ, 2, 1, 0), la.w_var(QQ, 2, 1, 0)))
+    f = la.parse_element(QQ, 2, "Z[1,1]*Z[2,2]*W[1,1]*W[2,2] - 1")
+    assert la.ideal_membership(f, I, 2).is_member
