@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -198,36 +197,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_det(m: list[list[int]]) -> int:
-    """Exact determinant via fraction-based elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    if det.denominator != 1:
-        raise RuntimeError(f"determinant of an integer matrix came out {det}")
-    return int(det)
-
-
 def smith_normal_form(m):
     """Return (U, D, V) with U*m*V = D, U and V unimodular, and the diagonal
     of D nonnegative with d1 | d2 | ...
@@ -237,61 +206,7 @@ def smith_normal_form(m):
     a = [list(map(int, row)) for row in m]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for c in range(cols):
-            a[i][c] -= q * a[j][c]
-        for c in range(rows):
-            u[i][c] -= q * u[j][c]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                    dirty = True
-        t += 1
+    _clear_corner(a, u, v, 0, rows, cols)
 
     # enforce divisibility chain
     t = min(rows, cols)
@@ -320,7 +235,10 @@ def smith_normal_form(m):
 
 
 def _clear_corner(a, u, v, t, rows, cols):
-    """Re-run the elimination from position t after a fold."""
+    """Diagonalize the block from position t on, in place: move the smallest
+    nonzero entry to the corner, reduce its row and column by it, and repeat
+    until both are clear, then step to t + 1. Row operations also act on u,
+    column operations on v."""
     while True:
         piv = None
         for i in range(t, rows):
@@ -372,7 +290,9 @@ def _clear_corner(a, u, v, t, rows, cols):
 
 
 def row_hermite_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Basis (as rows, echelon form) of the lattice generated by the rows."""
+    """The Hermite normal form of the lattice generated by the rows: its
+    unique echelon basis with positive pivots and every entry above a pivot
+    in [0, pivot)."""
     if not rows:
         return []
     a = [list(map(int, r)) for r in rows]
@@ -402,14 +322,15 @@ def row_hermite_basis(rows: list[list[int]]) -> list[list[int]]:
                 a[r] = [-x for x in a[r]]
             r += 1
     basis = [row for row in a[:r]]
-    # reduce entries above pivots for a canonical form
+    # reduce the entries above each pivot into [0, pivot), top-down: row i
+    # is zero left of its pivot, so later steps leave earlier columns alone
     pivots = []
     for row in basis:
         for c, x in enumerate(row):
             if x != 0:
                 pivots.append(c)
                 break
-    for i in range(len(basis) - 1, -1, -1):
+    for i in range(len(basis)):
         c = pivots[i]
         for j in range(i):
             q = basis[j][c] // basis[i][c]

@@ -162,22 +162,11 @@ class FragmentModel:
         return self._call("irreducible_objects", default, n)
 
     def all_objects(self) -> list[BaseObject]:
-        out = []
-        irr = {
-            n: self.irreducible_objects(n)
-            for n in range(1, self.bound.max_dimension + 1)
-        }
-        from .paren import enumerate_shapes
-
-        for m in range(1, self.bound.max_tensor_length + 1):
-            for shape in enumerate_shapes(m):
-                for sizes in dr.compositions_with_product_at_most(
-                    m, self.bound.max_dimension
-                ):
-                    for choice in itertools.product(*(irr[s] for s in sizes)):
-                        leaves = tuple(b.leaves[0] for b in choice)
-                        out.append(BaseObject(shape, leaves))
-        return out
+        return dr.tensor_words(
+            lambda n: [b.leaves[0] for b in self.irreducible_objects(n)],
+            self.bound.max_dimension,
+            self.bound.max_tensor_length,
+        )
 
     def sigma_reps(self, objs=None) -> list[BaseObject]:
         """One object per isotypic weight multiset (hom data factors
@@ -858,7 +847,7 @@ def check_factorization_exists(model: FragmentModel):
         for leaf in leaves:
             if leaf.tensor_length != 1:
                 return _fail(i, name, "factor is not irreducible", b=str(b))
-        if _tree_tensor(model, tree) != b:
+        if dr.retensor(tree, model.tensor_obj) != b:
             return _fail(i, name, "factors do not multiply back", b=str(b))
     return _ok(i, name, "constructive factorization on every fragment object")
 
@@ -868,13 +857,6 @@ def _tree_leaves(tree):
         return [tree]
     l, r = tree
     return _tree_leaves(l) + _tree_leaves(r)
-
-
-def _tree_tensor(model, tree):
-    if isinstance(tree, BaseObject):
-        return tree
-    l, r = tree
-    return model.tensor_obj(_tree_tensor(model, l), _tree_tensor(model, r))
 
 
 def check_tensor_skeletal(model: FragmentModel):

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .abelian import FgAbelianGroup, GroupElement, parse_element
 from . import field as fieldmod
 from .field import ExactField
-from .paren import LEAF, ParenShape, pair
+from .paren import LEAF, ParenShape, enumerate_shapes, fold, pair
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +191,15 @@ def tensor_factorize(b: BaseObject):
     mirroring the object's shape; leaves are single-leaf objects."""
     if b.is_zero:
         raise ValueError("the zero object is not tensor irreducible")
-
-    def walk(shape: ParenShape, at: int):
-        if shape.is_leaf:
-            return make_irreducible(b.leaves[at]), at + 1
-        l, r = shape.children
-        lt, at = walk(l, at)
-        rt, at = walk(r, at)
-        return (lt, rt), at
-
-    tree, _ = walk(b.shape, 0)
-    return tree
+    return fold(b.shape, lambda k: make_irreducible(b.leaves[k]), lambda l, r: (l, r))
 
 
-def retensor(tree) -> BaseObject:
+def retensor(tree, tensor) -> BaseObject:
+    """Multiply a factorization tree back together with `tensor`."""
     if isinstance(tree, BaseObject):
         return tree
     l, r = tree
-    return tensor_obj(retensor(l), retensor(r))
+    return tensor(retensor(l, tensor), retensor(r, tensor))
 
 
 def is_tensor_irreducible(b: BaseObject) -> bool:
@@ -658,13 +649,15 @@ def direct_sum_data(field: ExactField, b: BaseObject, c: BaseObject) -> Biproduc
     mb = {w: len(s) for w, s in weight_slots(b)}
     inj1 = embed(b, lambda w: 0)
     inj2 = embed(c, lambda w: mb.get(w, 0))
-    proj1 = morphism_from_dense(
-        field, total, b, fieldmod.transpose(dense_matrix(inj1))
+    return BiproductData(
+        total, inj1, inj2, transpose_morphism(inj1), transpose_morphism(inj2)
     )
-    proj2 = morphism_from_dense(
-        field, total, c, fieldmod.transpose(dense_matrix(inj2))
-    )
-    return BiproductData(total, inj1, inj2, proj1, proj2)
+
+
+def transpose_morphism(f: HomMorphism) -> HomMorphism:
+    """The transpose target -> source, block by block."""
+    blocks = tuple((w, tuple(zip(*m))) for w, m in f.blocks)
+    return HomMorphism(f.field, f.target, f.source, blocks)
 
 
 def kernel_of(field: ExactField, f: HomMorphism):
@@ -700,34 +693,10 @@ def kernel_of(field: ExactField, f: HomMorphism):
 
 
 def cokernel_of(field: ExactField, f: HomMorphism):
-    """(w, projection) with projection surjective and projection o f = 0."""
-    coker_weights: list[GroupElement] = []
-    rows_of: dict[GroupElement, list] = {}
-    src_mult = {w: len(s) for w, s in weight_slots(f.source)}
-    for w, slots in weight_slots(f.target):
-        nrows = len(slots)
-        block = f.block(w)
-        if block is None:
-            cols = src_mult.get(w, 0)
-            block = [[field.zero()] * cols for _ in range(nrows)]
-        if not block or len(block[0]) == 0:
-            basis = [fieldmod.unit_vector(field, nrows, j) for j in range(nrows)]
-        else:
-            # left null space: kernel of the transpose
-            basis = fieldmod.kernel(
-                field, fieldmod.transpose([list(r) for r in block])
-            )
-        if basis:
-            rows_of[w] = basis
-            coker_weights.extend([w] * len(basis))
-    if not coker_weights:
-        return ZERO, zero_morphism(field, f.target, ZERO)
-    wobj = make_irreducible(weight_multiset(f.target.group, coker_weights))
-    blocks = {}
-    for w, basis in rows_of.items():
-        blocks[w] = [list(v) for v in basis]
-    proj = make_morphism(field, f.target, wobj, blocks)
-    return wobj, proj
+    """(w, projection) with projection surjective and projection o f = 0:
+    the transpose of the kernel of the transpose of f."""
+    w, inc = kernel_of(field, transpose_morphism(f))
+    return w, transpose_morphism(inc)
 
 
 def normalize_to_irreducible(field: ExactField, b: BaseObject):
@@ -859,17 +828,22 @@ def enumerate_objects(
 def objects_from(elements, max_dim: int, max_len: int) -> list[BaseObject]:
     """The fragment built from an explicit weight list (for infinite groups,
     a bounded subset)."""
-    from .paren import enumerate_shapes
-
     elements = list(elements)
-    out: list[BaseObject] = []
-    for m in range(1, max_len + 1):
-        for shape in enumerate_shapes(m):
-            for sizes in compositions_with_product_at_most(m, max_dim):
-                leaf_choices = [multisets_from(elements, s) for s in sizes]
-                for leaves in itertools.product(*leaf_choices):
-                    out.append(BaseObject(shape, tuple(leaves)))
-    return out
+    return tensor_words(lambda n: multisets_from(elements, n), max_dim, max_len)
+
+
+def tensor_words(leaves_of_size, max_dim: int, max_len: int) -> list[BaseObject]:
+    """Every word of tensor length <= max_len and dimension <= max_dim whose
+    leaves of size n come from `leaves_of_size(n)`; ordered by length, then
+    shape, then leaf sizes, then leaf choices."""
+    choices = {n: leaves_of_size(n) for n in range(1, max_dim + 1)}
+    return [
+        BaseObject(shape, leaves)
+        for m in range(1, max_len + 1)
+        for shape in enumerate_shapes(m)
+        for sizes in compositions_with_product_at_most(m, max_dim)
+        for leaves in itertools.product(*(choices[s] for s in sizes))
+    ]
 
 
 def compositions_with_product_at_most(m: int, cap: int):
@@ -885,17 +859,7 @@ def compositions_with_product_at_most(m: int, cap: int):
 def format_object(b: BaseObject) -> str:
     if b.is_zero:
         return "0"
-
-    def walk(shape: ParenShape, at: int):
-        if shape.is_leaf:
-            return str(b.leaves[at]), at + 1
-        l, r = shape.children
-        ls, at = walk(l, at)
-        rs, at = walk(r, at)
-        return f"( {ls} {rs} )", at
-
-    out, _ = walk(b.shape, 0)
-    return out
+    return fold(b.shape, lambda k: str(b.leaves[k]), lambda l, r: f"( {l} {r} )")
 
 
 def parse_object(group: FgAbelianGroup, text: str) -> BaseObject:

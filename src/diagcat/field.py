@@ -77,7 +77,7 @@ class ExactField:
         if a == self.zero():
             raise ZeroDivisionError("field inverse of zero")
         if self.p is None:
-            return 1 / a
+            return _Q_ONE / a
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):

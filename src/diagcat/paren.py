@@ -28,16 +28,10 @@ class ParenShape:
 
     @property
     def leaf_count(self) -> int:
-        if self.children is None:
-            return 1
-        l, r = self.children
-        return l.leaf_count + r.leaf_count
+        return fold(self, lambda k: 1, lambda l, r: l + r)
 
     def __str__(self) -> str:
-        if self.children is None:
-            return "*"
-        l, r = self.children
-        return f"({l}{r})"
+        return fold(self, lambda k: "*", lambda l, r: f"({l}{r})")
 
 
 LEAF = ParenShape()
@@ -45,10 +39,6 @@ LEAF = ParenShape()
 
 def pair(left: ParenShape, right: ParenShape) -> ParenShape:
     return ParenShape((left, right))
-
-
-def concat(p: ParenShape, q: ParenShape) -> ParenShape:
-    return pair(p, q)
 
 
 def enumerate_shapes(m: int) -> list[ParenShape]:
@@ -68,6 +58,23 @@ def _shapes(m: int) -> tuple[ParenShape, ...]:
             for r in _shapes(m - i):
                 out.append(pair(l, r))
     return tuple(out)
+
+
+def fold(shape: ParenShape, leaf, node):
+    """Fold a shape bottom-up: `leaf(k)` at the k-th leaf from the left,
+    `node(l, r)` at each pair on the values of its two children."""
+    count = 0
+
+    def walk(s: ParenShape):
+        nonlocal count
+        if s.children is None:
+            count += 1
+            return leaf(count - 1)
+        l, r = s.children
+        left = walk(l)
+        return node(left, walk(r))
+
+    return walk(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +107,12 @@ class CodecError(ValueError):
 
 
 def encode_pattern(pattern: SlotPattern, pad_to: int | None = None) -> str:
-    bits: list[str] = []
-    slots = list(pattern.slots)
-
-    def walk(shape: ParenShape, at: int) -> int:
-        bits.append("10")
-        if shape.is_leaf:
-            bits.append("00" * slots[at])
-            at += 1
-        else:
-            l, r = shape.children
-            at = walk(l, at)
-            at = walk(r, at)
-        bits.append("01")
-        return at
-
-    walk(pattern.shape, 0)
-    code = "".join(bits)
+    slots = pattern.slots
+    code = fold(
+        pattern.shape,
+        lambda k: "10" + "00" * slots[k] + "01",
+        lambda l, r: "10" + l + r + "01",
+    )
     if pad_to is not None:
         if pad_to % 2 != 0:
             raise CodecError("odd-length", "target bit length must be even")
@@ -126,6 +122,9 @@ def encode_pattern(pattern: SlotPattern, pad_to: int | None = None) -> str:
             )
         code += "11" * ((pad_to - len(code)) // 2)
     return code
+
+
+_BLOCK_TOKENS = {"10": "(", "00": "_", "01": ")"}
 
 
 def decode_pattern(code: str) -> SlotPattern:
@@ -144,31 +143,45 @@ def decode_pattern(code: str) -> SlotPattern:
         raise CodecError("interior-padding", "11-block before end of content")
     if not body:
         raise CodecError("empty", "code carries no content")
+    return _parse_tokens([_BLOCK_TOKENS[b] for b in body])
 
+
+def parse_pattern(text: str) -> SlotPattern:
+    """Parse `((( _ _ _ )( _ ))( _ _ ))`; `_` or `.` or `*` marks a slot."""
+    tokens = []
+    for ch in text:
+        if ch in "(_.)*•":
+            tokens.append("(" if ch == "(" else ")" if ch == ")" else "_")
+        elif not ch.isspace():
+            raise CodecError("malformed", f"unexpected character {ch!r} in pattern")
+    return _parse_tokens(tokens)
+
+
+def _parse_tokens(tokens: list[str]) -> SlotPattern:
+    """The one pattern parser, over the tokens `(`, `_` and `)`; a token's
+    position is its block index in a bit code."""
     pos = 0
     slots: list[int] = []
 
     def parse_node() -> ParenShape:
         nonlocal pos
-        if pos >= len(body) or body[pos] != "10":
+        if pos >= len(tokens) or tokens[pos] != "(":
             raise CodecError("unbalanced", f"expected '(' at block {pos}")
         pos += 1
-        if pos >= len(body):
-            raise CodecError("unbalanced", "unclosed parenthesis")
-        if body[pos] == "00":
+        if pos < len(tokens) and tokens[pos] == "_":
             count = 0
-            while pos < len(body) and body[pos] == "00":
+            while pos < len(tokens) and tokens[pos] == "_":
                 count += 1
                 pos += 1
-            if pos >= len(body) or body[pos] != "01":
+            if pos >= len(tokens) or tokens[pos] != ")":
                 raise CodecError("malformed", "slot run not closed by ')'")
             pos += 1
             slots.append(count)
             return LEAF
         children = []
-        while pos < len(body) and body[pos] == "10":
+        while pos < len(tokens) and tokens[pos] == "(":
             children.append(parse_node())
-        if pos >= len(body) or body[pos] != "01":
+        if pos >= len(tokens) or tokens[pos] != ")":
             raise CodecError("unbalanced", "unclosed parenthesis")
         pos += 1
         if len(children) == 0:
@@ -180,69 +193,18 @@ def decode_pattern(code: str) -> SlotPattern:
         return pair(children[0], children[1])
 
     shape = parse_node()
-    if pos != len(body):
+    if pos != len(tokens):
         raise CodecError("unbalanced", "trailing content after pattern")
     return SlotPattern(shape, tuple(slots))
 
 
-def parse_pattern(text: str) -> SlotPattern:
-    """Parse `((( _ _ _ )( _ ))( _ _ ))`; `_` or `.` or `*` marks a slot."""
-    tokens = []
-    for ch in text:
-        if ch in "(_.)*•":
-            tokens.append("(" if ch == "(" else ")" if ch == ")" else "_")
-        elif not ch.isspace():
-            raise ValueError(f"unexpected character {ch!r} in pattern")
-    pos = 0
-    slots: list[int] = []
-
-    def parse_node() -> ParenShape:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise ValueError("expected '('")
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == "_":
-            count = 0
-            while pos < len(tokens) and tokens[pos] == "_":
-                count += 1
-                pos += 1
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValueError("slot group not closed")
-            pos += 1
-            slots.append(count)
-            return LEAF
-        children = []
-        while pos < len(tokens) and tokens[pos] == "(":
-            children.append(parse_node())
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("unclosed parenthesis")
-        pos += 1
-        if len(children) != 2:
-            raise ValueError(
-                f"parenthesized group must contain exactly two subpatterns "
-                f"or only slots (got {len(children)} subpatterns)"
-            )
-        return pair(children[0], children[1])
-
-    shape = parse_node()
-    if pos != len(tokens):
-        raise ValueError("trailing content after pattern")
-    return SlotPattern(shape, tuple(slots))
-
-
-def format_pattern(pattern: SlotPattern, slot_char: str = "_") -> str:
-    slots = list(pattern.slots)
-
-    def walk(shape: ParenShape, at: int) -> tuple[str, int]:
-        if shape.is_leaf:
-            return "(" + " ".join(slot_char * 1 for _ in range(slots[at])) + ")", at + 1
-        l, r = shape.children
-        ls, at = walk(l, at)
-        rs, at = walk(r, at)
-        return f"({ls}{rs})", at
-
-    out, _ = walk(pattern.shape, 0)
-    return out
+def format_pattern(pattern: SlotPattern) -> str:
+    slots = pattern.slots
+    return fold(
+        pattern.shape,
+        lambda k: "(" + " ".join("_" * slots[k]) + ")",
+        lambda l, r: f"({l}{r})",
+    )
 
 
 def format_bits(code: str) -> str:

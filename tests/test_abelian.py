@@ -62,8 +62,8 @@ def _snf_invariants(m):
     u, d, v = ab.smith_normal_form(m)
     rows, cols = len(m), len(m[0])
     assert fm.mat_mul(QQ, fm.mat_mul(QQ, u, m), v) == d
-    assert abs(ab.int_det(u)) == 1
-    assert abs(ab.int_det(v)) == 1
+    assert abs(fm.det(QQ, u)) == 1
+    assert abs(fm.det(QQ, v)) == 1
     diag = [d[i][i] for i in range(min(rows, cols))]
     for i in range(rows):
         for j in range(cols):
@@ -145,6 +145,44 @@ def test_relation_lattice_examples():
     assert not _lattice_member(basis, (1, 1))
 
 
+def _is_hermite(basis):
+    """Echelon rows, positive pivots, entries above a pivot in [0, pivot)."""
+    last = -1
+    for i, row in enumerate(basis):
+        c = next(c for c, x in enumerate(row) if x != 0)
+        if c <= last or row[c] <= 0:
+            return False
+        if any(not 0 <= above[c] < row[c] for above in basis[:i]):
+            return False
+        last = c
+    return True
+
+
+def test_row_hermite_basis_is_canonical():
+    rng = random.Random(8)
+    Z = ab.parse_group("Z")
+    lattice = ab.relation_lattice([Z.element([k]) for k in (1, 2, 3, 4)])
+    assert _is_hermite(lattice)
+    outputs = set()
+    for _ in range(200):
+        # a random unimodular transform: elementary row operations and swaps
+        rows = [list(r) for r in lattice]
+        for _ in range(8):
+            i, j = rng.sample(range(len(rows)), 2)
+            q = rng.randint(-4, 4)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            if rng.random() < 0.3:
+                rows[i], rows[j] = rows[j], rows[i]
+        outputs.add(tuple(map(tuple, ab.row_hermite_basis(rows))))
+    assert outputs == {tuple(map(tuple, lattice))}
+
+
+def test_relation_lattice_hermite_examples():
+    Z7 = ab.parse_group("Z/7")
+    basis = ab.relation_lattice([Z7.element([k]) for k in (1, 2, 4)])
+    assert basis == [[1, 0, 5], [0, 1, 3], [0, 0, 7]]
+
+
 def test_relation_lattice_empty():
     assert ab.relation_lattice([]) == []
 
@@ -162,6 +200,7 @@ def test_relation_lattice_bruteforce(seed):
         for _ in range(m)
     ]
     basis = ab.relation_lattice(weights)
+    assert _is_hermite(basis)
     # every relation found by brute force lies in the computed lattice
     for u in _relation_bruteforce(weights):
         assert _lattice_member(basis, u), (weights, u, basis)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from diagcat import axioms as ax
@@ -103,3 +105,29 @@ def test_tensor_owner_witness_is_sorted():
     owners = result.witness["owners"]
     assert result.status == "fail" and len(owners) == 2
     assert owners == sorted(owners)
+
+
+def _reference_all_objects(model):
+    """The fragment loop `all_objects` ran before it shared `tensor_words`."""
+    from diagcat.paren import enumerate_shapes
+
+    n_max, m_max = model.bound.max_dimension, model.bound.max_tensor_length
+    irr = {n: model.irreducible_objects(n) for n in range(1, n_max + 1)}
+    out = []
+    for m in range(1, m_max + 1):
+        for shape in enumerate_shapes(m):
+            for sizes in dr.compositions_with_product_at_most(m, n_max):
+                for choice in itertools.product(*(irr[s] for s in sizes)):
+                    out.append(dr.BaseObject(shape, tuple(b.leaves[0] for b in choice)))
+    return out
+
+
+def test_all_objects_is_the_shared_word_enumeration():
+    bound = ax.bounds(3, 3)
+    model = ax.FragmentModel(F5, Z4, bound)
+    assert model.all_objects() == dr.enumerate_objects(Z4, 3, 3)
+    assert model.all_objects() == _reference_all_objects(model)
+    dup = ax.mutated_model(F5, Z4, bound, "duplicate-irreducible")
+    objs = dup.all_objects()
+    assert objs == _reference_all_objects(dup)
+    assert len(objs) > len(dr.enumerate_objects(Z4, 3, 3))

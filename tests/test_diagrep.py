@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -55,7 +56,7 @@ def test_tensor_factorize_round_trip():
     tree = dr.tensor_factorize(b)
     (l, r), leaf3 = tree
     assert l == _irr(Z, 1) and r == _irr(Z, 2) and leaf3 == _irr(Z, 3)
-    assert dr.retensor(tree) == b
+    assert dr.retensor(tree, dr.tensor_obj) == b
     single = _irr(Z, 5)
     assert dr.tensor_factorize(single) == single
     with pytest.raises(ValueError):
@@ -74,7 +75,7 @@ def test_tensor_factorize_round_trip():
                 obj = dr.tensor_obj(obj, p)
             else:
                 obj = dr.tensor_obj(p, obj)
-        assert dr.retensor(dr.tensor_factorize(obj)) == obj
+        assert dr.retensor(dr.tensor_factorize(obj), dr.tensor_obj) == obj
 
 
 def test_ordered_basis_lex():
@@ -386,7 +387,7 @@ def test_tensor_length_additive_property(b, c):
     assert t.tensor_length == b.tensor_length + c.tensor_length
     assert t.dimension == b.dimension * c.dimension
     tree = dr.tensor_factorize(t)
-    assert dr.retensor(tree) == t
+    assert dr.retensor(tree, dr.tensor_obj) == t
 
 
 def test_enumerate_objects_counts():
@@ -396,3 +397,93 @@ def test_enumerate_objects_counts():
     assert len(objs) == 2 + 3 + 4 + 6 + 6
     assert len(set(objs)) == len(objs)
     assert all(b.dimension <= 2 and b.tensor_length <= 2 for b in objs)
+
+
+# ---------------------------------------------------------------------------
+# The shared tree fold and the transposed cokernel against the code they
+# replace, kept here as the reference
+
+
+def _reference_walk(b, leaf, node):
+    def walk(shape, at):
+        if shape.is_leaf:
+            return leaf(b.leaves[at]), at + 1
+        l, r = shape.children
+        lt, at = walk(l, at)
+        rt, at = walk(r, at)
+        return node(lt, rt), at
+
+    return walk(b.shape, 0)[0]
+
+
+def test_fold_outputs_match_reference_walks():
+    objs = dr.enumerate_objects(Z4, 3, 3)
+    assert len(objs) == 3298
+    for b in objs:
+        tree = _reference_walk(b, dr.make_irreducible, lambda l, r: (l, r))
+        assert dr.tensor_factorize(b) == tree
+        text = _reference_walk(b, str, lambda l, r: f"( {l} {r} )")
+        assert dr.format_object(b) == text
+    assert dr.format_object(dr.ZERO) == "0"
+
+
+def test_objects_from_matches_reference_loop():
+    elems = [Z.element([k]) for k in (-1, 0, 2)]
+    want = []
+    for m in range(1, 4):
+        for shape in enumerate_shapes(m):
+            for sizes in dr.compositions_with_product_at_most(m, 3):
+                choices = [dr.multisets_from(elems, s) for s in sizes]
+                for leaves in itertools.product(*choices):
+                    want.append(dr.BaseObject(shape, tuple(leaves)))
+    assert dr.objects_from(elems, 3, 3) == want
+
+
+def _reference_cokernel(field, f):
+    coker_weights = []
+    rows_of = {}
+    src_mult = {w: len(s) for w, s in dr.weight_slots(f.source)}
+    for w, slots in dr.weight_slots(f.target):
+        nrows = len(slots)
+        block = f.block(w)
+        if block is None:
+            block = [[field.zero()] * src_mult.get(w, 0) for _ in range(nrows)]
+        if not block or len(block[0]) == 0:
+            basis = [fm.unit_vector(field, nrows, j) for j in range(nrows)]
+        else:
+            basis = fm.kernel(field, fm.transpose([list(r) for r in block]))
+        if basis:
+            rows_of[w] = basis
+            coker_weights.extend([w] * len(basis))
+    if not coker_weights:
+        return dr.ZERO, dr.zero_morphism(field, f.target, dr.ZERO)
+    wobj = dr.make_irreducible(dr.weight_multiset(f.target.group, coker_weights))
+    blocks = {w: [list(v) for v in basis] for w, basis in rows_of.items()}
+    return wobj, dr.make_morphism(field, f.target, wobj, blocks)
+
+
+def _reference_projections(field, data):
+    return tuple(
+        dr.morphism_from_dense(
+            field, inj.target, inj.source, fm.transpose(dr.dense_matrix(inj))
+        )
+        for inj in (data.inj1, data.inj2)
+    )
+
+
+def test_cokernel_and_biproduct_match_reference():
+    rng = random.Random(2019)
+    objs = dr.enumerate_objects(Z4, 3, 1) + dr.enumerate_objects(Z4, 4, 2)[::7]
+    checked = 0
+    for field in (ExactField(3), F5, F7):
+        for _ in range(120):
+            src, tgt = rng.choice(objs), rng.choice(objs)
+            morphisms = [dr.zero_morphism(field, src, tgt)]
+            morphisms += dr.hom_space(field, src, tgt).basis
+            morphisms += [_random_morphism(rng, field, src, tgt) for _ in range(3)]
+            for f in morphisms:
+                assert dr.cokernel_of(field, f) == _reference_cokernel(field, f)
+                checked += 1
+            data = dr.direct_sum_data(field, src, tgt)
+            assert (data.proj1, data.proj2) == _reference_projections(field, data)
+    assert checked > 1000

@@ -216,3 +216,20 @@ def test_rref_matches_sympy_over_q(case):
         [Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(len(m))
     ]
     assert fm.rref(QQ, m) == (expected, list(piv))
+
+
+def test_rational_results_stay_fractions_on_int_input():
+    def fractions_only(xs):
+        return all(type(x) is Fraction for x in xs)
+
+    m = [[2, 1], [1, 1]]
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert fm.det(QQ, m) == 1 and type(fm.det(QQ, m)) is Fraction
+    assert fm.inverse(QQ, m) == [[1, -1], [-1, 2]]
+    assert fractions_only(x for row in fm.inverse(QQ, m) for x in row)
+    r, _ = fm.rref(QQ, [[2, 1, 3], [4, 2, 5]])
+    assert fractions_only(x for row in r for x in row)
+    x = fm.solve_linear(QQ, [[3, 1], [1, 2]], [1, 1])
+    assert x == [Fraction(1, 5), Fraction(2, 5)] and fractions_only(x)
+    basis = fm.kernel(QQ, [[3, 1, 2]])
+    assert len(basis) == 2 and fractions_only(x for v in basis for x in v)

@@ -27,17 +27,17 @@ def test_enumeration_counts():
 
 
 def test_concat():
-    two = pr.concat(pr.LEAF, pr.LEAF)
+    two = pr.pair(pr.LEAF, pr.LEAF)
     assert two.leaf_count == 2 and not two.is_leaf
     a = pr.pair(pr.pair(pr.LEAF, pr.LEAF), pr.LEAF)
     b = pr.pair(pr.LEAF, pr.LEAF)
-    joined = pr.concat(a, b)
+    joined = pr.pair(a, b)
     assert joined.leaf_count == 5
     assert joined.children == (a, b)
-    assert pr.concat(a, b) != pr.concat(b, a)
+    assert pr.pair(a, b) != pr.pair(b, a)
     # trees associate strictly: distinct shapes
     c = pr.LEAF
-    assert pr.concat(pr.concat(a, b), c) != pr.concat(a, pr.concat(b, c))
+    assert pr.pair(pr.pair(a, b), c) != pr.pair(a, pr.pair(b, c))
 
 
 def test_worked_example_bits():
@@ -136,3 +136,78 @@ def test_round_trip_seeded():
             assert pr.decode_pattern(padded) == pattern
         # text form round trip
         assert pr.parse_pattern(pr.format_pattern(pattern)) == pattern
+
+
+# ---------------------------------------------------------------------------
+# The one fold and the one parser against the hand-written walks they replace
+
+
+def _reference_encode(pattern):
+    bits = []
+
+    def walk(shape, at):
+        bits.append("10")
+        if shape.is_leaf:
+            bits.append("00" * pattern.slots[at])
+            at += 1
+        else:
+            l, r = shape.children
+            at = walk(l, at)
+            at = walk(r, at)
+        bits.append("01")
+        return at
+
+    walk(pattern.shape, 0)
+    return "".join(bits)
+
+
+def _reference_format(pattern):
+    def walk(shape, at):
+        if shape.is_leaf:
+            return "(" + " ".join("_" for _ in range(pattern.slots[at])) + ")", at + 1
+        l, r = shape.children
+        ls, at = walk(l, at)
+        rs, at = walk(r, at)
+        return f"({ls}{rs})", at
+
+    return walk(pattern.shape, 0)[0]
+
+
+def test_fold_matches_reference_walks():
+    for m in range(1, 7):
+        for shape in pr.enumerate_shapes(m):
+            assert pr.fold(shape, lambda k: [k], lambda l, r: l + r) == list(range(m))
+            assert shape.leaf_count == m
+            for slots in (tuple(range(1, m + 1)), tuple(range(m, 0, -1))):
+                pattern = pr.SlotPattern(shape, slots)
+                assert pr.encode_pattern(pattern) == _reference_encode(pattern)
+                assert pr.format_pattern(pattern) == _reference_format(pattern)
+
+
+# malformed layouts as `(`, `_`, `)` tokens, with the kind both parsers give
+MALFORMED_LAYOUTS = [
+    ("_", "unbalanced"),
+    (")", "unbalanced"),
+    ("(", "unbalanced"),
+    ("(_", "malformed"),
+    ("(__(", "malformed"),
+    ("()", "malformed"),
+    ("((_))", "malformed"),
+    ("((_)(_)(_))", "malformed"),
+    ("((_)(_)", "unbalanced"),
+    ("((_)(_)_)", "unbalanced"),
+    ("(_)(_)", "unbalanced"),
+    ("(_))", "unbalanced"),
+    ("(()(_))", "malformed"),
+]
+
+
+@pytest.mark.parametrize("layout, kind", MALFORMED_LAYOUTS)
+def test_decode_and_parse_agree_on_malformed_layouts(layout, kind):
+    bits = " ".join({"(": "10", "_": "00", ")": "01"}[t] for t in layout)
+    kinds = []
+    for parse, text in ((pr.decode_pattern, bits), (pr.parse_pattern, layout)):
+        with pytest.raises(pr.CodecError) as e:
+            parse(text)
+        kinds.append(e.value.kind)
+    assert set(kinds) == {kind}

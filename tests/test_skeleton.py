@@ -63,7 +63,7 @@ def test_factorize_round_trip():
     c = dr.make_irreducible(labels[2])
     x = dr.tensor_obj(dr.tensor_obj(a, b), c)
     tree = dr.tensor_factorize(x)
-    assert dr.retensor(tree) == x
+    assert dr.retensor(tree, dr.tensor_obj) == x
     (l, r), leaf = tree
     assert l == a and r == b and leaf == c
     with pytest.raises(ValueError):
