@@ -280,15 +280,7 @@ class FragmentModel:
 
     def unit_embedding(self, b: BaseObject, u0) -> HomMorphism:
         def default(b, u0):
-            unit = dr.unit_object(self.group)
-            target = dr.tensor_obj(unit, b)
-            n = b.dimension
-            z = self.field.zero()
-            dense = [
-                [self.field.mul(u0, self.field.one()) if i == j else z for j in range(n)]
-                for i in range(n)
-            ]
-            return dr.morphism_from_dense(self.field, b, target, dense)
+            return dr.scale_morphism(u0, dr.left_unitor(self.field, b))
 
         return self._call("unit_embedding", default, b, u0)
 
@@ -323,10 +315,6 @@ def _coeff_sum(field, xs, ys):
 
 def _vec_eq(v: ModelVector, w: ModelVector) -> bool:
     return v.obj == w.obj and v.coeffs == w.coeffs
-
-
-def _dense(f: HomMorphism):
-    return dr.dense_matrix(f)
 
 
 def _fail(index, name, detail, **witness):
@@ -567,7 +555,7 @@ def check_morphisms_are_linear_graphs(model: FragmentModel):
             if not basis:
                 continue
             checked += 1
-            mats = [_dense(f) for f in basis]
+            mats = [dr.dense_matrix(f) for f in basis]
             flat = [[x for row in m for x in row] for m in mats]
             if fieldmod.rank(field, flat) != len(basis):
                 for a in range(len(basis)):
@@ -620,8 +608,10 @@ def check_composition(model: FragmentModel):
                         if h.source != a or h.target != c:
                             return _fail(i, name, "composite has wrong endpoints",
                                          a=str(a), b=str(b), c=str(c))
-                        want = fieldmod.mat_mul(field, _dense(g), _dense(f))
-                        if _dense(h) != want:
+                        want = fieldmod.mat_mul(
+                            field, dr.dense_matrix(g), dr.dense_matrix(f)
+                        )
+                        if dr.dense_matrix(h) != want:
                             return _fail(
                                 i, name,
                                 "no morphism realizes the composed linear map",
@@ -643,14 +633,14 @@ def check_linearity(model: FragmentModel):
             basis = model.hom_basis(b, c)
             if len(basis) < 1:
                 continue
-            mats = [[x for row in _dense(f) for x in row] for f in basis]
+            mats = [[x for row in dr.dense_matrix(f) for x in row] for f in basis]
             span_matrix = fieldmod.transpose(mats)
             f, g = basis[0], basis[-1]
             target = [
                 field.add(x, y)
                 for x, y in zip(
-                    [x for row in _dense(f) for x in row],
-                    [x for row in _dense(g) for x in row],
+                    [x for row in dr.dense_matrix(f) for x in row],
+                    [x for row in dr.dense_matrix(g) for x in row],
                 )
             ]
             if fieldmod.solve_linear(field, span_matrix, target) is None:
@@ -766,8 +756,10 @@ def check_tensor_functorial(model: FragmentModel):
                     for f in fs:
                         for g in gs:
                             h = model.tensor_hom(f, g)
-                            want = fieldmod.kron(field, [_dense(f), _dense(g)])
-                            if _dense(h) != want:
+                            want = fieldmod.kron(
+                                field, [dr.dense_matrix(f), dr.dense_matrix(g)]
+                            )
+                            if dr.dense_matrix(h) != want:
                                 return _fail(
                                     i, name,
                                     "no morphism realizes f tensor g",
@@ -871,7 +863,7 @@ def check_tensor_skeletal(model: FragmentModel):
             return _fail(i, name, "normal form has the wrong sort", b=str(b))
         if iso.source != b or iso.target != c:
             return _fail(i, name, "normalizing morphism has wrong endpoints", b=str(b))
-        if fieldmod.rank(field, _dense(iso)) != b.dimension:
+        if fieldmod.rank(field, dr.dense_matrix(iso)) != b.dimension:
             return _fail(i, name, "normalizing morphism is not bijective", b=str(b))
     for n in range(1, model.bound.max_dimension + 1):
         irr = model.irreducible_objects(n)
@@ -906,12 +898,12 @@ def check_identity_object(model: FragmentModel):
                 f is not None
                 and f.source == b
                 and f.target == target
-                and _dense(f) == required
+                and dr.dense_matrix(f) == required
             ):
                 continue
             # the constructed witness fails; existence may still hold in the span
             columns = [
-                [x for row in _dense(h) for x in row]
+                [x for row in dr.dense_matrix(h) for x in row]
                 for h in model.hom_basis(b, target)
             ]
             flat = [x for row in required for x in row]
@@ -1003,7 +995,7 @@ def check_kernels(model: FragmentModel):
     i, name = 25, "existence of kernels"
     field = model.field
     for f in _morphisms_with_kernels(model):
-        dense = _dense(f)
+        dense = dr.dense_matrix(f)
         expected = f.source.dimension - fieldmod.rank(field, dense)
         u, inc = model.kernel_data(f)
         if u.is_zero:
@@ -1019,7 +1011,7 @@ def check_kernels(model: FragmentModel):
             )
         if inc.source != u or inc.target != f.source:
             return _fail(i, name, "inclusion has wrong endpoints")
-        if fieldmod.rank(field, _dense(inc)) != u.dimension:
+        if fieldmod.rank(field, dr.dense_matrix(inc)) != u.dimension:
             return _fail(i, name, "inclusion is not injective")
         if not dr.compose(f, inc).is_zero_morphism():
             return _fail(i, name, "f composed with its kernel inclusion is nonzero")
@@ -1034,10 +1026,10 @@ def check_kernels(model: FragmentModel):
             g = basis[0]
             fprime = dr.compose(inj, g)
             columns = [
-                [x for row in _dense(dr.compose(inj, e)) for x in row]
+                [x for row in dr.dense_matrix(dr.compose(inj, e)) for x in row]
                 for e in basis
             ]
-            target = [x for row in _dense(fprime) for x in row]
+            target = [x for row in dr.dense_matrix(fprime) for x in row]
             sol = fieldmod.solve_linear(field, fieldmod.transpose(columns), target)
             if sol is None:
                 return _fail(i, name, "universal factorization has no solution",
@@ -1049,7 +1041,7 @@ def check_cokernels(model: FragmentModel):
     i, name = 26, "existence of cokernels"
     field = model.field
     for f in _morphisms_with_kernels(model):
-        dense = _dense(f)
+        dense = dr.dense_matrix(f)
         expected = f.target.dimension - fieldmod.rank(field, dense)
         w, proj = model.cokernel_data(f)
         if w.is_zero:
@@ -1065,7 +1057,7 @@ def check_cokernels(model: FragmentModel):
             )
         if proj.source != f.target or proj.target != w:
             return _fail(i, name, "projection has wrong endpoints")
-        if fieldmod.rank(field, _dense(proj)) != w.dimension:
+        if fieldmod.rank(field, dr.dense_matrix(proj)) != w.dimension:
             return _fail(i, name, "projection is not surjective")
         if not dr.compose(proj, f).is_zero_morphism():
             return _fail(i, name, "projection composed with f is nonzero")

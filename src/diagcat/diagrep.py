@@ -392,43 +392,42 @@ def dense_matrix(f: HomMorphism):
     return out
 
 
-def morphism_from_dense(field, source, target, dense, tag: str = "") -> HomMorphism:
-    """Carve a dense matrix into weight blocks; raises if it is not
-    weight-equivariant (an entry outside every shared-weight block)."""
-    z = field.zero()
-    tslots = dict(weight_slots(target))
-    sslots = dict(weight_slots(source))
+def _from_entries(field, source, target, entries) -> HomMorphism:
+    """The morphism with the given (target_slot, source_slot, value) entries,
+    each placed in its weight block; raises on a nonzero entry that joins
+    slots of two different weights (the map would not be equivariant)."""
+    zero = field.zero()
+    tslots, sslots = weight_slots(target), weight_slots(source)
+    # slot -> (weight, rank among that weight's slots)
+    tpos = {i: (w, k) for w, slots in tslots for k, i in enumerate(slots)}
+    spos = {j: (w, k) for w, slots in sslots for k, j in enumerate(slots)}
+    rows = {w: len(slots) for w, slots in tslots}
+    cols = {w: len(slots) for w, slots in sslots}
     blocks = {}
-    covered = [[False] * source.dimension for _ in range(target.dimension)]
-    for w, ts in weight_slots(target):
-        ss = sslots.get(w)
-        if not ss:
+    for t, s, x in entries:
+        if x == zero:
             continue
-        m = []
-        for ti in ts:
-            row = []
-            for sj in ss:
-                row.append(dense[ti][sj])
-                covered[ti][sj] = True
-            m.append(row)
-        blocks[w] = m
-    for i in range(target.dimension):
-        for j in range(source.dimension):
-            if not covered[i][j] and dense[i][j] != z:
-                raise ValueError(
-                    f"matrix entry ({i},{j}) is nonzero outside all weight blocks"
-                )
-    return make_morphism(field, source, target, blocks, tag)
+        (w, i), (v, j) = tpos[t], spos[s]
+        if w != v:
+            raise ValueError(f"entry ({t},{s}) joins weights {w} and {v}")
+        if w not in blocks:
+            blocks[w] = fieldmod.zeros(field, rows[w], cols[w])
+        blocks[w][i][j] = x
+    return make_morphism(field, source, target, blocks)
+
+
+def _block_identity(field, source, target) -> HomMorphism:
+    """The k-th weight-w slot of source to the k-th weight-w slot of target;
+    raises unless the two objects carry the same weight multiset."""
+    sizes = [(w, len(s)) for w, s in weight_slots(source)]
+    if sizes != [(w, len(s)) for w, s in weight_slots(target)]:
+        raise ValueError("source and target weight multisets differ")
+    blocks = {w: fieldmod.identity(field, n) for w, n in sizes}
+    return make_morphism(field, source, target, blocks)
 
 
 def identity_morphism(field: ExactField, b: BaseObject) -> HomMorphism:
-    blocks = {}
-    one = field.one()
-    zero = field.zero()
-    for w, slots in weight_slots(b):
-        n = len(slots)
-        blocks[w] = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return make_morphism(field, b, b, blocks)
+    return _block_identity(field, b, b)
 
 
 def add_morphisms(f: HomMorphism, g: HomMorphism) -> HomMorphism:
@@ -471,68 +470,65 @@ def compose(g: HomMorphism, f: HomMorphism) -> HomMorphism:
 
 
 def tensor_hom(f: HomMorphism, g: HomMorphism) -> HomMorphism:
-    """f (x) g on the tensor objects (Kronecker product in the tuple bases)."""
-    src = tensor_obj(f.source, g.source)
-    tgt = tensor_obj(f.target, g.target)
-    if src.is_zero or tgt.is_zero:
-        return zero_morphism(f.field, src, tgt)
-    dense = fieldmod.kron(f.field, [dense_matrix(f), dense_matrix(g)])
-    return morphism_from_dense(f.field, src, tgt, dense)
-
-
-def _reindexing_identity(field, source, target) -> HomMorphism:
-    if source.dimension != target.dimension:
-        raise ValueError("dimension mismatch")
-    n = source.dimension
-    one = field.one()
-    zero = field.zero()
-    dense = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return morphism_from_dense(field, source, target, dense)
+    """f (x) g on the tensor objects (Kronecker product in the tuple bases),
+    one product of blocks at a time."""
+    k = f.field
+    ft, fs = dict(weight_slots(f.target)), dict(weight_slots(f.source))
+    gt, gs = dict(weight_slots(g.target)), dict(weight_slots(g.source))
+    nt, ns = g.target.dimension, g.source.dimension
+    entries = (
+        (ti * nt + tk, sj * ns + sl, k.mul(x, y))
+        for wf, fm in f.blocks
+        for wg, gm in g.blocks
+        for ti, frow in zip(ft[wf], fm)
+        for sj, x in zip(fs[wf], frow)
+        for tk, grow in zip(gt[wg], gm)
+        for sl, y in zip(gs[wg], grow)
+    )
+    return _from_entries(
+        k, tensor_obj(f.source, g.source), tensor_obj(f.target, g.target), entries
+    )
 
 
 def associator(field, b, c, d) -> HomMorphism:
     """b (x) (c (x) d) -> (b (x) c) (x) d; the identity on basis tuples."""
-    return _reindexing_identity(
+    return _block_identity(
         field, tensor_obj(b, tensor_obj(c, d)), tensor_obj(tensor_obj(b, c), d)
     )
 
 
 def associator_inv(field, b, c, d) -> HomMorphism:
-    return _reindexing_identity(
+    return _block_identity(
         field, tensor_obj(tensor_obj(b, c), d), tensor_obj(b, tensor_obj(c, d))
     )
 
 
 def braiding(field, b, c) -> HomMorphism:
     """b (x) c -> c (x) b, v (x) w -> w (x) v."""
-    src = tensor_obj(b, c)
-    tgt = tensor_obj(c, b)
     nb, nc = b.dimension, c.dimension
-    zero = field.zero()
     one = field.one()
-    dense = [[zero] * (nb * nc) for _ in range(nb * nc)]
-    for i in range(nb):
-        for j in range(nc):
-            dense[j * nb + i][i * nc + j] = one
-    return morphism_from_dense(field, src, tgt, dense)
+    entries = (
+        (j * nb + i, i * nc + j, one) for i in range(nb) for j in range(nc)
+    )
+    return _from_entries(field, tensor_obj(b, c), tensor_obj(c, b), entries)
 
 
 def right_unitor(field, b) -> HomMorphism:
     """b -> b (x) 1, v -> v (x) u0."""
-    return _reindexing_identity(field, b, tensor_obj(b, unit_object(b.group)))
+    return _block_identity(field, b, tensor_obj(b, unit_object(b.group)))
 
 
 def left_unitor(field, b) -> HomMorphism:
     """b -> 1 (x) b, v -> u0 (x) v."""
-    return _reindexing_identity(field, b, tensor_obj(unit_object(b.group), b))
+    return _block_identity(field, b, tensor_obj(unit_object(b.group), b))
 
 
 def left_unitor_inv(field, b) -> HomMorphism:
-    return _reindexing_identity(field, tensor_obj(unit_object(b.group), b), b)
+    return _block_identity(field, tensor_obj(unit_object(b.group), b), b)
 
 
 def right_unitor_inv(field, b) -> HomMorphism:
-    return _reindexing_identity(field, tensor_obj(b, unit_object(b.group)), b)
+    return _block_identity(field, tensor_obj(b, unit_object(b.group)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -569,19 +565,12 @@ def dual_data(field: ExactField, b: BaseObject) -> DualData:
     unit = unit_object(group)
     n = b.dimension
     one = field.one()
-    zero = field.zero()
-
-    bd = tensor_obj(b, dual)
-    ev_dense = [[zero] * bd.dimension]
-    for i in range(n):
-        ev_dense[0][i * n + sigma[i]] = one
-    ev = morphism_from_dense(field, bd, unit, ev_dense)
-
-    db = tensor_obj(dual, b)
-    coev_dense = [[zero] for _ in range(db.dimension)]
-    for i in range(n):
-        coev_dense[sigma[i] * n + i][0] = one
-    coev = morphism_from_dense(field, unit, db, coev_dense)
+    ev = _from_entries(
+        field, tensor_obj(b, dual), unit, ((0, i * n + sigma[i], one) for i in range(n))
+    )
+    coev = _from_entries(
+        field, unit, tensor_obj(dual, b), ((sigma[i] * n + i, 0, one) for i in range(n))
+    )
     return DualData(dual, ev, coev)
 
 
@@ -633,18 +622,16 @@ def direct_sum_data(field: ExactField, b: BaseObject, c: BaseObject) -> Biproduc
     total = make_irreducible(
         weight_multiset(group, basis_weights(b) + basis_weights(c))
     )
-    tslots = {w: list(s) for w, s in weight_slots(total)}
+    tslots = dict(weight_slots(total))
     one = field.one()
-    zero = field.zero()
 
     def embed(obj, offset_of_weight):
-        dense = [[zero] * obj.dimension for _ in range(total.dimension)]
-        for w, slots in weight_slots(obj):
-            targets = tslots[w]
-            off = offset_of_weight(w)
-            for k, src_slot in enumerate(slots):
-                dense[targets[off + k]][src_slot] = one
-        return morphism_from_dense(field, obj, total, dense)
+        entries = (
+            (tslots[w][offset_of_weight(w) + k], slot, one)
+            for w, slots in weight_slots(obj)
+            for k, slot in enumerate(slots)
+        )
+        return _from_entries(field, obj, total, entries)
 
     mb = {w: len(s) for w, s in weight_slots(b)}
     inj1 = embed(b, lambda w: 0)
@@ -702,16 +689,8 @@ def cokernel_of(field: ExactField, f: HomMorphism):
 def normalize_to_irreducible(field: ExactField, b: BaseObject):
     """(c, iso) with c tensor irreducible and iso a weight-respecting
     bijection of ordered bases."""
-    if b.is_zero:
-        return ZERO, zero_morphism(field, ZERO, ZERO)
     c = normalized_object(b)
-    blocks = {}
-    one = field.one()
-    zero = field.zero()
-    for w, slots in weight_slots(b):
-        n = len(slots)
-        blocks[w] = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return c, make_morphism(field, b, c, blocks)
+    return c, _block_identity(field, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diagcat import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 WORKED_BITS = "10 10 10 00 00 00 01 10 00 01 01 10 00 00 01 01"
 
@@ -105,6 +111,30 @@ def test_axioms_check_json_deterministic(capsys):
     assert out1 == out2  # byte-identical
     payload = json.loads(out1)
     assert payload["passed"] == 27
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "check", "--field", "F5", "--group", "Z/4",
+         "--max-dim", "2", "--max-len", "2", "--json"],
+        ["stab", "defining-degree", "--catalog", "torus-t-t2-gl2", "--json"],
+    ],
+)
+def test_json_output_independent_of_hash_seed(argv):
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagcat.cli", *argv],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]  # byte-identical
 
 
 def test_axioms_check_failure_exit_1(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
 from diagcat import abelian as ab
+from diagcat import axioms as ax
 from diagcat import diagrep as dr
 from diagcat import field as fm
 from diagcat.field import ExactField, QQ
@@ -464,7 +466,7 @@ def _reference_cokernel(field, f):
 
 def _reference_projections(field, data):
     return tuple(
-        dr.morphism_from_dense(
+        ref.morphism_from_dense(
             field, inj.target, inj.source, fm.transpose(dr.dense_matrix(inj))
         )
         for inj in (data.inj1, data.inj2)
@@ -487,3 +489,92 @@ def test_cokernel_and_biproduct_match_reference():
             data = dr.direct_sum_data(field, src, tgt)
             assert (data.proj1, data.proj2) == _reference_projections(field, data)
     assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# Structural morphisms built block by block against the dense matrices they
+# replace (carved by the reference `morphism_from_dense`)
+
+
+def test_block_builders_match_dense_reference():
+    rng = random.Random(2019)
+    objs = dr.enumerate_objects(Z4, 3, 2)
+    bound = ax.bounds(3, 2)
+    checked = 0
+    for field in (ExactField(3), F5, F7):
+        model = ax.FragmentModel(field, Z4, bound)
+        for b in objs:
+            assert dr.identity_morphism(field, b) == ref.reindexing_identity(field, b, b)
+            assert dr.normalize_to_irreducible(field, b) == ref.dense_normalizer(field, b)
+            unit = dr.unit_object(Z4)
+            for build, src, tgt in (
+                (dr.right_unitor, b, dr.tensor_obj(b, unit)),
+                (dr.left_unitor, b, dr.tensor_obj(unit, b)),
+                (dr.left_unitor_inv, dr.tensor_obj(unit, b), b),
+                (dr.right_unitor_inv, dr.tensor_obj(b, unit), b),
+            ):
+                assert build(field, b) == ref.reindexing_identity(field, src, tgt)
+            dd = dr.dual_data(field, b)
+            assert (dd.ev, dd.coev) == ref.dense_ev_coev(field, b, dd.dual)
+            for u0 in field.units():
+                assert model.unit_embedding(b, u0) == ref.reindexing_identity(
+                    field, b, dr.tensor_obj(unit, b), scalar=u0
+                )
+            checked += 1
+        pool = objs + [dr.ZERO]
+        assert dr.normalize_to_irreducible(field, dr.ZERO) == ref.dense_normalizer(
+            field, dr.ZERO
+        )
+        for _ in range(150):
+            b, c = rng.choice(objs), rng.choice(objs)
+            assert dr.braiding(field, b, c) == ref.dense_braiding(field, b, c)
+            data = dr.direct_sum_data(field, b, c)
+            assert (data.inj1, data.inj2) == ref.dense_injections(
+                field, b, c, data.total
+            )
+            b1, c1, b2, c2 = (rng.choice(pool) for _ in range(4))
+            fs = [dr.zero_morphism(field, b1, c1)]
+            fs += dr.hom_space(field, b1, c1).basis[:3]
+            fs += [_random_morphism(rng, field, b1, c1)]
+            gs = [dr.zero_morphism(field, b2, c2)]
+            gs += dr.hom_space(field, b2, c2).basis[:3]
+            gs += [_random_morphism(rng, field, b2, c2)]
+            for f in fs:
+                for g in gs:
+                    assert dr.tensor_hom(f, g) == ref.dense_tensor_hom(f, g)
+                    checked += 1
+        for _ in range(60):
+            b, c, d = (rng.choice(pool) for _ in range(3))
+            bcd = dr.tensor_obj(b, dr.tensor_obj(c, d))
+            bc_d = dr.tensor_obj(dr.tensor_obj(b, c), d)
+            assert dr.associator(field, b, c, d) == ref.reindexing_identity(
+                field, bcd, bc_d
+            )
+            assert dr.associator_inv(field, b, c, d) == ref.reindexing_identity(
+                field, bc_d, bcd
+            )
+            checked += 1
+    assert checked > 5000
+
+
+def test_block_builders_reject_cross_weight_maps():
+    one = F5.one()
+    b, c = _irr(Z4, 0, 1), _irr(Z4, 0, 2)
+    assert dr._from_entries(F5, b, c, [(0, 0, one), (1, 1, F5.zero())]) == (
+        dr.make_morphism(F5, b, c, {Z4.element([0]): [[one]]})
+    )
+    with pytest.raises(ValueError):
+        dr._from_entries(F5, b, c, [(1, 1, one)])
+    with pytest.raises(ValueError):
+        ref.morphism_from_dense(F5, b, c, [[0, 0], [0, one]])
+    with pytest.raises(ValueError):
+        dr._block_identity(F5, b, c)
+    with pytest.raises(ValueError):
+        dr._block_identity(F5, _irr(Z4, 1), _irr(Z4, 1, 1))
+    # weights (3, 0) against the sorted (0, 3): a block identity, but not
+    # the identity matrix on basis tuples
+    b = dr.tensor_obj(_irr(Z4, 3), _irr(Z4, 0, 1))
+    c, iso = ref.dense_normalizer(F5, b)
+    assert dr._block_identity(F5, b, c) == iso
+    with pytest.raises(ValueError):
+        ref.reindexing_identity(F5, b, c)
