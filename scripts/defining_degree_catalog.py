@@ -39,7 +39,7 @@ def main() -> int:
             for d in range(res.degree + 1):
                 trunc = la.presentation_truncation(pres, d, args.cap)
                 gens = ", ".join(
-                    la.format_element(g) for g in trunc.generating_set()
+                    la.format_element(g) for g in trunc.generators
                 ) or "(none: the full general linear group)"
                 print(f"    degree <= {d}: {gens}")
             for r in res.refutations:

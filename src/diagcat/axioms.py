@@ -6,10 +6,15 @@ dimension <= N. Universally quantified statements run over the full fragment
 where the instance sets are small (objects, field elements, weights) and over
 linear spanning data where quantifiers range over vectors or morphisms; the
 latter is complete for the linear statements being checked and is recorded in
-each result's detail line. Existential axioms are verified constructively
-through the model's witness constructors, with a bounded fallback when a
-constructor is absent; a witness that provably cannot be searched within the
-witness bounds yields `skipped`, never a silent pass.
+each result's detail line.
+
+Existential axioms are verified constructively through the model's witness
+constructors (identities, normal forms, duals, biproducts, kernels and
+cokernels; axioms 10, 21, 23, 24, 25 and 26). A constructor that returns no
+witness makes its axiom `skipped` with detail `no <thing> constructor`, never
+a pass and never an error. Axiom 22 is the one existential checked by search:
+when the unit embedding it is given fails, it looks for v -> u0 (x) v in the
+span of the hom space.
 
 Each axiom reads the model through a dedicated hook, so a corrupted model
 (see MUTATIONS) flips exactly the axiom whose interpretation it damages, and
@@ -34,36 +39,15 @@ from .field import ExactField
 class FragmentBound:
     max_dimension: int
     max_tensor_length: int
-    witness_search_dimension: int
-    witness_search_length: int
 
     def __post_init__(self):
         if self.max_dimension < 1 or self.max_tensor_length < 1:
             raise ValueError("bounds must be >= 1")
-        if self.witness_search_dimension < self.max_dimension:
-            raise ValueError("witness dimension bound must be >= max dimension")
-        if self.witness_search_length < self.max_tensor_length:
-            raise ValueError("witness length bound must be >= max length")
 
 
-def bounds(
-    max_dimension: int,
-    max_tensor_length: int,
-    witness_search_dimension: int | None = None,
-    witness_search_length: int | None = None,
-) -> FragmentBound:
-    """Default witness bounds N+2 and M+1 cover the witnesses produced by
-    the dual, biproduct and identity-object constructions at desk scale."""
-    return FragmentBound(
-        max_dimension,
-        max_tensor_length,
-        witness_search_dimension
-        if witness_search_dimension is not None
-        else max_dimension + 2,
-        witness_search_length
-        if witness_search_length is not None
-        else max_tensor_length + 1,
-    )
+def bounds(max_dimension: int, max_tensor_length: int) -> FragmentBound:
+    """The fragment of objects of dimension <= N and tensor length <= M."""
+    return FragmentBound(max_dimension, max_tensor_length)
 
 
 @dataclass(frozen=True)
@@ -106,8 +90,6 @@ class AxiomReport:
             "bounds": {
                 "max_dimension": self.bound.max_dimension,
                 "max_tensor_length": self.bound.max_tensor_length,
-                "witness_search_dimension": self.bound.witness_search_dimension,
-                "witness_search_length": self.bound.witness_search_length,
             },
             "passed": self.passed,
             "failed": len(self.failed),
@@ -323,6 +305,24 @@ def _fail(index, name, detail, **witness):
 
 def _ok(index, name, detail):
     return AxiomResult(index, name, "pass", detail)
+
+
+def _skipped(index, name, thing):
+    """The model offers no witness constructor for an existential axiom."""
+    return AxiomResult(index, name, "skipped", f"no {thing} constructor")
+
+
+def _flat(f: HomMorphism) -> list:
+    """The linear map of `f`, row-major, as one vector."""
+    return [x for row in dr.dense_matrix(f) for x in row]
+
+
+def _in_span(field, columns, flat) -> bool:
+    """Is the flattened linear map `flat` a combination of the flattened
+    maps `columns`?"""
+    return bool(columns) and (
+        fieldmod.solve_linear(field, fieldmod.transpose(columns), flat) is not None
+    )
 
 
 def _combo_vectors(model, b, count=2):
@@ -555,12 +555,11 @@ def check_morphisms_are_linear_graphs(model: FragmentModel):
             if not basis:
                 continue
             checked += 1
-            mats = [dr.dense_matrix(f) for f in basis]
-            flat = [[x for row in m for x in row] for m in mats]
+            flat = [_flat(f) for f in basis]
             if fieldmod.rank(field, flat) != len(basis):
                 for a in range(len(basis)):
                     for bb in range(a + 1, len(basis)):
-                        if basis[a] != basis[bb] and mats[a] == mats[bb]:
+                        if basis[a] != basis[bb] and flat[a] == flat[bb]:
                             return _fail(
                                 i, name,
                                 "distinct morphisms share one linear map",
@@ -578,7 +577,7 @@ def check_identity_exists(model: FragmentModel):
     for b in model.all_objects():
         f = model.identity_morphism(b)
         if f is None:
-            return AxiomResult(i, name, "skipped", "no identity constructor")
+            return _skipped(i, name, "identity")
         if f.source != b or f.target != b:
             return _fail(i, name, "identity has wrong endpoints", b=str(b))
         for v in _combo_vectors(model, b):
@@ -633,22 +632,14 @@ def check_linearity(model: FragmentModel):
             basis = model.hom_basis(b, c)
             if len(basis) < 1:
                 continue
-            mats = [[x for row in dr.dense_matrix(f) for x in row] for f in basis]
-            span_matrix = fieldmod.transpose(mats)
-            f, g = basis[0], basis[-1]
-            target = [
-                field.add(x, y)
-                for x, y in zip(
-                    [x for row in dr.dense_matrix(f) for x in row],
-                    [x for row in dr.dense_matrix(g) for x in row],
-                )
-            ]
-            if fieldmod.solve_linear(field, span_matrix, target) is None:
+            mats = [_flat(f) for f in basis]
+            total = [field.add(x, y) for x, y in zip(mats[0], mats[-1])]
+            if not _in_span(field, mats, total):
                 return _fail(i, name, "sum of morphisms leaves the hom span",
                              source=str(b), target_obj=str(c))
             lam = field.of(2)
             scaled = [field.mul(lam, x) for x in mats[0]]
-            if fieldmod.solve_linear(field, span_matrix, scaled) is None:
+            if not _in_span(field, mats, scaled):
                 return _fail(i, name, "scalar multiple leaves the hom span",
                              source=str(b), target_obj=str(c))
             checked += 1
@@ -857,7 +848,7 @@ def check_tensor_skeletal(model: FragmentModel):
     for b in model.all_objects():
         pair = model.normalizer(b)
         if pair is None:
-            return AxiomResult(i, name, "skipped", "no normalizer constructor")
+            return _skipped(i, name, "normalizer")
         c, iso = pair
         if c.tensor_length != 1 or c.dimension != b.dimension:
             return _fail(i, name, "normal form has the wrong sort", b=str(b))
@@ -902,14 +893,8 @@ def check_identity_object(model: FragmentModel):
             ):
                 continue
             # the constructed witness fails; existence may still hold in the span
-            columns = [
-                [x for row in dr.dense_matrix(h) for x in row]
-                for h in model.hom_basis(b, target)
-            ]
-            flat = [x for row in required for x in row]
-            if not columns or fieldmod.solve_linear(
-                field, fieldmod.transpose(columns), flat
-            ) is None:
+            columns = [_flat(h) for h in model.hom_basis(b, target)]
+            if not _in_span(field, columns, [x for row in required for x in row]):
                 return _fail(i, name, "no morphism realizes v -> u0 (x) v",
                              b=str(b), u0=str(u0))
     return _ok(i, name, "all unit scalars, representative objects")
@@ -921,12 +906,7 @@ def check_duals(model: FragmentModel):
     for b in model.all_objects():
         dd = model.dual_data(b)
         if dd is None:
-            if b.dimension > model.bound.witness_search_dimension:
-                return AxiomResult(
-                    i, name, "skipped",
-                    f"no dual constructor and dim {b.dimension} exceeds witness bound",
-                )
-            dd = dr.dual_data(field, b)
+            return _skipped(i, name, "dual")
         if dd.dual.tensor_length != 1 or dd.dual.dimension != b.dimension:
             return _fail(i, name, "dual has the wrong sort", b=str(b))
         s1, s2 = dr.snake_composites(field, b, dd)
@@ -947,12 +927,7 @@ def check_biproducts(model: FragmentModel):
         for c in reps:
             data = model.biproduct_data(b, c)
             if data is None:
-                if b.dimension + c.dimension > model.bound.witness_search_dimension:
-                    return AxiomResult(
-                        i, name, "skipped",
-                        "no biproduct constructor; sum exceeds witness bound",
-                    )
-                data = dr.direct_sum_data(field, b, c)
+                return _skipped(i, name, "biproduct")
             d = data.total
             if d.tensor_length != 1 or d.dimension != b.dimension + c.dimension:
                 return _fail(i, name, "biproduct has the wrong sort", b=str(b), c=str(c))
@@ -997,7 +972,10 @@ def check_kernels(model: FragmentModel):
     for f in _morphisms_with_kernels(model):
         dense = dr.dense_matrix(f)
         expected = f.source.dimension - fieldmod.rank(field, dense)
-        u, inc = model.kernel_data(f)
+        data = model.kernel_data(f)
+        if data is None:
+            return _skipped(i, name, "kernel")
+        u, inc = data
         if u.is_zero:
             if expected != 0:
                 return _fail(i, name, "kernel object missing", expected_dim=expected,
@@ -1025,13 +1003,8 @@ def check_kernels(model: FragmentModel):
                 continue
             g = basis[0]
             fprime = dr.compose(inj, g)
-            columns = [
-                [x for row in dr.dense_matrix(dr.compose(inj, e)) for x in row]
-                for e in basis
-            ]
-            target = [x for row in dr.dense_matrix(fprime) for x in row]
-            sol = fieldmod.solve_linear(field, fieldmod.transpose(columns), target)
-            if sol is None:
+            columns = [_flat(dr.compose(inj, e)) for e in basis]
+            if not _in_span(field, columns, _flat(fprime)):
                 return _fail(i, name, "universal factorization has no solution",
                              u=str(u), b=str(b))
     return _ok(i, name, "kernel data and factorization property verified")
@@ -1043,7 +1016,10 @@ def check_cokernels(model: FragmentModel):
     for f in _morphisms_with_kernels(model):
         dense = dr.dense_matrix(f)
         expected = f.target.dimension - fieldmod.rank(field, dense)
-        w, proj = model.cokernel_data(f)
+        data = model.cokernel_data(f)
+        if data is None:
+            return _skipped(i, name, "cokernel")
+        w, proj = data
         if w.is_zero:
             if expected != 0:
                 return _fail(i, name, "cokernel object missing", expected_dim=expected,

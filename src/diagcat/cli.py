@@ -192,9 +192,7 @@ def cmd_char_group(args) -> int:
 def cmd_axioms_check(args) -> int:
     field = parse_field(args.field)
     group = abelian.parse_group(args.group)
-    bound = axioms.bounds(
-        args.max_dim, args.max_len, args.witness_dim, args.witness_len
-    )
+    bound = axioms.bounds(args.max_dim, args.max_len)
     model = None
     if args.mutate:
         model = axioms.mutated_model(field, group, bound, args.mutate)
@@ -364,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--group", required=True)
     check.add_argument("--max-dim", type=int, default=2, dest="max_dim")
     check.add_argument("--max-len", type=int, default=2, dest="max_len")
-    check.add_argument("--witness-dim", type=int, default=None, dest="witness_dim")
-    check.add_argument("--witness-len", type=int, default=None, dest="witness_len")
     check.add_argument(
         "--mutate", default=None, choices=sorted(axioms.MUTATIONS), help=argparse.SUPPRESS
     )

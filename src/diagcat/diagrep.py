@@ -148,8 +148,16 @@ def ordered_basis(b: BaseObject) -> tuple[BasisTuple, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def basis_weights(b: BaseObject) -> tuple[GroupElement, ...]:
-    return tuple(t.weight for t in ordered_basis(b))
+    """The weight of each basis vector, in the order of `ordered_basis`:
+    per-leaf canonical order, lexicographic across leaves."""
+    if b.is_zero:
+        return ()
+    weights = b.leaves[0].elements
+    for leaf in b.leaves[1:]:
+        weights = tuple(w + e for w in weights for e in leaf.elements)
+    return weights
 
 
 def isotypic_weights(b: BaseObject) -> tuple[GroupElement, ...]:
@@ -161,17 +169,15 @@ def isotypic_weights(b: BaseObject) -> tuple[GroupElement, ...]:
 def weight_slots(b: BaseObject) -> tuple[tuple[GroupElement, tuple[int, ...]], ...]:
     """Slots of each weight, keyed and ordered by the canonical weight order."""
     slots: dict[GroupElement, list[int]] = {}
-    for i, t in enumerate(ordered_basis(b)):
-        slots.setdefault(t.weight, []).append(i)
+    for i, w in enumerate(basis_weights(b)):
+        slots.setdefault(w, []).append(i)
     return tuple(
         (w, tuple(slots[w])) for w in sorted(slots, key=lambda e: e.coords)
     )
 
 
 def isotypic_multiplicity(b: BaseObject, a: GroupElement) -> int:
-    if b.is_zero:
-        return 0
-    return sum(1 for t in ordered_basis(b) if t.weight == a)
+    return basis_weights(b).count(a)
 
 
 # ---------------------------------------------------------------------------

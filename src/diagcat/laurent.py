@@ -736,9 +736,6 @@ class TruncationResult:
     cap: int
     generators: tuple[LaurentElement, ...] = ()  # pruned set, same ideal
 
-    def generating_set(self) -> tuple[LaurentElement, ...]:
-        return self.generators if self.generators else self.basis
-
 
 def _prune_generators(gens) -> tuple[LaurentElement, ...]:
     """Drop monomial multiples of single-variable generators: whenever a kept
@@ -776,7 +773,8 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
     cut down by exact row reduction. Each m*g is one sparse row over the
     monomials of degree > d, then those of degree <= d; the basis is the
     reduced rows whose pivot lies in the low part, which are exactly the
-    rows with no high-degree term. Complete only beyond the Hermann bound."""
+    rows with no high-degree term. Complete only when the cap reaches the
+    Hermann bound for the largest degree D of d and the generators, plus D."""
     if d < 0 or work_cap < d:
         raise ValueError("need 0 <= d <= work_cap")
     field, n = I.field, I.n
@@ -811,7 +809,10 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
         for pivot, row in fieldmod.echelon(field, rows)
         if pivot >= nhigh
     ]
-    complete = work_cap >= hermann_bound(max(d, 1), n)
+    # Hermann: f and the generators of degree <= D give cofactors of degree
+    # <= hermann_bound(D, n), so every m*g needed has degree <= bound + D.
+    top = max(d, max(g.degree() for g in gens if not g.is_zero()))
+    complete = work_cap >= hermann_bound(top, n) + top
     return TruncationResult(
         tuple(basis), complete, d, work_cap, _prune_generators(basis)
     )

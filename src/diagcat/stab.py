@@ -452,7 +452,7 @@ def group_le_d(
 ) -> tuple[SubgroupPresentation, TruncationResult]:
     """The subgroup cut out by the ideal generated by the degree <= d slice."""
     trunc = la.presentation_truncation(G, d, work_cap)
-    ideal = LaurentIdeal(G.field, G.n, trunc.generating_set(), f"{G.name}<=deg{d}")
+    ideal = LaurentIdeal(G.field, G.n, trunc.generators, f"{G.name}<=deg{d}")
     pres = SubgroupPresentation(G.field, G.n, ideal, None, f"{G.name}<=deg{d}")
     return pres, trunc
 

@@ -211,7 +211,7 @@ def test_criterion_07_coalgebra_and_hopf():
     for name, pres in la.catalog(QQ).items():
         for d in (1, 2):
             trunc = la.presentation_truncation(pres, d, d + 2)
-            ideal = la.LaurentIdeal(pres.field, pres.n, trunc.generating_set())
+            ideal = la.LaurentIdeal(pres.field, pres.n, trunc.generators)
             for f in trunc.basis:
                 sf = la.antipode(f)
                 res = la.ideal_membership_ascending(sf, ideal, 4)
@@ -334,7 +334,7 @@ def test_criterion_10_truncation_chain():
         previous = None
         for d in range(dstar + 1):
             trunc = la.presentation_truncation(pres, d, 6)
-            ideal_d = la.LaurentIdeal(pres.field, pres.n, trunc.generating_set())
+            ideal_d = la.LaurentIdeal(pres.field, pres.n, trunc.generators)
             if previous is not None:
                 # ascending chain of ideals, certified by witnesses
                 for g in previous:
@@ -345,7 +345,7 @@ def test_criterion_10_truncation_chain():
                         la.format_element(g),
                     )
                     certified += 1
-            previous = trunc.generating_set()
+            previous = trunc.generators
         # the chain stabilizes at the presented ideal by degree d*
         final = la.LaurentIdeal(pres.field, pres.n, previous)
         for g in pres.ideal.generators:
@@ -378,7 +378,7 @@ def test_criterion_11_truncation_groups_on_points():
             point = ([[u]], [[F5.inv(u)]])
             if all(
                 la.evaluate_at_point(g, *point) == F5.zero()
-                for g in trunc.generating_set()
+                for g in trunc.generators
             ):
                 cut_points.add(u)
 

@@ -15,11 +15,14 @@ Z4 = parse_group("Z/4")
 
 def test_bounds_validation():
     b = ax.bounds(2, 2)
-    assert b.witness_search_dimension == 4 and b.witness_search_length == 3
+    assert b == ax.FragmentBound(2, 2)
+    assert ax.check_axioms(F3, Z2, b).to_json()["bounds"] == {
+        "max_dimension": 2, "max_tensor_length": 2,
+    }
     with pytest.raises(ValueError):
         ax.bounds(0, 1)
     with pytest.raises(ValueError):
-        ax.FragmentBound(3, 2, 2, 3)  # witness dim below fragment dim
+        ax.FragmentBound(1, 0)
 
 
 def test_infinite_inputs_rejected():
@@ -131,3 +134,71 @@ def test_all_objects_is_the_shared_word_enumeration():
     objs = dup.all_objects()
     assert objs == _reference_all_objects(dup)
     assert len(objs) > len(dr.enumerate_objects(Z4, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "hook, axiom, thing",
+    [
+        ("identity_morphism", 10, "identity"),
+        ("normalizer", 21, "normalizer"),
+        ("dual_data", 23, "dual"),
+        ("biproduct_data", 24, "biproduct"),
+        ("kernel_data", 25, "kernel"),
+        ("cokernel_data", 26, "cokernel"),
+    ],
+)
+def test_absent_witness_constructor_is_skipped(hook, axiom, thing):
+    """A witness hook that returns None skips its existential axiom: no
+    pass from the canonical model's own witness, no error."""
+    bound = ax.bounds(2, 2)
+    model = ax.FragmentModel(F3, Z2, bound)
+    model.override(hook, lambda m, *args: None)
+    report = ax.check_axioms(F3, Z2, bound, model)
+    assert not report.failed
+    (skip,) = report.skipped
+    assert (skip.index, skip.detail) == (axiom, f"no {thing} constructor")
+    assert report.to_json()["skipped"] == 1
+
+
+def _graph_over_wrong_object(m, f, vs):
+    wrong = dr.tensor_obj(f.target, f.target)
+    return [(v, dr.zero_vector(m.field, wrong)) for v in vs]
+
+
+def _squared_tensor(m, v, w):
+    t = dr.tensor_vec(v, w)
+    return dr.ModelVector(m.field, t.obj, tuple(m.field.mul(x, x) for x in t.coeffs))
+
+
+def _swapped_factorization(m, b):
+    tree = dr.tensor_factorize(b)
+    return tree if isinstance(tree, dr.BaseObject) else (tree[1], tree[0])
+
+
+@pytest.mark.parametrize(
+    "hook, corrupt, failed",
+    [
+        ("morphism_graph_pairs", lambda m, f, vs: [], [7]),
+        ("morphism_graph_pairs", _graph_over_wrong_object, [8]),
+        ("tensor_vec", _squared_tensor, [14]),
+        ("associator_morphism",
+         lambda m, b, c, d: dr.scale_morphism(
+             m.field.of(2), dr.associator(m.field, b, c, d)), [17]),
+        ("braiding_morphism",
+         lambda m, b, c: dr.scale_morphism(m.field.of(2), dr.braiding(m.field, b, c)),
+         [18]),
+        ("tensor_obj", lambda m, b, c: dr.normalized_object(dr.tensor_obj(b, c)),
+         [19, 20]),
+        ("tensor_factorization", _swapped_factorization, [20]),
+    ],
+    ids=["graph-empty", "graph-wrong-object", "tensor-squared", "associator-doubled",
+         "braiding-doubled", "tensor-normalized", "factorization-swapped"],
+)
+def test_unmutated_axioms_can_fail(hook, corrupt, failed):
+    """Axioms without a registered mutation still fail on a corrupted hook."""
+    bound = ax.bounds(2, 2)
+    model = ax.FragmentModel(F3, Z2, bound)
+    model.override(hook, corrupt)
+    report = ax.check_axioms(F3, Z2, bound, model)
+    assert [r.index for r in report.failed] == failed
+    assert not report.skipped

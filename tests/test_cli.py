@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from diagcat import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 WORKED_BITS = "10 10 10 00 00 00 01 10 00 01 01 10 00 00 01 01"
 
@@ -17,6 +19,24 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands():
+    """The `diagcat ...` lines of README's "Command line" code block."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("diagcat ")]
+
+
+def test_readme_commands_parse():
+    """Every documented command parses, so a removed or renamed flag cannot
+    stay in the docs."""
+    commands = _readme_commands()
+    assert len(commands) == 12
+    parser = cli.build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line
 
 
 def test_paren_decode_worked_example(capsys):

@@ -104,6 +104,36 @@ def test_isotypic_multiplicity():
     assert dr.isotypic_multiplicity(dr.ZERO, Z.element([0])) == 0
 
 
+def _weights_from_ordered_basis(b):
+    """Reference route: the basis weights and weight slots read off
+    `ordered_basis`, one `BasisTuple` per slot."""
+    weights = tuple(t.weight for t in dr.ordered_basis(b))
+    slots = {}
+    for i, w in enumerate(weights):
+        slots.setdefault(w, []).append(i)
+    ordered = tuple((w, tuple(slots[w])) for w in sorted(slots, key=lambda e: e.coords))
+    return weights, ordered
+
+
+def test_basis_weights_match_ordered_basis():
+    Z2 = ab.parse_group("Z^2")
+    e1, e2 = Z2.element([1, 0]), Z2.element([0, 1])
+    irr = [dr.irreducible(Z2, ws) for ws in ([e1, e2], [e1, e1 + e2, -e2], [e1 - e2])]
+    words = [
+        dr.parse_object(Z2, "(( {(1,0) (0,1)} {(1,-1)} ) {(0,1) (2,0)})"),
+        dr.tensor_obj(irr[0], dr.tensor_obj(irr[1], irr[2])),
+        dr.tensor_obj(dr.tensor_obj(irr[1], irr[1]), irr[0]),
+    ]
+    objs = dr.enumerate_objects(Z4, 3, 3) + words + [dr.ZERO]
+    for b in objs:
+        weights, slots = _weights_from_ordered_basis(b)
+        assert dr.basis_weights(b) == weights, b
+        assert dr.weight_slots(b) == slots, b
+        assert dr.isotypic_weights(b) == tuple(sorted(weights, key=lambda e: e.coords))
+        for w in set(weights) | {Z4.zero()}:
+            assert dr.isotypic_multiplicity(b, w) == sum(1 for x in weights if x == w)
+
+
 def test_hom_space_dimensions():
     assert dr.hom_dimension(_irr(Z, 1), _irr(Z, 2)) == 0
     a, b = Z.element([1]), Z.element([2])

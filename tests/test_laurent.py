@@ -130,7 +130,7 @@ def test_membership_negative_definitive():
 def test_membership_in_truncation_of_t_t2():
     tt2 = la.catalog(QQ)["torus-t-t2-gl2"]
     trunc = la.presentation_truncation(tt2, 2, 4)
-    ideal = la.LaurentIdeal(QQ, 2, trunc.generating_set())
+    ideal = la.LaurentIdeal(QQ, 2, trunc.generators)
     f = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
     res = la.ideal_membership_ascending(f, ideal, 4)
     assert res.is_member and la.verify_membership_witness(f, res)
@@ -362,6 +362,14 @@ def test_hermann_bound():
     assert la.hermann_bound(2, 1) == 4 ** (2**2)
     # astronomically large already for n = 2
     assert la.hermann_bound(1, 2) == 2**256
+
+
+def test_truncation_complete_uses_generator_degree():
+    """Hermann's bound is in the generators' degree: the relations ZW - I
+    alone have degree 2, so cap 16 = hermann_bound(1, 1) is far from
+    complete for d = 1; the bound is (2 * 3)^4 = 1296 for mu3's cubic."""
+    mu3 = la.catalog(QQ)["mu3"]
+    assert not la.truncated_ideal_part(mu3.ideal, 1, 16).complete
 
 
 def _reference_to_diag_poly(field, n, f):
