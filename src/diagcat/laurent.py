@@ -6,16 +6,19 @@ of the stored representative, and membership in the degree filtration is a
 statement about the existence of some representative, decided against the
 relation ideal with a cofactor degree cap.
 
-Ideals always implicitly contain the relation ideal. Membership is one
-cofactor solve: a generator of the ideal that is a single variable
-eliminates that variable, and the solve runs on the other generators and
-the relations reduced into the ring of the remaining variables. Membership
-answers are exact: `member` carries expandable cofactor witnesses, lifted
-back to k[Z, W]; `not_member_up_to(D)` means no cofactor representation
-exists in which the generators that are not single variables have cofactors
-of degree <= D (definitive only beyond the Hermann bound, so the cap is
-always reported); and refutation points, when found, upgrade a negative
-answer to a definitive one.
+Ideals always implicitly contain the relation ideal. A membership question
+takes one path. `_capped_solve` looks for cofactors of degree <= cap: a
+generator that is a single variable eliminates it, and the solve runs on
+the rest reduced into the remaining variables. `ideal_membership` gives any
+other answer than `member` one scan for a refutation point, a point of
+GL_n where the ideal vanishes and f does not. `ideal_membership_ascending`
+runs cap 0 that way, then one solve per larger cap, up to the first member
+or definitive negative. `all_members` asks that of several elements with
+one shared `PointScan`. `member` carries expandable cofactor witnesses,
+lifted back to k[Z, W]; `not_member_up_to(D)` means no representation with
+cofactors of degree <= D for the generators that are not single variables
+(definitive only beyond the Hermann bound, so the cap is always reported),
+unless a refutation point makes it definitive.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import sparsepoly as sp
 from .abelian import FgAbelianGroup, GroupElement, relation_lattice
@@ -465,11 +468,10 @@ def _work_budget(field: ExactField) -> int:
     return 4 * 10**7 if field.p is None else 4 * 10**8
 
 
-def ideal_membership(
-    f: LaurentElement, I: LaurentIdeal, cofactor_degree_cap: int, refute=None
-) -> MembershipResult:
-    """Decide f = sum h_i g_i over the generators of I and the relation
-    ideal; `member` carries expandable witnesses.
+def _capped_solve(f: LaurentElement, I: LaurentIdeal, cap: int) -> MembershipResult:
+    """One cofactor solve of f = sum h_i g_i over the generators of I and the
+    relation ideal: `member` with expandable witnesses, `not_member_up_to`
+    (never definitive) or `unknown` when the solve is over the work budget.
 
     Each generator of I that is a single variable eliminates that variable:
     k[x]/(x_k : k in E) is k[x_j : j not in E] (Cox-Little-O'Shea). The other
@@ -479,20 +481,16 @@ def ideal_membership(
     remainder f - sum h_i g_i goes to the generator of its lowest-index
     eliminated variable, so the cap bounds the cofactors of the generators
     that are not single variables, and an eliminated generator's cofactor
-    may exceed it. `refute()`, when given, stands in for
-    `find_refutation_point(f, I)`."""
+    may exceed it."""
     if f.n != I.n:
         raise ValueError("inconsistent matrix sizes")
     field = I.field
     n = I.n
     nvars = 2 * n * n
-    cap = cofactor_degree_cap
     if cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
     if f.is_zero():
         return MembershipResult("member", cap, ())
-    if refute is None:
-        refute = lambda: find_refutation_point(f, I)
 
     eliminated: dict[int, LaurentElement] = {}
     for g in I.generators:
@@ -512,7 +510,7 @@ def ideal_membership(
         return MembershipResult("unknown", cap)
     cofs = _solve_cofactors(field, reduced, _eliminate(f.poly, kept), cap)
     if cofs is None:
-        return _negative_result(f, I, cap, refute)
+        return MembershipResult("not_member_up_to", cap)
     pairs = [
         (g, LaurentElement(n, _embed(h, kept, nvars)))
         for g, h in zip(gens, cofs)
@@ -541,38 +539,54 @@ def ideal_membership(
     return result
 
 
-def _negative_result(f, I, cap, refute) -> MembershipResult:
-    pt = refute()
-    return MembershipResult(
-        "not_member_up_to", cap, None, pt, definitive=pt is not None
-    )
+def ideal_membership(
+    f: LaurentElement,
+    I: LaurentIdeal,
+    cofactor_degree_cap: int,
+    scan: PointScan | None = None,
+) -> MembershipResult:
+    """Decide f = sum h_i g_i over the generators of I and the relation
+    ideal by one capped solve (see `_capped_solve`). Any answer other than
+    `member` then gets one `find_refutation_point(f, I, scan)`; a point
+    makes it a definitive `not_member_up_to` at this cap."""
+    result = _capped_solve(f, I, cofactor_degree_cap)
+    if result.is_member:
+        return result
+    pt = find_refutation_point(f, I, scan)
+    if pt is None:
+        return result
+    return MembershipResult("not_member_up_to", result.cap, None, pt, True)
 
 
 def ideal_membership_ascending(
     f: LaurentElement, I: LaurentIdeal, max_cap: int, scan: PointScan | None = None
 ) -> MembershipResult:
-    """Try small caps, then a refutation point (a definitive negative that
-    short-circuits large solves), then the remaining caps up to max_cap.
-    The point scan runs at most once per call. The refutation point is the
-    first point in `_point_list` order where every generator of I vanishes
-    and f does not, whatever the generator order; pass a `PointScan` of I
-    as `scan` to share the zero points across calls on the same ideal."""
-    refute = cache(lambda: find_refutation_point(f, I, scan))
-    last = None
-    for cap in range(min(1, max_cap) + 1):
-        last = ideal_membership(f, I, cap, refute)
-        if last.is_member:
-            return last
-    if last is not None and last.definitive:
-        return last
-    pt = refute()
-    if pt is not None:
-        return MembershipResult("not_member_up_to", max_cap, None, pt, True)
-    for cap in range(2, max_cap + 1):
-        last = ideal_membership(f, I, cap, refute)
-        if last.is_member:
-            return last
-    return last if last is not None else ideal_membership(f, I, max_cap, refute)
+    """Cap 0 through `ideal_membership`, which scans for a refutation point
+    once, then one capped solve at each cap 1..max_cap; the first member or
+    definitive negative ends the ladder. Pass a `PointScan` of I as `scan`
+    to share the zero points across calls on the same ideal."""
+    if max_cap < 0:
+        raise ValueError("cofactor degree cap must be >= 0")
+    result = ideal_membership(f, I, 0, scan)
+    for cap in range(1, max_cap + 1):
+        if result.is_member or result.definitive:
+            break
+        result = _capped_solve(f, I, cap)
+    return result
+
+
+def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]:
+    """Ascend each f of `fs` in turn against I, sharing one `PointScan` of I.
+    Returns the ((f, member result), ...) found before the first f not shown
+    a member, and that (f, result), or None when every f is a member."""
+    scan = PointScan(I)
+    witnesses = []
+    for f in fs:
+        result = ideal_membership_ascending(f, I, max_cap, scan)
+        if not result.is_member:
+            return tuple(witnesses), (f, result)
+        witnesses.append((f, result))
+    return tuple(witnesses), None
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +673,18 @@ def _point_list(field: ExactField, n: int, limit: int = 3000):
 
 class PointScan:
     """The points of `_point_list(I.field, I.n)` where every generator of I
-    vanishes, found lazily in stream order and shared by every `refute` call
-    on this scan.
+    vanishes, found lazily in stream order and shared by every
+    `find_refutation_point` call given this scan.
 
     Each stream point is tested once, so each (generator, point) pair is
     evaluated at most once. Generators are tried in move-to-front order: the
     one that was nonzero at the last rejected point goes first. Whether every
     generator vanishes at a point does not depend on that order, so
-    `refute(f)` gives the same answer as a fresh scan: the first point, in
-    `_point_list` order, where every generator of I vanishes and f does not.
+    `find_refutation_point` gives the same answer as with a fresh scan: the
+    first point, in `_point_list` order, where every generator of I vanishes
+    and f does not.
     A scan holds no state outside itself; make one per ideal inside the call
-    that asks about several f."""
+    that asks about several f, as `all_members` does."""
 
     def __init__(self, I: LaurentIdeal):
         self.ideal = I
@@ -695,17 +710,13 @@ class PointScan:
                 return pt
         return None
 
-    def refute(self, f: LaurentElement):
-        """The first zero point of I in stream order where f does not
-        vanish, or None."""
-        z = self.ideal.field.zero()
-        for pt in self._zeros:
-            if evaluate_at_point(f, *pt) != z:
-                return pt
-        while (pt := self._next_zero()) is not None:
-            if evaluate_at_point(f, *pt) != z:
-                return pt
-        return None
+    def zeros(self):
+        """The zero points of I in stream order: those found so far, then
+        the ones further scanning finds."""
+        k = 0
+        while k < len(self._zeros) or self._next_zero() is not None:
+            yield self._zeros[k]
+            k += 1
 
 
 def find_refutation_point(
@@ -721,7 +732,8 @@ def find_refutation_point(
         scan = PointScan(I)
     elif scan.ideal != I:
         raise ValueError("the point scan belongs to another ideal")
-    return scan.refute(f)
+    z = I.field.zero()
+    return next((pt for pt in scan.zeros() if evaluate_at_point(f, *pt) != z), None)
 
 
 # ---------------------------------------------------------------------------

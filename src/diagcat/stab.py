@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from . import field as fieldmod
 from . import laurent as la
-from . import sparsepoly as sp
 from .diagrep import BaseObject, basis_weights
 from .field import ExactField
 from .laurent import (
@@ -291,97 +290,6 @@ def point_stabilizes(field: ExactField, P: ShapePolynomial, n: int, g, ginv, A) 
 
 
 # ---------------------------------------------------------------------------
-# Symbolic mode (entries of the subspace matrix as indeterminates)
-
-
-@dataclass(frozen=True)
-class SymbolicStabilizer:
-    n: int
-    s: int
-    r: int
-    pivot_rows: tuple[int, ...]
-    det: sp.SparsePoly  # det(T~) in the T variables
-    numerators: tuple[sp.SparsePoly, ...]  # det * Q_i, in T and Z/W variables
-
-    def specialize(self, field: ExactField, A) -> list[LaurentElement]:
-        """Evaluate the T variables at a concrete matrix; returns the Q_i."""
-        n, nvars = self.n, 2 * self.n * self.n
-        tvals = [field.of(x) for row in A for x in row[: self.r]]
-        detval = self.det.evaluate(tvals + [field.zero()] * nvars)
-        if detval == field.zero():
-            raise ValueError("pivot minor is singular at this specialization")
-        images = [sp.constant(field, nvars, x) for x in tvals]
-        images += [sp.variable(field, nvars, k) for k in range(nvars)]
-        dinv = field.inv(detval)
-        return [
-            LaurentElement(n, num.substitute(images)).scale(dinv)
-            for num in self.numerators
-        ]
-
-
-def _adjugate(field, m, nvars, first: int):
-    """Rows first.. of the adjugate of a small matrix of polynomials, and
-    its determinant, by cofactor expansion."""
-    s = len(m)
-
-    def minor_det(rows, cols):
-        if not rows:
-            return sp.constant(field, nvars, 1)
-        i = rows[0]
-        acc = None
-        for pos, j in enumerate(cols):
-            sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = m[i][j] * sub
-            if pos % 2 == 1:
-                term = term.scale(field.neg(field.one()))
-            acc = term if acc is None else acc + term
-        return acc
-
-    full = list(range(s))
-    adj = []
-    for j in range(first, s):
-        row = []
-        for i in range(s):
-            c0 = minor_det([k for k in full if k != i], [k for k in full if k != j])
-            if (i + j) % 2 == 1:
-                c0 = c0.scale(field.neg(field.one()))
-            row.append(c0)  # transpose of the cofactor matrix
-        adj.append(row)
-    return adj, minor_det(full, full)
-
-
-MAX_SYMBOLIC_DIMENSION = 6
-
-
-def stabilizer_polys_symbolic(
-    field: ExactField, P: ShapePolynomial, n: int, r: int, pivot_rows
-) -> SymbolicStabilizer:
-    """Stabilizer polynomials with the subspace matrix symbolic; tractable
-    only for small spaces (s <= 6)."""
-    s = P.dimension(n)
-    if s > MAX_SYMBOLIC_DIMENSION:
-        raise ValueError(
-            f"symbolic mode supports dimension <= {MAX_SYMBOLIC_DIMENSION}, got {s}"
-        )
-    pivot_rows = tuple(pivot_rows)
-    nT = s * r
-    nvars = nT + 2 * n * n
-
-    ring = fieldmod.PolyRing(sp.zero(field, nvars), sp.constant(field, nvars, 1))
-    tvars = [[sp.variable(field, nvars, i * r + j) for j in range(r)] for i in range(s)]
-    tmat = _extend_matrix(ring, tvars, pivot_rows)
-
-    # embed the action matrix into the big variable ring, after the T variables
-    embed = [sp.variable(field, nvars, nT + k) for k in range(2 * n * n)]
-    B = [[e.poly.substitute(embed) for e in row] for row in action_matrix(field, P, n)]
-    adj, det = _adjugate(field, tmat, nvars, r)
-    left = fieldmod.mat_mul(ring, adj, B)
-    block = fieldmod.mat_mul(ring, left, [row[:r] for row in tmat])
-    numerators = tuple(q for row in block for q in row)
-    return SymbolicStabilizer(n, s, r, pivot_rows, det, numerators)
-
-
-# ---------------------------------------------------------------------------
 # Stability of subspaces
 
 
@@ -418,20 +326,14 @@ def is_stable(
                     return False
         return True
     # general route: all stabilizer polynomials lie in the presented ideal
-    s = len(A)
     pivots = _choose_pivots(field, A)
     prob = StabilizerProblem(P, presentation.n, tuple(pivots), _as_tuple(A), field)
-    qs = stabilizer_polys(prob)
-    scan = la.PointScan(presentation.ideal)
-    for q in qs:
-        res = la.ideal_membership_ascending(
-            q, presentation.ideal, membership_cap, scan
-        )
-        if not res.is_member:
-            if res.definitive:
-                return False
-            return None  # unknown at cap
-    return True
+    _, failure = la.all_members(
+        stabilizer_polys(prob), presentation.ideal, membership_cap
+    )
+    if failure is None:
+        return True
+    return False if failure[1].definitive else None  # None: unknown at cap
 
 
 def _choose_pivots(field, A):
@@ -493,22 +395,13 @@ def defining_degree(
     saw_unknown = False
     for d in range(d_max + 1):
         pres, trunc = group_le_d(G, d, work_cap)
-        witnesses = []
-        failed = None
-        scan = la.PointScan(pres.ideal)
-        for g in G.ideal.generators:
-            res = la.ideal_membership_ascending(g, pres.ideal, work_cap, scan)
-            if res.is_member:
-                witnesses.append((g, res))
-            else:
-                failed = (g, res)
-                break
+        witnesses, failed = la.all_members(G.ideal.generators, pres.ideal, work_cap)
         if failed is None:
             minimal = slices_exact and all(r.definitive for r in refutations)
             return DefiningDegreeResult(
                 "found",
                 d,
-                tuple(witnesses),
+                witnesses,
                 tuple(refutations),
                 minimal,
                 slices_exact,
@@ -549,16 +442,12 @@ def degrees_equal_check(
         return DegreesEqualResult("equal", d, d_prime, ())
     pres_d, _ = group_le_d(G, d, work_cap)
     _, trunc_hi = group_le_d(G, d_prime, work_cap)
-    witnesses = []
-    scan = la.PointScan(pres_d.ideal)
-    for g in trunc_hi.basis:
-        res = la.ideal_membership_ascending(g, pres_d.ideal, work_cap, scan)
-        if res.is_member:
-            witnesses.append((g, res))
-            continue
-        if res.definitive:
-            return DegreesEqualResult(
-                "not_equal", d, d_prime, tuple(witnesses), g, res.refutation_point
-            )
-        return DegreesEqualResult("unknown", d, d_prime, tuple(witnesses), g)
-    return DegreesEqualResult("equal", d, d_prime, tuple(witnesses))
+    witnesses, failed = la.all_members(trunc_hi.basis, pres_d.ideal, work_cap)
+    if failed is None:
+        return DegreesEqualResult("equal", d, d_prime, witnesses)
+    g, res = failed
+    if res.definitive:
+        return DegreesEqualResult(
+            "not_equal", d, d_prime, witnesses, g, res.refutation_point
+        )
+    return DegreesEqualResult("unknown", d, d_prime, witnesses, g)

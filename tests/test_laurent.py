@@ -7,6 +7,7 @@ from diagcat import field as fm
 from diagcat import laurent as la
 from diagcat.field import ExactField, QQ
 from dense_reference import dense_echelon
+from ladder_reference import reference_ascending
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -142,6 +143,8 @@ def test_membership_errors():
         la.ideal_membership(la.z_var(QQ, 2, 0, 1), mu2.ideal, 2)
     with pytest.raises(ValueError):
         la.ideal_membership(la.z_var(QQ, 1, 0, 0), mu2.ideal, -1)
+    with pytest.raises(ValueError):
+        la.ideal_membership_ascending(la.z_var(QQ, 1, 0, 0), mu2.ideal, -1)
 
 
 def test_truncated_ideal_part_examples():
@@ -549,6 +552,56 @@ def test_point_scan_evaluates_each_generator_once(monkeypatch):
     )
     assert stab.defining_degree(G, 4, 6) == result
     assert result.degree == 3 and all(r.definitive for r in result.refutations)
+
+
+@pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
+def test_cap0_refutation_ends_the_ladder(monkeypatch, field):
+    solves = []
+    solve = la._solve_cofactors
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(la, "_solve_cofactors", counting)
+    one = la.lau_const(field, 1, 1)
+    res = la.ideal_membership_ascending(one, la.catalog(field)["trivial-gl1"].ideal, 4)
+    assert len(solves) == 1
+    assert res.status == "not_member_up_to" and res.definitive and res.cap == 0
+
+
+def test_refutation_covers_an_answer_over_budget():
+    I = la.catalog(QQ)["diagonal-torus-gl2"].ideal
+    f = la.parse_element(QQ, 2, "Z[1,1]^130 - Z[2,2]")
+    assert la._capped_solve(f, I, 0).status == "unknown"
+    res = la.ideal_membership(f, I, 0)
+    assert res.status == "not_member_up_to" and res.definitive
+    g, ginv = res.refutation_point
+    assert la.evaluate_at_point(f, g, ginv) != QQ.zero()
+    assert all(la.evaluate_at_point(h, g, ginv) == QQ.zero() for h in I.generators)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_ladder_matches_reference_ladder(field):
+    """The ladder gives the reference ladder's answers; only the cap of a
+    definitive negative may differ, since the ladder stops at the cap after
+    which its point was found."""
+    outcomes = set()
+    for name, I, fs in _scan_cases(field):
+        for max_cap in range(4):
+            scan, ref_scan = la.PointScan(I), la.PointScan(I)
+            for f in fs:
+                got = la.ideal_membership_ascending(f, I, max_cap, scan)
+                want = reference_ascending(f, I, max_cap, ref_scan)
+                case = (name, I.name, max_cap, la.format_element(f))
+                assert got.status == want.status, case
+                assert got.definitive == want.definitive, case
+                assert got.refutation_point == want.refutation_point, case
+                assert got.cofactors == want.cofactors, case
+                if not (got.definitive and not got.is_member):
+                    assert got.cap == want.cap, case
+                outcomes.add((got.status, got.definitive))
+    assert {("member", False), ("not_member_up_to", True)} <= outcomes
 
 
 def _reference_relation_generators(field, n):

@@ -248,23 +248,6 @@ def test_is_stable_general_route_via_membership():
     assert stab.is_stable(QQ, b, XY, A2) is False
 
 
-def test_symbolic_matches_concrete():
-    X = stab.parse_shape("X")
-    rng = random.Random(31)
-    sym = stab.stabilizer_polys_symbolic(F5, X, 2, 1, (1,))
-    for _ in range(10):
-        a = F5.of(rng.randint(1, 4))
-        b = F5.of(rng.randint(0, 4))
-        A = [[a], [b]]
-        qs_sym = sym.specialize(F5, A)
-        qs_conc = stab.stabilizer_polys(
-            stab.StabilizerProblem(X, 2, (1,), ((a,), (b,)), F5)
-        )
-        assert [q.poly for q in qs_sym] == [q.poly for q in qs_conc]
-    with pytest.raises(ValueError):
-        stab.stabilizer_polys_symbolic(F5, stab.pd_polynomial(2, 2), 2, 1, (1,))
-
-
 def test_group_le_d():
     cat = la.catalog(QQ)
     # degree 0 cuts out the whole group: no generators
