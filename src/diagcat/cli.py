@@ -34,6 +34,9 @@ def _load_group_file(path: str) -> laurent.SubgroupPresentation:
         data = json.load(fh)
     if data.get("schema") != 1:
         raise UsageError(f"unsupported schema in {path}")
+    for key in ("field", "n"):
+        if key not in data:
+            raise UsageError(f"group file {path} has no {key!r}")
     field = parse_field(data["field"])
     n = int(data["n"])
     gens = tuple(

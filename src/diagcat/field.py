@@ -199,8 +199,9 @@ def kron(ring, mats):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Matrix-entry ring for polynomials (`SparsePoly`, `LaurentElement`):
-    the entries carry their own + and *, this supplies the constants."""
+    """Matrix-entry ring of the `SparsePoly`s of one polynomial ring (for
+    `stab`, the coordinate ring k[Z, W]): the entries carry their own + and
+    *, this supplies the constants."""
 
     zero_element: object
     one_element: object

@@ -1,10 +1,15 @@
 """The coordinate ring of GL_n as k[Z, W] modulo ZW = WZ = I.
 
-Ring elements are stored as polynomial representatives in the 2n^2 matrix
-variables Z[i,j] and W[i,j]; the degree of an element means the total degree
-of the stored representative, and membership in the degree filtration is a
-statement about the existence of some representative, decided against the
-relation ideal with a cofactor degree cap.
+A ring element is a `SparsePoly` representative in the 2n^2 matrix
+variables, Z[i,j] then W[i,j] (`z_index`, `w_index`); n is not stored, and
+`format_element` and `comultiply` recover it from the number of variables.
+The comultiplication of an element is a `SparsePoly` in 4n^2 variables,
+the left tensor factor's 2n^2 and then the right's. The degree of an
+element means the total degree of the stored representative, and
+membership in the degree filtration is a statement about the existence of
+some representative, decided against the relation ideal with a cofactor
+degree cap. A `LaurentIdeal` carries its field and n, since an ideal with
+no generators still has a ring, and checks that its generators lie in it.
 
 Ideals always implicitly contain the relation ideal. A membership question
 takes one path. `_capped_solve` looks for cofactors of degree <= cap: a
@@ -49,80 +54,45 @@ def w_index(n: int, i: int, j: int) -> int:
     return n * n + i * n + j
 
 
-@dataclass(frozen=True)
-class LaurentElement:
-    n: int
-    poly: SparsePoly
-
-    @property
-    def field(self) -> ExactField:
-        return self.poly.field
-
-    def degree(self) -> int:
-        return self.poly.degree()
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other: LaurentElement) -> LaurentElement:
-        self._check(other)
-        return LaurentElement(self.n, self.poly + other.poly)
-
-    def __sub__(self, other: LaurentElement) -> LaurentElement:
-        self._check(other)
-        return LaurentElement(self.n, self.poly - other.poly)
-
-    def __mul__(self, other: LaurentElement) -> LaurentElement:
-        self._check(other)
-        return LaurentElement(self.n, self.poly * other.poly)
-
-    def __neg__(self) -> LaurentElement:
-        return LaurentElement(self.n, -self.poly)
-
-    def scale(self, lam) -> LaurentElement:
-        return LaurentElement(self.n, self.poly.scale(lam))
-
-    def _check(self, other: LaurentElement):
-        if self.n != other.n:
-            raise ValueError("matrix sizes differ")
-        if self.field != other.field:
-            raise ValueError("coefficient fields differ")
-
-    def __str__(self) -> str:
-        return format_element(self)
+def _matrix_size(f: SparsePoly) -> int:
+    """The n of GL_n whose coordinate ring holds f: f has 2n^2 variables."""
+    n = math.isqrt(f.nvars // 2)
+    if n < 1 or 2 * n * n != f.nvars:
+        raise ValueError(f"{f.nvars} variables are not the entries of Z and W")
+    return n
 
 
-def lau_zero(field: ExactField, n: int) -> LaurentElement:
-    return LaurentElement(n, sp.zero(field, 2 * n * n))
+def lau_zero(field: ExactField, n: int) -> SparsePoly:
+    return sp.zero(field, 2 * n * n)
 
 
-def lau_const(field: ExactField, n: int, c) -> LaurentElement:
-    return LaurentElement(n, sp.constant(field, 2 * n * n, c))
+def lau_const(field: ExactField, n: int, c) -> SparsePoly:
+    return sp.constant(field, 2 * n * n, c)
 
 
-def z_var(field: ExactField, n: int, i: int, j: int) -> LaurentElement:
-    return LaurentElement(n, sp.variable(field, 2 * n * n, z_index(n, i, j)))
+def z_var(field: ExactField, n: int, i: int, j: int) -> SparsePoly:
+    return sp.variable(field, 2 * n * n, z_index(n, i, j))
 
 
-def w_var(field: ExactField, n: int, i: int, j: int) -> LaurentElement:
-    return LaurentElement(n, sp.variable(field, 2 * n * n, w_index(n, i, j)))
+def w_var(field: ExactField, n: int, i: int, j: int) -> SparsePoly:
+    return sp.variable(field, 2 * n * n, w_index(n, i, j))
 
 
-def lau_monomial(field: ExactField, n: int, exps, c=1) -> LaurentElement:
-    return LaurentElement(n, sp.monomial(field, 2 * n * n, exps, c))
+def lau_monomial(field: ExactField, n: int, exps, c=1) -> SparsePoly:
+    return sp.monomial(field, 2 * n * n, exps, c)
 
 
-def antipode(f: LaurentElement) -> LaurentElement:
+def antipode(f: SparsePoly) -> SparsePoly:
     """Swap Z <-> W on representatives; an involution preserving degree."""
-    nvars = 2 * f.n * f.n
+    nvars = f.nvars
     swap = [sp.variable(f.field, nvars, (i + nvars // 2) % nvars) for i in range(nvars)]
-    return LaurentElement(f.n, f.poly.substitute(swap))
+    return f.substitute(swap)
 
 
-def evaluate_at_point(f: LaurentElement, zmat, wmat):
+def evaluate_at_point(f: SparsePoly, zmat, wmat):
     """Value at a point of GL_n given as the pair (g, g^{-1})."""
     values = [x for row in zmat for x in row] + [x for row in wmat for x in row]
-    return f.poly.evaluate(values)
+    return f.evaluate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +105,14 @@ _TOKEN = re.compile(
 )
 
 
-def parse_element(field: ExactField, n: int, text: str) -> LaurentElement:
+def parse_element(field: ExactField, n: int, text: str) -> SparsePoly:
     from fractions import Fraction
 
     pos = 0
     result = lau_zero(field, n)
     sign = 1
-    current: LaurentElement | None = None
+    current: SparsePoly | None = None
+    after_op = False
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
@@ -149,7 +120,8 @@ def parse_element(field: ExactField, n: int, text: str) -> LaurentElement:
                 break
             raise ValueError(f"cannot parse {text[pos:]!r}")
         pos = m.end()
-        if m.group("op"):
+        after_op = m.group("op") is not None
+        if after_op:
             op = m.group("op")
             if op == "*":
                 continue
@@ -165,11 +137,10 @@ def parse_element(field: ExactField, n: int, text: str) -> LaurentElement:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"index out of range in {m.group(0)!r}")
             v = z_var(field, n, i, j) if m.group("var") == "Z" else w_var(field, n, i, j)
-            k = int(m.group("pow") or 1)
-            factor = v
-            for _ in range(k - 1):
-                factor = factor * v
+            factor = v.pow(int(m.group("pow") or 1))
         current = factor if current is None else current * factor
+    if after_op:
+        raise ValueError(f"{text!r} ends in an operator")
     if current is not None:
         result = result + current.scale(sign)
     return result
@@ -190,13 +161,14 @@ def _format_monomial(n: int, exps) -> str:
     return "*".join(parts)
 
 
-def format_element(f: LaurentElement) -> str:
+def format_element(f: SparsePoly) -> str:
+    n = _matrix_size(f)
     if f.is_zero():
         return "0"
-    terms = sorted(f.poly.terms, key=lambda t: (-sum(t[0]), t[0]))
+    terms = sorted(f.terms, key=lambda t: (-sum(t[0]), t[0]))
     out = []
     for e, c in terms:
-        mono = _format_monomial(f.n, e)
+        mono = _format_monomial(n, e)
         if not mono:
             s = str(c)
         elif c == f.field.one():
@@ -218,48 +190,12 @@ def format_element(f: LaurentElement) -> str:
 # Comultiplication
 
 
-@dataclass(frozen=True)
-class TensorSquareElement:
-    """An element of the tensor square of the coordinate ring, stored as a
-    polynomial in 4n^2 variables: the left factor's 2n^2, then the right's."""
-
-    n: int
-    poly: SparsePoly
-
-    @property
-    def field(self) -> ExactField:
-        return self.poly.field
-
-    @property
-    def terms(self) -> tuple:
-        """Sorted (((expsL, expsR), coeff), ...)."""
-        m = 2 * self.n * self.n
-        return tuple(((e[:m], e[m:]), c) for e, c in self.poly.terms)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other: TensorSquareElement) -> TensorSquareElement:
-        return TensorSquareElement(self.n, self.poly + other.poly)
-
-    def __mul__(self, other: TensorSquareElement) -> TensorSquareElement:
-        return TensorSquareElement(self.n, self.poly * other.poly)
-
-    def max_bidegree(self) -> tuple[int, int]:
-        terms = self.terms
-        if not terms:
-            return (-1, -1)
-        return (
-            max(sum(l) for (l, _r), _ in terms),
-            max(sum(r) for (_l, r), _ in terms),
-        )
-
-
-def comultiply(f: LaurentElement) -> TensorSquareElement:
+def comultiply(f: SparsePoly) -> SparsePoly:
     """Substitute Z[i,j] -> sum_l Z[i,l] (x) Z[l,j] and
-    W[i,j] -> sum_l W[l,j] (x) W[i,l]."""
-    n, k = f.n, f.field
-    m = 2 * n * n
+    W[i,j] -> sum_l W[l,j] (x) W[i,l]. The tensor square is stored as a
+    polynomial in 4n^2 variables: the left factor's 2n^2, then the right's."""
+    n, k = _matrix_size(f), f.field
+    m = f.nvars
 
     def tensor(left: int, right: int) -> SparsePoly:
         return sp.variable(k, 2 * m, left) * sp.variable(k, 2 * m, m + right)
@@ -271,7 +207,7 @@ def comultiply(f: LaurentElement) -> TensorSquareElement:
             for l in range(n):
                 images[zi] = images[zi] + tensor(z_index(n, i, l), z_index(n, l, j))
                 images[wi] = images[wi] + tensor(w_index(n, l, j), w_index(n, i, l))
-    return TensorSquareElement(n, f.poly.substitute(images))
+    return f.substitute(images)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +218,13 @@ def comultiply(f: LaurentElement) -> TensorSquareElement:
 class LaurentIdeal:
     field: ExactField
     n: int
-    generators: tuple[LaurentElement, ...]
+    generators: tuple[SparsePoly, ...]
     name: str = ""
+
+    def __post_init__(self):
+        ring = (self.field, 2 * self.n * self.n)
+        if any((g.field, g.nvars) != ring for g in self.generators):
+            raise ValueError("every generator must lie in k[Z, W] of the ideal")
 
 
 def _relation_entry(field: ExactField, n: int, i: int, j: int, left, right):
@@ -298,18 +239,19 @@ def _relation_entry(field: ExactField, n: int, i: int, j: int, left, right):
         terms[tuple(e)] = field.one()
     if i == j:
         terms[(0,) * nvars] = field.neg(field.one())
-    return LaurentElement(n, sp.from_dict(field, nvars, terms))
+    return sp.from_dict(field, nvars, terms)
 
 
-def relation_generators(field: ExactField, n: int) -> list[LaurentElement]:
+@lru_cache(maxsize=32)
+def relation_generators(field: ExactField, n: int) -> tuple[SparsePoly, ...]:
     """Entries of ZW - I and WZ - I."""
     pairs = ((z_index, w_index), (w_index, z_index))
-    return [
+    return tuple(
         _relation_entry(field, n, i, j, left, right)
         for left, right in pairs
         for i in range(n)
         for j in range(n)
-    ]
+    )
 
 
 def hermann_bound(d: int, n: int) -> int:
@@ -355,13 +297,13 @@ class MembershipResult:
         return self.status == "member"
 
 
-def verify_membership_witness(f: LaurentElement, result: MembershipResult) -> bool:
+def verify_membership_witness(f: SparsePoly, result: MembershipResult) -> bool:
     if not result.is_member or result.cofactors is None:
         return False
-    acc = lau_zero(f.field, f.n)
+    acc = sp.zero(f.field, f.nvars)
     for g, h in result.cofactors:
         acc = acc + g * h
-    return acc.poly == f.poly
+    return acc == f
 
 
 def _offdiag_indices(n: int) -> list[int]:
@@ -374,18 +316,15 @@ def _offdiag_indices(n: int) -> list[int]:
     return out
 
 
-def _offdiag_variables(field: ExactField, n: int) -> list[LaurentElement]:
+def _offdiag_variables(field: ExactField, n: int) -> list[SparsePoly]:
     """Z[i,j], W[i,j] for i != j, in `_offdiag_indices` order."""
-    return [
-        LaurentElement(n, sp.variable(field, 2 * n * n, idx))
-        for idx in _offdiag_indices(n)
-    ]
+    return [sp.variable(field, 2 * n * n, idx) for idx in _offdiag_indices(n)]
 
 
-def _is_single_variable(f: LaurentElement) -> int | None:
-    if len(f.poly.terms) != 1:
+def _is_single_variable(f: SparsePoly) -> int | None:
+    if len(f.terms) != 1:
         return None
-    e, c = f.poly.terms[0]
+    e, c = f.terms[0]
     if c != f.field.one() or sum(e) != 1:
         return None
     return e.index(1)
@@ -468,7 +407,7 @@ def _work_budget(field: ExactField) -> int:
     return 4 * 10**7 if field.p is None else 4 * 10**8
 
 
-def _capped_solve(f: LaurentElement, I: LaurentIdeal, cap: int) -> MembershipResult:
+def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     """One cofactor solve of f = sum h_i g_i over the generators of I and the
     relation ideal: `member` with expandable witnesses, `not_member_up_to`
     (never definitive) or `unknown` when the solve is over the work budget.
@@ -482,25 +421,24 @@ def _capped_solve(f: LaurentElement, I: LaurentIdeal, cap: int) -> MembershipRes
     eliminated variable, so the cap bounds the cofactors of the generators
     that are not single variables, and an eliminated generator's cofactor
     may exceed it."""
-    if f.n != I.n:
-        raise ValueError("inconsistent matrix sizes")
-    field = I.field
-    n = I.n
+    field, n = I.field, I.n
     nvars = 2 * n * n
+    if (f.field, f.nvars) != (field, nvars):
+        raise ValueError("f is not in the ring of the ideal")
     if cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
     if f.is_zero():
         return MembershipResult("member", cap, ())
 
-    eliminated: dict[int, LaurentElement] = {}
+    eliminated: dict[int, SparsePoly] = {}
     for g in I.generators:
         idx = _is_single_variable(g)
         if idx is not None:
             eliminated.setdefault(idx, g)
     kept = [k for k in range(nvars) if k not in eliminated]
     gens, reduced, seen = [], [], set()
-    for g in list(I.generators) + relation_generators(field, n):
-        r = _eliminate(g.poly, kept)
+    for g in (*I.generators, *relation_generators(field, n)):
+        r = _eliminate(g, kept)
         if not r.is_zero() and r.terms not in seen:
             seen.add(r.terms)
             gens.append(g)
@@ -508,19 +446,17 @@ def _capped_solve(f: LaurentElement, I: LaurentIdeal, cap: int) -> MembershipRes
     max_deg = max([r.degree() for r in reduced] + [f.degree()])
     if _solve_work_estimate(len(kept), len(reduced), cap, max_deg) > _work_budget(field):
         return MembershipResult("unknown", cap)
-    cofs = _solve_cofactors(field, reduced, _eliminate(f.poly, kept), cap)
+    cofs = _solve_cofactors(field, reduced, _eliminate(f, kept), cap)
     if cofs is None:
         return MembershipResult("not_member_up_to", cap)
     pairs = [
-        (g, LaurentElement(n, _embed(h, kept, nvars)))
-        for g, h in zip(gens, cofs)
-        if not h.is_zero()
+        (g, _embed(h, kept, nvars)) for g, h in zip(gens, cofs) if not h.is_zero()
     ]
     if not eliminated:
         return MembershipResult("member", cap, tuple(pairs))
-    remainder = f.poly
+    remainder = f
     for g, h in pairs:
-        remainder = remainder - g.poly * h.poly
+        remainder = remainder - g * h
     lifted: dict[int, dict] = {}
     # a term free of eliminated variables stays unassigned, so the
     # re-verification below fails on it
@@ -529,7 +465,7 @@ def _capped_solve(f: LaurentElement, I: LaurentIdeal, cap: int) -> MembershipRes
         if k is not None:
             lifted.setdefault(k, {})[e[:k] + (e[k] - 1,) + e[k + 1 :]] = c
     pairs += [
-        (g, LaurentElement(n, sp.from_dict(field, nvars, lifted[k])))
+        (g, sp.from_dict(field, nvars, lifted[k]))
         for k, g in eliminated.items()
         if k in lifted
     ]
@@ -540,7 +476,7 @@ def _capped_solve(f: LaurentElement, I: LaurentIdeal, cap: int) -> MembershipRes
 
 
 def ideal_membership(
-    f: LaurentElement,
+    f: SparsePoly,
     I: LaurentIdeal,
     cofactor_degree_cap: int,
     scan: PointScan | None = None,
@@ -559,7 +495,7 @@ def ideal_membership(
 
 
 def ideal_membership_ascending(
-    f: LaurentElement, I: LaurentIdeal, max_cap: int, scan: PointScan | None = None
+    f: SparsePoly, I: LaurentIdeal, max_cap: int, scan: PointScan | None = None
 ) -> MembershipResult:
     """Cap 0 through `ideal_membership`, which scans for a refutation point
     once, then one capped solve at each cap 1..max_cap; the first member or
@@ -720,7 +656,7 @@ class PointScan:
 
 
 def find_refutation_point(
-    f: LaurentElement, I: LaurentIdeal, scan: PointScan | None = None
+    f: SparsePoly, I: LaurentIdeal, scan: PointScan | None = None
 ):
     """A point (g, g^{-1}) where every generator of I vanishes and f does
     not, which certifies that f is not in I + relations; None when the
@@ -742,33 +678,30 @@ def find_refutation_point(
 
 @dataclass(frozen=True)
 class TruncationResult:
-    basis: tuple[LaurentElement, ...]
+    basis: tuple[SparsePoly, ...]
     complete: bool
     d: int
     cap: int
-    generators: tuple[LaurentElement, ...] = ()  # pruned set, same ideal
+    generators: tuple[SparsePoly, ...] = ()  # pruned set, same ideal
 
 
-def _prune_generators(gens) -> tuple[LaurentElement, ...]:
+def _prune_generators(gens) -> tuple[SparsePoly, ...]:
     """Drop monomial multiples of single-variable generators: whenever a kept
     generator is one variable, other generators lose every monomial divisible
     by it (the dropped part is a multiple of the kept generator)."""
     gens = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree())
     single_vars: list[int] = []
-    kept: list[LaurentElement] = []
+    kept: list[SparsePoly] = []
     seen = set()
     for g in gens:
-        field = g.field
         terms = {
-            e: c
-            for e, c in g.poly.terms
-            if not any(e[v] > 0 for v in single_vars)
+            e: c for e, c in g.terms if not any(e[v] > 0 for v in single_vars)
         }
         if not terms:
             continue
-        reduced = LaurentElement(g.n, sp.from_dict(field, 2 * g.n * g.n, terms))
-        key = reduced.poly.terms
-        neg_key = (-reduced).poly.terms
+        reduced = sp.from_dict(g.field, g.nvars, terms)
+        key = reduced.terms
+        neg_key = (-reduced).terms
         if key in seen or neg_key in seen:
             continue
         seen.add(key)
@@ -791,7 +724,7 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
         raise ValueError("need 0 <= d <= work_cap")
     field, n = I.field, I.n
     nvars = 2 * n * n
-    gens = list(I.generators) + relation_generators(field, n)
+    gens = (*I.generators, *relation_generators(field, n))
     monos = sp.monomials_up_to(nvars, work_cap)
     high = [e for e in monos if sum(e) > d]
     low = [e for e in monos if sum(e) <= d]
@@ -808,16 +741,14 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
             rows.append(
                 {
                     mono_index[tuple(x + y for x, y in zip(m, e))]: c
-                    for e, c in g.poly.terms
+                    for e, c in g.terms
                 }
             )
     if not rows:
         return TruncationResult((), False, d, work_cap)
     nhigh = len(high)
     basis = [
-        LaurentElement(
-            n, sp.from_dict(field, nvars, {columns[j]: x for j, x in row.items()})
-        )
+        sp.from_dict(field, nvars, {columns[j]: x for j, x in row.items()})
         for pivot, row in fieldmod.echelon(field, rows)
         if pivot >= nhigh
     ]
@@ -830,7 +761,7 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
     )
 
 
-def _character_kernel(field: ExactField, weights, monos) -> list[LaurentElement]:
+def _character_kernel(field: ExactField, weights, monos) -> list[SparsePoly]:
     """Basis of the kernel of the character evaluation on the span of the
     monomials `monos` (exponent tuples of k[Z, W], in order). A monomial
     with an off-diagonal exponent maps to 0 and is a basis element alone;
@@ -856,13 +787,13 @@ def _character_kernel(field: ExactField, weights, monos) -> list[LaurentElement]
             first[chi] = e
             continue
         terms = {e: one, first[chi]: minus_one}
-        basis.append(LaurentElement(n, sp.from_dict(field, nvars, terms)))
+        basis.append(sp.from_dict(field, nvars, terms))
     return basis
 
 
 def character_slice(
     field: ExactField, weights, d: int
-) -> tuple[LaurentElement, ...]:
+) -> tuple[SparsePoly, ...]:
     """Exact basis of I(G) intersected with the degree <= d slice, for G the
     image of the diagonalizable group acting by the given weights: the kernel
     of the evaluation of monomials in the group algebra of A."""
@@ -873,7 +804,7 @@ def character_slice(
 
 def character_slice_generators(
     field: ExactField, weights, d: int
-) -> tuple[LaurentElement, ...]:
+) -> tuple[SparsePoly, ...]:
     """A small generating set of the ideal generated by the exact degree <= d
     slice: the off-diagonal variables (for d >= 1) plus the kernel of the
     character evaluation restricted to diagonal monomials of degree <= d.
@@ -901,7 +832,7 @@ def presentation_truncation(
 # Diagonalizable images
 
 
-def _balanced_binomial(field: ExactField, n: int, row: list[int]) -> LaurentElement:
+def _balanced_binomial(field: ExactField, n: int, row: list[int]) -> SparsePoly:
     """Binomial of a relation-lattice row, in the lowest-degree form: a
     single-coordinate relation c is split Z^ceil(c/2) - W^floor(c/2); general
     rows use prod Z^{u+} - prod Z^{u-}."""

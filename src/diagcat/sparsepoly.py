@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over an exact field.
 
 Terms map exponent tuples to nonzero coefficients. Instances are treated as
-immutable; all operations return new polynomials.
+immutable; all operations return new polynomials. A polynomial's ring is its
+field and its number of variables: `+`, `-` and `*` raise `ValueError` on
+operands from different rings.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ class SparsePoly:
                 return c
         return self.field.zero()
 
+    def _check(self, other: SparsePoly) -> None:
+        if self.nvars != other.nvars:
+            raise ValueError(f"operands in {self.nvars} and {other.nvars} variables")
+        if self.field != other.field:
+            raise ValueError(f"operands over {self.field} and {other.field}")
+
     def __add__(self, other: SparsePoly) -> SparsePoly:
+        self._check(other)
         d = dict(self.terms)
         z = self.field.zero()
         for e, c in other.terms:
@@ -55,6 +64,7 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
+        self._check(other)
         f = self.field
         return from_dict(f, self.nvars, _product(f, self.terms, other.terms))
 

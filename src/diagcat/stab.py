@@ -27,12 +27,8 @@ from . import field as fieldmod
 from . import laurent as la
 from .diagrep import BaseObject, basis_weights
 from .field import ExactField
-from .laurent import (
-    LaurentElement,
-    LaurentIdeal,
-    SubgroupPresentation,
-    TruncationResult,
-)
+from .laurent import LaurentIdeal, SubgroupPresentation, TruncationResult
+from .sparsepoly import SparsePoly
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,7 @@ def _extend_matrix(ring, A, pivot_rows_1based):
     return t
 
 
-def stabilizer_polys(prob: StabilizerProblem) -> list[LaurentElement]:
+def stabilizer_polys(prob: StabilizerProblem) -> list[SparsePoly]:
     """The (s-r)*r entries whose common vanishing is exactly the stabilizer
     of the subspace, each of degree <= deg(shape)."""
     field, n = prob.field, prob.n
@@ -362,7 +358,7 @@ def group_le_d(
 @dataclass(frozen=True)
 class DegreeRefutation:
     d: int
-    generator: LaurentElement
+    generator: SparsePoly
     point: tuple | None  # point of the truncation group where the generator fails
     definitive: bool
 
@@ -427,7 +423,7 @@ class DegreesEqualResult:
     d: int
     d_prime: int
     witnesses: tuple
-    failing: LaurentElement | None = None
+    failing: SparsePoly | None = None
     refutation_point: tuple | None = None
 
 

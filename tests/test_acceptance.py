@@ -203,7 +203,10 @@ def test_criterion_07_coalgebra_and_hopf():
     for n in (1, 2):
         for d in (0, 1, 2):
             for exps in sp.monomials_up_to(2 * n * n, d):
-                dl, dright = la.comultiply(la.lau_monomial(QQ, n, exps)).max_bidegree()
+                d2 = la.comultiply(la.lau_monomial(QQ, n, exps))
+                m = 2 * n * n  # the left factor's variables, then the right's
+                dl = max(sum(e[:m]) for e, _ in d2.terms)
+                dright = max(sum(e[m:]) for e, _ in d2.terms)
                 assert dl <= d and dright <= d
                 monomials += 1
 

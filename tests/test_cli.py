@@ -186,6 +186,30 @@ def test_defining_degree_group_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "2"
 
 
+@pytest.mark.parametrize("key", ["field", "n"])
+def test_group_file_missing_key_exit_2(tmp_path, capsys, key):
+    group = {"schema": 1, "n": 1, "field": "Q", "generators": ["Z[1,1] - 1"]}
+    del group[key]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(group))
+    code, out, err = run_cli(
+        capsys, "stab", "defining-degree", "--group-file", str(path)
+    )
+    assert code == 2 and out == ""
+    assert f"no {key!r}" in err and "Traceback" not in err
+
+
+def test_group_file_trailing_operator_exit_2(tmp_path, capsys):
+    group = {"schema": 1, "n": 1, "field": "Q", "generators": ["Z[1,1] -"]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(group))
+    code, out, err = run_cli(
+        capsys, "stab", "defining-degree", "--group-file", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "ends in an operator" in err
+
+
 def test_defining_degree_catalog_json(capsys):
     code, out, _ = run_cli(
         capsys, "stab", "defining-degree", "--catalog", "mu5", "--json"
@@ -257,6 +281,4 @@ def test_group_file_round_trip(tmp_path):
     loaded = cli._load_group_file(str(path))
     assert loaded.n == pres.n
     assert loaded.weights == pres.weights
-    assert [g.poly for g in loaded.ideal.generators] == [
-        g.poly for g in pres.ideal.generators
-    ]
+    assert loaded.ideal.generators == pres.ideal.generators

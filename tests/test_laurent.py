@@ -6,6 +6,7 @@ from diagcat import abelian as ab
 from diagcat import field as fm
 from diagcat import laurent as la
 from diagcat.field import ExactField, QQ
+from diagcat.sparsepoly import SparsePoly
 from dense_reference import dense_echelon
 from ladder_reference import reference_ascending
 
@@ -17,25 +18,63 @@ def test_parse_format_round_trip():
     for text in ["Z[1,1]^2 - Z[2,2]", "W[1,2]", "Z[1,1]*W[2,2] + 3", "1/2*Z[1,1] - 1"]:
         f = la.parse_element(QQ, 2, text)
         again = la.parse_element(QQ, 2, la.format_element(f))
-        assert f.poly == again.poly
+        assert f == again
     with pytest.raises(ValueError):
         la.parse_element(QQ, 1, "Z[2,1]")  # out of range
+
+
+def test_parse_exponents_and_trailing_operators():
+    one = la.lau_const(QQ, 1, 1)
+    assert la.parse_element(QQ, 1, "Z[1,1]^0") == one
+    assert la.parse_element(QQ, 1, "2*W[1,1]^0 - 1") == one
+    assert la.parse_element(QQ, 1, "Z[1,1]^3") == la.z_var(QQ, 1, 0, 0).pow(3)
+    assert la.parse_element(QQ, 1, "") == la.lau_zero(QQ, 1)
+    assert la.parse_element(QQ, 1, "-Z[1,1]") == -la.z_var(QQ, 1, 0, 0)
+    for text in ["Z[1,1] -", "Z[1,1] + ", "Z[1,1]*", "-"]:
+        with pytest.raises(ValueError):
+            la.parse_element(QQ, 1, text)
+
+
+def test_elements_of_different_rings_do_not_mix():
+    z1, z2 = la.z_var(QQ, 1, 0, 0), la.z_var(QQ, 2, 0, 0)
+    with pytest.raises(ValueError):
+        z1 * z2  # GL_1 and GL_2
+    with pytest.raises(ValueError):
+        z1 + la.z_var(F5, 1, 0, 0)
+    with pytest.raises(ValueError):
+        la.LaurentIdeal(QQ, 2, (z1,))
+    with pytest.raises(ValueError):
+        la.format_element(la.comultiply(z1))  # 4 variables are 2n^2 for no n
+    assert la.format_element(la.lau_zero(QQ, 2)) == "0"
+
+
+def _split(d):
+    """The terms of a comultiplication as (((left exps), (right exps)), c)."""
+    m = d.nvars // 2
+    return tuple(((e[:m], e[m:]), c) for e, c in d.terms)
+
+
+def _bidegree(d):
+    """The largest left and right degrees of a nonzero comultiplication."""
+    terms = _split(d)
+    return max(sum(l) for (l, _), _ in terms), max(sum(r) for (_, r), _ in terms)
 
 
 def test_comultiply_examples():
     d = la.comultiply(la.z_var(QQ, 1, 0, 0))
     # Delta(Z) = Z (x) Z for n = 1
-    assert d.terms == ((((1, 0), (1, 0)), QQ.one()),)
+    assert d.nvars == 4
+    assert _split(d) == ((((1, 0), (1, 0)), QQ.one()),)
     one = la.lau_const(QQ, 1, 1)
     d1 = la.comultiply(one)
-    assert d1.terms == ((((0, 0), (0, 0)), QQ.one()),)
+    assert _split(d1) == ((((0, 0), (0, 0)), QQ.one()),)
 
 
 def test_comultiply_n2_w_convention():
     # Delta(W)_{ij} = sum_l W[l,j] (x) W[i,l]
     d = la.comultiply(la.w_var(QQ, 2, 0, 1))
     got = set()
-    for (el, er), c in d.terms:
+    for (el, er), c in _split(d):
         assert c == QQ.one()
         got.add((tuple(el), tuple(er)))
     expect = set()
@@ -77,7 +116,7 @@ def test_comultiplication_respects_filtration():
         for d in (0, 1, 2):
             for exps in sp.monomials_up_to(2 * n * n, d):
                 mono = la.lau_monomial(QQ, n, exps)
-                dl, dr_ = la.comultiply(mono).max_bidegree()
+                dl, dr_ = _bidegree(la.comultiply(mono))
                 assert dl <= d and dr_ <= d
 
 
@@ -87,7 +126,7 @@ def test_antipode():
     for n in (1, 2):
         for _ in range(10):
             f = _random_element(rng, QQ, n, deg=3)
-            assert la.antipode(la.antipode(f)).poly == f.poly
+            assert la.antipode(la.antipode(f)) == f
             assert la.antipode(f).degree() == f.degree()
 
 
@@ -106,7 +145,7 @@ def test_membership_hand_identity():
     one = la.lau_const(QQ, 1, 1)
     lhs = zv * (zv - wv) + (zv * wv - one)
     target = la.parse_element(QQ, 1, "Z[1,1]^2 - 1")
-    assert lhs.poly == target.poly
+    assert lhs == target
 
     mu2 = la.catalog(QQ)["mu2"]
     res = la.ideal_membership_ascending(target, mu2.ideal, 3)
@@ -142,6 +181,8 @@ def test_membership_errors():
     with pytest.raises(ValueError):
         la.ideal_membership(la.z_var(QQ, 2, 0, 1), mu2.ideal, 2)
     with pytest.raises(ValueError):
+        la.ideal_membership(la.z_var(F5, 1, 0, 0), mu2.ideal, 2)
+    with pytest.raises(ValueError):
         la.ideal_membership(la.z_var(QQ, 1, 0, 0), mu2.ideal, -1)
     with pytest.raises(ValueError):
         la.ideal_membership_ascending(la.z_var(QQ, 1, 0, 0), mu2.ideal, -1)
@@ -152,7 +193,7 @@ def test_truncated_ideal_part_examples():
     tr = la.truncated_ideal_part(mu2.ideal, 1, 3)
     zmw = la.parse_element(QQ, 1, "Z[1,1] - W[1,1]")
     assert any(
-        b.poly == zmw.poly or b.poly == (-zmw).poly for b in tr.basis
+        b == zmw or b == -zmw for b in tr.basis
     )
     assert not tr.complete  # below the Hermann bound
 
@@ -175,14 +216,14 @@ def test_truncated_ideal_part_examples():
 
 
 def _same_line(field, f, g):
-    if f.poly.terms and g.poly.terms:
-        lead_f = f.poly.terms[0]
-        lead_g = g.poly.terms[0]
+    if f.terms and g.terms:
+        lead_f = f.terms[0]
+        lead_g = g.terms[0]
         if lead_f[0] != lead_g[0]:
             return False
         lam = field.div(lead_g[1], lead_f[1])
-        return f.scale(lam).poly == g.poly
-    return f.poly == g.poly
+        return f.scale(lam) == g
+    return f == g
 
 
 def test_character_slice_matches_truncation_route():
@@ -215,7 +256,7 @@ def _incidence_kernel(field, n, monos, lift):
     out = []
     for v in fieldmod.kernel(field, fieldmod.transpose(mat)):
         terms = {lift(e): c for (e, _), c in zip(monos, v) if c != field.zero()}
-        out.append(la.LaurentElement(n, sp.from_dict(field, 2 * n * n, terms)))
+        out.append(sp.from_dict(field, 2 * n * n, terms))
     return out
 
 
@@ -283,14 +324,14 @@ def _span_equal(field, basis_a, basis_b, n):
 
     monos = {}
     for b in list(basis_a) + list(basis_b):
-        for e, _ in b.poly.terms:
+        for e, _ in b.terms:
             monos.setdefault(e, len(monos))
 
     def rows(basis):
         out = []
         for b in basis:
             row = [field.zero()] * len(monos)
-            for e, c in b.poly.terms:
+            for e, c in b.terms:
                 row[monos[e]] = c
             out.append(row)
         return out
@@ -382,7 +423,7 @@ def _reference_to_diag_poly(field, n, f):
 
     diag = [la.z_index(n, i, i) for i in range(n)] + [la.w_index(n, i, i) for i in range(n)]
     d = {}
-    for e, c in f.poly.terms:
+    for e, c in f.terms:
         if any(e[k] for k in range(2 * n * n) if k not in diag):
             continue
         key = tuple(e[k] for k in diag)
@@ -393,7 +434,7 @@ def _reference_to_diag_poly(field, n, f):
 def _reference_comultiply_terms(f):
     """The former tensor-square loop: expand each term as a product of
     Delta(x) over its variables, keyed by (left, right) exponents."""
-    n, k = f.n, f.field
+    n, k = la._matrix_size(f), f.field
     nn = n * n
 
     def unit(idx):
@@ -422,7 +463,7 @@ def _reference_comultiply_terms(f):
 
     zero_e = (0,) * (2 * nn)
     out = {}
-    for exps, coeff in f.poly.terms:
+    for exps, coeff in f.terms:
         term = {(zero_e, zero_e): coeff}
         for idx, e in enumerate(exps):
             for _ in range(e):
@@ -441,9 +482,9 @@ def test_diagonal_projection_matches_reference_loop(p):
         for d in range(4):
             elements += la.character_slice(field, pres.weights, d)
     for f in elements:
-        n = f.n
+        n = la._matrix_size(f)
         diag = [la.z_index(n, i, i) for i in range(n)] + [la.w_index(n, i, i) for i in range(n)]
-        got = la._eliminate(f.poly, diag)
+        got = la._eliminate(f, diag)
         assert got == _reference_to_diag_poly(field, n, f)
         back = la._embed(got, diag, 2 * n * n)
         assert la._eliminate(back, diag) == got
@@ -454,7 +495,7 @@ def test_comultiply_matches_reference_loop():
     for n in (1, 2):
         for _ in range(25):
             f = _random_element(rng, QQ, n, deg=3)
-            assert la.comultiply(f).terms == _reference_comultiply_terms(f)
+            assert _split(la.comultiply(f)) == _reference_comultiply_terms(f)
 
 
 @pytest.mark.parametrize("p, caps", [(101, (3, 4)), (None, (3,))], ids=["F101", "Q"])
@@ -494,7 +535,7 @@ def _scan_cases(field):
 
     rng = random.Random(11)
     for name, G in la.catalog(field).items():
-        fs = list(G.ideal.generators) + la.relation_generators(field, G.n)
+        fs = [*G.ideal.generators, *la.relation_generators(field, G.n)]
         fs += [_random_element(rng, field, G.n, deg=2) for _ in range(3)]
         ideals = [G.ideal] + [stab.group_le_d(G, d, 2)[0].ideal for d in range(3)]
         for I in ideals:
@@ -533,7 +574,7 @@ def test_point_scan_evaluates_each_generator_once(monkeypatch):
             continue
         # fresh objects, so that a call on f is never counted as one on a
         # generator equal to it
-        fs = [la.LaurentElement(f.n, f.poly) for f in fs]
+        fs = [SparsePoly(f.field, f.nvars, f.terms) for f in fs]
         scan = la.PointScan(I)
         del calls[:]
         for f in fs + fs:
@@ -622,8 +663,8 @@ def _reference_relation_generators(field, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_relation_generators_match_products(n):
     for field in (QQ, F5, ExactField(101)):
-        assert la.relation_generators(field, n) == _reference_relation_generators(
-            field, n
+        assert la.relation_generators(field, n) == tuple(
+            _reference_relation_generators(field, n)
         )
 
 
@@ -668,16 +709,14 @@ def test_partial_elimination_matches_full_ring(field):
         I = la.LaurentIdeal(
             field, n, tuple(la.parse_element(field, n, t) for t in gen_texts)
         )
-        full = [g.poly for g in I.generators] + [
-            g.poly for g in la.relation_generators(field, n)
-        ]
+        full = [*I.generators, *la.relation_generators(field, n)]
         fs = [la.parse_element(field, n, t) for t in texts]
         fs += [_random_element(rng, field, n, deg=2) for _ in range(2)]
         for f in fs:
             new_cap = ref_cap = None
             for cap in range(max_cap + 1):
                 res = la.ideal_membership(f, I, cap)
-                ref_member = la._solve_cofactors(field, full, f.poly, cap) is not None
+                ref_member = la._solve_cofactors(field, full, f, cap) is not None
                 if res.is_member:
                     assert la.verify_membership_witness(f, res)
                     new_cap = cap if new_cap is None else new_cap

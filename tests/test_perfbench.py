@@ -1,5 +1,7 @@
-"""The benchmark's per-layer tracer still finds every function it wraps."""
+"""The benchmark still runs on the library: its per-layer tracer finds every
+function it wraps, and its jobs give the answers their oracles expect."""
 
+import random
 import sys
 from pathlib import Path
 
@@ -47,3 +49,25 @@ def test_tracer_install_and_uninstall_restore_originals():
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.modules.pop("tracing", None)
+
+
+def test_benchmark_jobs_pass_their_oracles():
+    """Every `exact-queries` and `degree-general` job at seed 1, run once and
+    checked by the job's own oracle, as `perfbench/run.py` checks it."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import jobs
+
+        for workload, decided, total in (
+            ("exact-queries", 106, 108),
+            ("degree-general", 10, 10),
+        ):
+            checks = [
+                (job.id, *job.check(job.run()))
+                for job in jobs.WORKLOADS[workload](random.Random(1))
+            ]
+            assert [c for c in checks if not c[1]] == [], workload
+            assert (sum(c[2] for c in checks), len(checks)) == (decided, total)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.modules.pop("jobs", None)

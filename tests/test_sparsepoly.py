@@ -77,6 +77,20 @@ def test_substitute_needs_one_image_per_variable():
         f.substitute([sp.variable(field, 1, 0)])
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_operands_must_share_a_ring(op):
+    Q, F5 = ExactField(None), ExactField(5)
+    apply = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}[op]
+    x0 = sp.variable(Q, 2, 0)
+    with pytest.raises(ValueError):
+        apply(x0, sp.variable(Q, 3, 2))  # another number of variables
+    with pytest.raises(ValueError):
+        apply(x0, sp.variable(F5, 2, 0))  # another field
+    with pytest.raises(ValueError):
+        apply(sp.zero(Q, 2), sp.zero(Q, 3))  # also when both are zero
+    assert apply(x0, sp.variable(Q, 2, 1)).nvars == 2
+
+
 def test_monomial_count_is_binomial():
     for v in range(19):
         for d in range(5):

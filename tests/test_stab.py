@@ -147,7 +147,7 @@ def test_stabilizer_polys_examples():
     qs = stab.stabilizer_polys(span_sum)
     assert len(qs) == 1
     expected = la.parse_element(QQ, 2, "Z[2,1] + Z[2,2] - Z[1,1] - Z[1,2]")
-    assert qs[0].poly == expected.poly
+    assert qs[0] == expected
 
     with pytest.raises(ValueError):
         stab.StabilizerProblem(X, 2, (2,), ((QQ.of(1),), (QQ.of(0),)), QQ)
