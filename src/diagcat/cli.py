@@ -32,6 +32,8 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 def _load_group_file(path: str) -> laurent.SubgroupPresentation:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError(f"group file {path} is not a JSON object")
     if data.get("schema") != 1:
         raise UsageError(f"unsupported schema in {path}")
     for key in ("field", "n"):

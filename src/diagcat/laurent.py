@@ -19,11 +19,15 @@ other answer than `member` one scan for a refutation point, a point of
 GL_n where the ideal vanishes and f does not. `ideal_membership_ascending`
 runs cap 0 that way, then one solve per larger cap, up to the first member
 or definitive negative. `all_members` asks that of several elements with
-one shared `PointScan`. `member` carries expandable cofactor witnesses,
-lifted back to k[Z, W]; `not_member_up_to(D)` means no representation with
-cofactors of degree <= D for the generators that are not single variables
-(definitive only beyond the Hermann bound, so the cap is always reported),
-unless a refutation point makes it definitive.
+one shared `PointScan`. The scan tests a fixed stream of points in windows
+of 1, 2, 4, ... points, evaluating each polynomial at a whole window at once
+from per-coordinate columns (`SparsePoly.evaluate_columns`); a refutation
+point is the first point of the stream where I vanishes and f does not,
+whatever the order of the generators. `member` carries expandable cofactor
+witnesses, lifted back to k[Z, W]; `not_member_up_to(D)` means no
+representation with cofactors of degree <= D for the generators that are
+not single variables (definitive only beyond the Hermann bound, so the cap
+is always reported), unless a refutation point makes it definitive.
 """
 
 from __future__ import annotations
@@ -106,13 +110,16 @@ _TOKEN = re.compile(
 
 
 def parse_element(field: ExactField, n: int, text: str) -> SparsePoly:
+    """A sum of signed products of factors (numbers and Z/W entries with
+    optional powers). Consecutive signs multiply, adjacent factors multiply,
+    and a `*` must stand between two factors."""
     from fractions import Fraction
 
     pos = 0
     result = lau_zero(field, n)
     sign = 1
     current: SparsePoly | None = None
-    after_op = False
+    after_op = after_star = False
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
@@ -120,16 +127,22 @@ def parse_element(field: ExactField, n: int, text: str) -> SparsePoly:
                 break
             raise ValueError(f"cannot parse {text[pos:]!r}")
         pos = m.end()
-        after_op = m.group("op") is not None
-        if after_op:
-            op = m.group("op")
-            if op == "*":
-                continue
+        op = m.group("op")
+        after_op = op is not None
+        if op == "*":
+            if current is None or after_star:
+                raise ValueError(f"'*' not between two factors in {text!r}")
+            after_star = True
+            continue
+        if op is not None:
+            if after_star:
+                raise ValueError(f"'*' not between two factors in {text!r}")
             if current is not None:
                 result = result + current.scale(sign)
-            current = None
-            sign = 1 if op == "+" else -1
+                current, sign = None, 1
+            sign = sign if op == "+" else -sign
             continue
+        after_star = False
         if m.group("num"):
             factor = lau_const(field, n, field.of(Fraction(m.group("num"))))
         else:
@@ -607,51 +620,72 @@ def _point_list(field: ExactField, n: int, limit: int = 3000):
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _point_columns(field: ExactField, n: int) -> tuple:
+    """`_point_list(field, n)` by coordinate: one column of values per
+    variable, Z then W in `z_index`/`w_index` order, for
+    `SparsePoly.evaluate_columns`."""
+    points = _point_list(field, n)
+    return tuple(
+        tuple(pt[half][i][j] for pt in points)
+        for half in (0, 1)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 class PointScan:
     """The points of `_point_list(I.field, I.n)` where every generator of I
     vanishes, found lazily in stream order and shared by every
     `find_refutation_point` call given this scan.
 
-    Each stream point is tested once, so each (generator, point) pair is
-    evaluated at most once. Generators are tried in move-to-front order: the
-    one that was nonzero at the last rejected point goes first. Whether every
-    generator vanishes at a point does not depend on that order, so
-    `find_refutation_point` gives the same answer as with a fresh scan: the
-    first point, in `_point_list` order, where every generator of I vanishes
-    and f does not.
+    The stream is tested in windows of 1, 2, 4, ... points. In a window each
+    generator is evaluated, column-wise, only at the points the generators
+    before it did not rule out, so each (generator, point) pair is evaluated
+    at most once; the next window tries first the generators that ruled out
+    the most points in this one. Whether every generator vanishes at a point
+    does not depend on that order, so `find_refutation_point` gives the same
+    answer as with a fresh scan: the first point, in `_point_list` order,
+    where every generator of I vanishes and f does not. A fresh scan whose
+    first such point is stream point k has tested at most 2k + 1 points.
     A scan holds no state outside itself; make one per ideal inside the call
     that asks about several f, as `all_members` does."""
 
     def __init__(self, I: LaurentIdeal):
         self.ideal = I
-        self._points = _point_list(I.field, I.n)
+        self.points = _point_list(I.field, I.n)
+        self.columns = _point_columns(I.field, I.n)
         self._order = list(I.generators)
-        self._zeros: list[tuple] = []  # zero points found, in stream order
+        self._batches: list[list[int]] = []  # each window's zero rows
         self._scanned = 0  # number of stream points tested
 
-    def _next_zero(self):
-        """Test stream points until every generator vanishes at one; record
-        and return it, or None at the end of the stream."""
-        z = self.ideal.field.zero()
+    def _scan_window(self) -> None:
+        """Test the next window of the stream and record its zero rows."""
+        stop = min(len(self.points), 2 * self._scanned + 1)
+        rows = list(range(self._scanned, stop))
         order = self._order
-        while self._scanned < len(self._points):
-            pt = self._points[self._scanned]
-            self._scanned += 1
-            for k, h in enumerate(order):
-                if evaluate_at_point(h, *pt) != z:
-                    order.insert(0, order.pop(k))
-                    break
-            else:
-                self._zeros.append(pt)
-                return pt
-        return None
+        removed = [0] * len(order)
+        for k, h in enumerate(order):
+            if not rows:
+                break
+            values = h.evaluate_columns(self.columns, rows)
+            kept = [r for r, v in zip(rows, values) if not v]
+            removed[k] = len(rows) - len(kept)
+            rows = kept
+        ranked = sorted(range(len(order)), key=lambda k: -removed[k])
+        self._order = [order[k] for k in ranked]
+        self._batches.append(rows)
+        self._scanned = stop
 
-    def zeros(self):
-        """The zero points of I in stream order: those found so far, then
-        the ones further scanning finds."""
+    def zero_batches(self):
+        """The zero rows of I in stream order, one nonempty list per window:
+        those found so far, then the ones further scanning finds."""
         k = 0
-        while k < len(self._zeros) or self._next_zero() is not None:
-            yield self._zeros[k]
+        while k < len(self._batches) or self._scanned < len(self.points):
+            if k == len(self._batches):
+                self._scan_window()
+            if self._batches[k]:
+                yield self._batches[k]
             k += 1
 
 
@@ -661,15 +695,19 @@ def find_refutation_point(
     """A point (g, g^{-1}) where every generator of I vanishes and f does
     not, which certifies that f is not in I + relations; None when the
     stream has no such point. The answer is the first such point in
-    `_point_list` order, whatever the order of I's generators. `scan`, a
+    `_point_list` order, whatever the order of I's generators. f is
+    evaluated column-wise at each window's zero points in turn. `scan`, a
     `PointScan` of I, reuses the zero points earlier calls found; without
     it a one-off scan is made."""
     if scan is None:
         scan = PointScan(I)
     elif scan.ideal != I:
         raise ValueError("the point scan belongs to another ideal")
-    z = I.field.zero()
-    return next((pt for pt in scan.zeros() if evaluate_at_point(f, *pt) != z), None)
+    for rows in scan.zero_batches():
+        for r, v in zip(rows, f.evaluate_columns(scan.columns, rows)):
+            if v:
+                return scan.points[r]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,16 @@ def test_group_file_missing_key_exit_2(tmp_path, capsys, key):
     assert f"no {key!r}" in err and "Traceback" not in err
 
 
+def test_group_file_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text("[1]")
+    code, out, err = run_cli(
+        capsys, "stab", "defining-degree", "--group-file", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "not a JSON object" in err and "Traceback" not in err
+
+
 def test_group_file_trailing_operator_exit_2(tmp_path, capsys):
     group = {"schema": 1, "n": 1, "field": "Q", "generators": ["Z[1,1] -"]}
     path = tmp_path / "g.json"

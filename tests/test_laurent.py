@@ -30,8 +30,17 @@ def test_parse_exponents_and_trailing_operators():
     assert la.parse_element(QQ, 1, "Z[1,1]^3") == la.z_var(QQ, 1, 0, 0).pow(3)
     assert la.parse_element(QQ, 1, "") == la.lau_zero(QQ, 1)
     assert la.parse_element(QQ, 1, "-Z[1,1]") == -la.z_var(QQ, 1, 0, 0)
+    z, w = la.z_var(QQ, 1, 0, 0), la.w_var(QQ, 1, 0, 0)
+    # consecutive signs multiply
+    assert la.parse_element(QQ, 1, "Z[1,1] - -W[1,1]") == z + w
+    assert la.parse_element(QQ, 1, "- -Z[1,1] + -W[1,1]") == z - w
+    assert la.parse_element(QQ, 1, "2*3 - 1") == la.lau_const(QQ, 1, 5)
     for text in ["Z[1,1] -", "Z[1,1] + ", "Z[1,1]*", "-"]:
         with pytest.raises(ValueError):
+            la.parse_element(QQ, 1, text)
+    # a '*' must stand between two factors
+    for text in ["2 - * 3", "2 * - 3", "*2", "2 * * 3"]:
+        with pytest.raises(ValueError, match="between two factors"):
             la.parse_element(QQ, 1, text)
 
 
@@ -557,18 +566,25 @@ def test_point_scan_matches_reference_loop(field):
         la.find_refutation_point(fs[0], cat["mu2"].ideal, other_scan)
 
 
+def _count_kernel_rows(monkeypatch):
+    """Record (id of the polynomial, row) for every row that
+    `SparsePoly.evaluate_columns` evaluates."""
+    calls = []
+    evaluate_columns = SparsePoly.evaluate_columns
+
+    def counting(self, columns, rows):
+        calls.extend((id(self), r) for r in rows)
+        return evaluate_columns(self, columns, rows)
+
+    monkeypatch.setattr(SparsePoly, "evaluate_columns", counting)
+    return calls
+
+
 def test_point_scan_evaluates_each_generator_once(monkeypatch):
     from diagcat import stab
 
     F101 = ExactField(101)
-    calls = []
-    evaluate = la.evaluate_at_point
-
-    def counting(f, zmat, wmat):
-        calls.append((id(f), id(zmat)))
-        return evaluate(f, zmat, wmat)
-
-    monkeypatch.setattr(la, "evaluate_at_point", counting)
+    calls = _count_kernel_rows(monkeypatch)
     for name, I, fs in _scan_cases(F101):
         if name not in ("mu5", "torus-t-t2-gl2"):
             continue
@@ -581,6 +597,7 @@ def test_point_scan_evaluates_each_generator_once(monkeypatch):
             la.find_refutation_point(f, I, scan)
         gens = {id(g) for g in I.generators}
         pairs = [c for c in calls if c[0] in gens]
+        assert pairs or not I.generators, (name, I.name)
         assert len(pairs) == len(set(pairs)), (name, I.name)
 
     # the defining degree is the same as with one-off reference scans
@@ -593,6 +610,47 @@ def test_point_scan_evaluates_each_generator_once(monkeypatch):
     )
     assert stab.defining_degree(G, 4, 6) == result
     assert result.degree == 3 and all(r.definitive for r in result.refutations)
+
+
+def test_point_scan_is_lazy(monkeypatch):
+    """A fresh scan whose first refuting point is stream point k has tested
+    at most 2k + 1 stream points."""
+    F101 = ExactField(101)
+    calls = _count_kernel_rows(monkeypatch)
+    ks = []
+    for name, I, fs in _scan_cases(F101):
+        if name not in ("mu5", "torus-t-t2-gl2"):
+            continue
+        points = la._point_list(F101, I.n)
+        for f in fs:
+            del calls[:]
+            pt = la.find_refutation_point(f, I)
+            if pt is not None:
+                k = points.index(pt)
+                assert len({r for _, r in calls}) <= 2 * k + 1, (name, I.name, k)
+                ks.append((k, len(points)))
+    # some hit lies past the first point and well before the end of the stream
+    assert any(0 < k and 2 * k + 1 < size for k, size in ks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_evaluate_columns_matches_evaluate_at_every_stream_row(field, n):
+    rng = random.Random(n)
+    points = la._point_list(field, n)
+    columns = la._point_columns(field, n)
+    fs = [_random_element(rng, field, n, deg) for deg in (1, 2, 4) for _ in range(3)]
+    fs += [
+        la.parse_element(field, n, "Z[1,1]^5*W[1,1]^3 - 2*Z[1,1]"),
+        la.lau_const(field, n, 3),
+        la.lau_zero(field, n),
+    ]
+    rows = range(len(points))
+    some_rows = list(rows)[::-3]
+    for f in fs:
+        want = [la.evaluate_at_point(f, *pt) for pt in points]
+        assert f.evaluate_columns(columns, rows) == want
+        assert f.evaluate_columns(columns, some_rows) == [want[r] for r in some_rows]
 
 
 @pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
