@@ -4,6 +4,8 @@ chain of each group with its membership certificates.
 
 Usage:
     python scripts/defining_degree_catalog.py [--field Q] [--dmax 4] [--cap 6]
+
+Exits 1 when a membership witness of a found degree does not re-verify.
 """
 
 import argparse
@@ -26,14 +28,17 @@ def main() -> int:
     args = parser.parse_args()
     field = parse_field(args.field)
 
+    ok = True
     for name, pres in la.catalog(field).items():
         t0 = time.time()
         res = stab.defining_degree(pres, args.dmax, args.cap)
         if res.status == "found":
+            witnesses_ok = res.witness_ok()
+            ok = ok and witnesses_ok
             cert = "certified" if res.minimality_certified else "at cap"
             print(
                 f"{name:22s} defining degree {res.degree} ({cert}, "
-                f"witnesses {'ok' if res.witness_ok() else 'BAD'}) "
+                f"witnesses {'ok' if witnesses_ok else 'BAD'}) "
                 f"[{time.time()-t0:.2f}s]"
             )
             for d in range(res.degree + 1):
@@ -50,7 +55,7 @@ def main() -> int:
                 )
         else:
             print(f"{name:22s} {res.status} (dmax={args.dmax}, cap={args.cap})")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ the full corrupted-model sweep.
 Usage:
     python scripts/run_axiom_check.py
     python scripts/run_axiom_check.py --mutations
+
+Exits 1 when a model fails an axiom or a corrupted model does not fail
+exactly its target axiom.
 """
 
 import argparse
@@ -33,10 +36,12 @@ def main() -> int:
         (ExactField(7), parse_group("Z/2 + Z/2")),
     ]
     bound = ax.bounds(args.max_dim, args.max_len)
+    ok = True
     for field, group in grid:
         t0 = time.time()
         report = ax.check_axioms(field, group, bound)
         status = "ok" if report.all_pass else "FAILED"
+        ok = ok and report.all_pass
         print(
             f"{str(field):4s} {str(group):12s} N={bound.max_dimension} "
             f"M={bound.max_tensor_length}: {report.passed}/27 "
@@ -54,8 +59,9 @@ def main() -> int:
             report = ax.check_axioms(field, group, small, model)
             failed = sorted(r.index for r in report.failed)
             verdict = "ok" if failed == [mut.axiom] else "UNEXPECTED"
+            ok = ok and failed == [mut.axiom]
             print(f"  {name:32s} -> failed {failed} (target {mut.axiom}) {verdict}")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -36,10 +36,14 @@ class FgAbelianGroup:
             raise ValueError(
                 f"expected {self.ncoords} coordinates, got {len(coords)}"
             )
-        reduced = list(coords)
-        for i, d in enumerate(self.torsion):
-            reduced[self.rank + i] %= d
-        return GroupElement(self, tuple(reduced))
+        return self._reduce(coords)
+
+    def _reduce(self, coords: tuple[int, ...]) -> GroupElement:
+        """The element of `ncoords` int coordinates, torsion ones reduced;
+        the group operations call it on coordinates they built themselves."""
+        r = self.rank
+        torsion = tuple(c % d for c, d in zip(coords[r:], self.torsion))
+        return GroupElement(self, coords[:r] + torsion)
 
     def zero(self) -> GroupElement:
         return self.element((0,) * self.ncoords)
@@ -95,18 +99,18 @@ class GroupElement:
     def __add__(self, other: GroupElement) -> GroupElement:
         if self.group != other.group:
             raise ValueError("elements of different groups")
-        return self.group.element(
+        return self.group._reduce(
             tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
     def __neg__(self) -> GroupElement:
-        return self.group.element(tuple(-a for a in self.coords))
+        return self.group._reduce(tuple(-a for a in self.coords))
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         return self + (-other)
 
     def scale(self, k: int) -> GroupElement:
-        return self.group.element(tuple(k * a for a in self.coords))
+        return self.group._reduce(tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)

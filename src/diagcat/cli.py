@@ -22,6 +22,14 @@ class UsageError(ValueError):
     pass
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of a count or bound: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -342,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--group", required=True)
     inspect.add_argument("--max-dim", type=int, default=2, dest="max_dim")
     inspect.add_argument("--max-len", type=int, default=2, dest="max_len")
-    inspect.add_argument("--coord-bound", type=int, default=2, dest="coord_bound")
-    inspect.add_argument("--limit", type=int, default=100)
+    inspect.add_argument("--coord-bound", type=_nonnegative, default=2, dest="coord_bound")
+    inspect.add_argument("--limit", type=_nonnegative, default=100)
     inspect.add_argument(
         "--hom",
         nargs=2,
@@ -356,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cg = sub.add_parser("char-group", help="extract and verify the character group")
     cg.add_argument("--group", required=True)
-    cg.add_argument("--bound", type=int, default=3)
+    cg.add_argument("--bound", type=_nonnegative, default=3)
     cg.add_argument("--json", action="store_true")
     cg.set_defaults(fn=cmd_char_group)
 
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     dd.add_argument("--group-file", default=None, dest="group_file")
     dd.add_argument("--catalog", default=None)
     dd.add_argument("--field", default=None)
-    dd.add_argument("--dmax", type=int, default=4)
+    dd.add_argument("--dmax", type=_nonnegative, default=4)
     dd.add_argument("--cap", type=int, default=8)
     dd.add_argument("--json", action="store_true")
     dd.set_defaults(fn=cmd_stab_defining_degree)

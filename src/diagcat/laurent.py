@@ -11,23 +11,24 @@ some representative, decided against the relation ideal with a cofactor
 degree cap. A `LaurentIdeal` carries its field and n, since an ideal with
 no generators still has a ring, and checks that its generators lie in it.
 
-Ideals always implicitly contain the relation ideal. A membership question
-takes one path. `_capped_solve` looks for cofactors of degree <= cap: a
-generator that is a single variable eliminates it, and the solve runs on
-the rest reduced into the remaining variables. `ideal_membership` gives any
-other answer than `member` one scan for a refutation point, a point of
-GL_n where the ideal vanishes and f does not. `ideal_membership_ascending`
-runs cap 0 that way, then one solve per larger cap, up to the first member
-or definitive negative. `all_members` asks that of several elements with
-one shared `PointScan`. The scan tests a fixed stream of points in windows
-of 1, 2, 4, ... points, evaluating each polynomial at a whole window at once
-from per-coordinate columns (`SparsePoly.evaluate_columns`); a refutation
-point is the first point of the stream where I vanishes and f does not,
-whatever the order of the generators. `member` carries expandable cofactor
-witnesses, lifted back to k[Z, W]; `not_member_up_to(D)` means no
-representation with cofactors of degree <= D for the generators that are
-not single variables (definitive only beyond the Hermann bound, so the cap
-is always reported), unless a refutation point makes it definitive.
+Ideals always implicitly contain the relation ideal. A generator that is a
+single variable eliminates it, once per ideal (`_reduction`), for the solve
+and the slice alike. A membership question takes one path: `_capped_solve`
+looks for cofactors of degree <= cap in the other variables, and
+`ideal_membership` gives any other answer than `member` one scan for a
+refutation point, a point of GL_n where the ideal vanishes and f does not.
+`ideal_membership_ascending` runs cap 0 that way, then one solve per larger
+cap, up to the first member or definitive negative. `all_members` asks that
+of several elements with one shared `PointScan`. The scan tests a fixed
+stream of points in windows of 1, 2, 4, ... points, evaluating each
+polynomial at a whole window at once from per-coordinate columns
+(`SparsePoly.evaluate_columns`); a refutation point is the first point of
+the stream where I vanishes and f does not, whatever the order of the
+generators. `member` carries expandable cofactor witnesses, lifted back to
+k[Z, W]; `not_member_up_to(D)` means no representation with cofactors of
+degree <= D for the generators that are not single variables (definitive
+only beyond the Hermann bound, so the cap is always reported), unless a
+refutation point makes it definitive.
 """
 
 from __future__ import annotations
@@ -375,6 +376,23 @@ def _embed(p: SparsePoly, kept: list[int], nvars: int) -> SparsePoly:
     return sp.from_dict(p.field, nvars, terms)
 
 
+@lru_cache(maxsize=32)
+def _reduction(I: LaurentIdeal):
+    """The elimination of I's single-variable generators, cached and shared
+    (k[x]/(x_k : k in E) = k[x_j : j not in E], Cox-Little-O'Shea): {k in E:
+    the first generator x_k}, the kept variables, and (g, r) for each g of I
+    then of the relations with a nonzero reduction r into them, repeats too."""
+    eliminated: dict[int, SparsePoly] = {}
+    for g in I.generators:
+        idx = _is_single_variable(g)
+        if idx is not None:
+            eliminated.setdefault(idx, g)
+    kept = [k for k in range(2 * I.n * I.n) if k not in eliminated]
+    gens = (*I.generators, *relation_generators(I.field, I.n))
+    pairs = [(g, _eliminate(g, kept)) for g in gens]
+    return eliminated, kept, [(g, r) for g, r in pairs if not r.is_zero()]
+
+
 def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
     """Solve f = sum h_i g_i with deg h_i <= cap in a small polynomial ring.
 
@@ -425,15 +443,13 @@ def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     relation ideal: `member` with expandable witnesses, `not_member_up_to`
     (never definitive) or `unknown` when the solve is over the work budget.
 
-    Each generator of I that is a single variable eliminates that variable:
-    k[x]/(x_k : k in E) is k[x_j : j not in E] (Cox-Little-O'Shea). The other
-    generators are reduced modulo the eliminated variables, zero and repeated
-    reductions are dropped, and one cofactor solve with deg h_i <= cap runs
-    in the kept variables. The witness is lifted back: each term of the
-    remainder f - sum h_i g_i goes to the generator of its lowest-index
-    eliminated variable, so the cap bounds the cofactors of the generators
-    that are not single variables, and an eliminated generator's cofactor
-    may exceed it."""
+    The generators come reduced into the variables that I's single-variable
+    generators leave (`_reduction`), repeated reductions are dropped, and one
+    cofactor solve with deg h_i <= cap runs in the kept variables. The
+    witness is lifted back: each term of the remainder f - sum h_i g_i goes
+    to the generator of its lowest-index eliminated variable, so the cap
+    bounds the cofactors of the generators that are not single variables,
+    and an eliminated generator's cofactor may exceed it."""
     field, n = I.field, I.n
     nvars = 2 * n * n
     if (f.field, f.nvars) != (field, nvars):
@@ -443,16 +459,10 @@ def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     if f.is_zero():
         return MembershipResult("member", cap, ())
 
-    eliminated: dict[int, SparsePoly] = {}
-    for g in I.generators:
-        idx = _is_single_variable(g)
-        if idx is not None:
-            eliminated.setdefault(idx, g)
-    kept = [k for k in range(nvars) if k not in eliminated]
+    eliminated, kept, reductions = _reduction(I)
     gens, reduced, seen = [], [], set()
-    for g in (*I.generators, *relation_generators(field, n)):
-        r = _eliminate(g, kept)
-        if not r.is_zero() and r.terms not in seen:
+    for g, r in reductions:
+        if r.terms not in seen:
             seen.add(r.terms)
             gens.append(g)
             reduced.append(r)
@@ -751,39 +761,36 @@ def _prune_generators(gens) -> tuple[SparsePoly, ...]:
 
 
 def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationResult:
-    """A basis of a subspace of (I + relations) intersected with the
-    degree <= d slice: the span of monomial multiples m*g of degree <= cap,
-    cut down by exact row reduction. Each m*g is one sparse row over the
-    monomials of degree > d, then those of degree <= d; the basis is the
-    reduced rows whose pivot lies in the low part, which are exactly the
-    rows with no high-degree term. Complete only when the cap reaches the
-    Hermann bound for the largest degree D of d and the generators, plus D."""
+    """A basis of a subspace of (I + relations) intersected with the degree
+    <= d slice: the span of monomial multiples m*g of degree <= cap, cut
+    down by exact row reduction. The span holds every monomial that a
+    variable eliminated by `_reduction` divides: each is one unit row in
+    degree <= d and no column above. The other rows are m*r, for m free
+    of those variables and r the reduction of g, over the monomials of
+    degree > d, then those of degree <= d; the basis is the reduced rows
+    whose pivot lies in the low part, which are exactly the rows with no
+    high-degree term. Complete only when the cap reaches the Hermann
+    bound for the largest degree D of d and the generators, plus D."""
     if d < 0 or work_cap < d:
         raise ValueError("need 0 <= d <= work_cap")
     field, n = I.field, I.n
     nvars = 2 * n * n
     gens = (*I.generators, *relation_generators(field, n))
+    eliminated, kept, reductions = _reduction(I)
     monos = sp.monomials_up_to(nvars, work_cap)
-    high = [e for e in monos if sum(e) > d]
+    free = [e for e in monos if not any(e[k] for k in eliminated)]
+    high = [e for e in free if sum(e) > d]
     low = [e for e in monos if sum(e) <= d]
     columns = high + low
     mono_index = {e: j for j, e in enumerate(columns)}
-    rows = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        gd = g.degree()
-        for m in monos:
-            if sum(m) + gd > work_cap:
-                continue
-            rows.append(
-                {
-                    mono_index[tuple(x + y for x, y in zip(m, e))]: c
-                    for e, c in g.terms
-                }
-            )
-    if not rows:
-        return TruncationResult((), False, d, work_cap)
+    rows = [{mono_index[e]: field.one()} for e in low if any(e[k] for k in eliminated)]
+    for g, r in reductions:
+        gd, terms = g.degree(), _embed(r, kept, nvars).terms
+        rows += [
+            {mono_index[tuple(x + y for x, y in zip(m, e))]: c for e, c in terms}
+            for m in free
+            if sum(m) + gd <= work_cap
+        ]
     nhigh = len(high)
     basis = [
         sp.from_dict(field, nvars, {columns[j]: x for j, x in row.items()})

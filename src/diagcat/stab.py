@@ -386,6 +386,8 @@ def defining_degree(
     generator, certified by membership witnesses; smaller degrees carry
     refutation evidence (definitive when the slice is exact and a point
     certificate was found)."""
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
     refutations: list[DegreeRefutation] = []
     slices_exact = G.weights is not None
     saw_unknown = False

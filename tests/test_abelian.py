@@ -33,6 +33,24 @@ def test_negate_examples():
     assert (-Z.element([0])).coords == (0,)
 
 
+def test_group_operations_match_element():
+    """Sums, negatives, differences and multiples reduce their torsion
+    coordinates as `element` does from the raw coordinates."""
+    G = ab.parse_group("Z^2 + Z/6")
+    rng = random.Random(3)
+    for _ in range(200):
+        a = [rng.randint(-9, 9) for _ in range(3)]
+        b = [rng.randint(-9, 9) for _ in range(3)]
+        k = rng.randint(-7, 7)
+        x, y = G.element(a), G.element(b)
+        assert x + y == G.element([s + t for s, t in zip(x.coords, y.coords)])
+        assert -x == G.element([-s for s in a])
+        assert x - y == G.element([s - t for s, t in zip(a, b)])
+        assert x.scale(k) == G.element([k * s for s in a])
+        for z in (x + y, -x, x - y, x.scale(k)):
+            assert 0 <= z.coords[2] < 6 and all(type(c) is int for c in z.coords)
+
+
 def test_parse_format_round_trip():
     for text in ["Z", "Z^2 + Z/4", "Z/2 + Z/6", "0"]:
         g = ab.parse_group(text)

@@ -280,6 +280,34 @@ def test_unknown_flag_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "inspect", "--field", "F5", "--group", "Z/4", "--limit", "-1"],
+        ["model", "inspect", "--field", "Q", "--group", "Z", "--coord-bound", "-1"],
+        ["char-group", "--group", "Z", "--bound", "-1"],
+        ["stab", "defining-degree", "--catalog", "mu2", "--field", "Q", "--dmax", "-1"],
+    ],
+    ids=["limit", "coord-bound", "bound", "dmax"],
+)
+def test_negative_bound_exit_2(capsys, argv):
+    """A negative count or bound is a usage error, not an empty check."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "must be >= 0" in err
+
+
+def test_zero_bounds_are_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, "model", "inspect", "--field", "F5", "--group", "Z/4", "--limit", "0", "--json"
+    )
+    assert code == 0 and json.loads(out)["count"] == 0
+    code, out, _ = run_cli(capsys, "char-group", "--group", "Z", "--bound", "0", "--json")
+    assert code == 0 and json.loads(out)["elements_checked"] == 1
+
+
 def test_group_file_round_trip(tmp_path):
     from diagcat import laurent as la
     from diagcat.field import QQ

@@ -9,6 +9,7 @@ from diagcat.field import ExactField, QQ
 from diagcat.sparsepoly import SparsePoly
 from dense_reference import dense_echelon
 from ladder_reference import reference_ascending
+from truncation_reference import reference_truncation
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -792,3 +793,51 @@ def test_partial_elimination_matches_full_ring(field):
     I = la.LaurentIdeal(QQ, 2, (la.z_var(QQ, 2, 1, 0), la.w_var(QQ, 2, 1, 0)))
     f = la.parse_element(QQ, 2, "Z[1,1]*Z[2,2]*W[1,1]*W[2,2] - 1")
     assert la.ideal_membership(f, I, 2).is_member
+
+
+def _truncation_cases(field):
+    """(ideal, largest d, caps) for the slice comparisons: the catalog, the
+    partial eliminations, a generator that reduces to 0 but carries the top
+    degree (Z[1,2]^5 beside Z[1,2]), and two generators with one reduction
+    but different degrees, whose multiples differ."""
+    for G in la.catalog(field).values():
+        yield G.ideal, 3, (3, 4)
+    for n, gen_texts, _, _ in _PARTIAL_CASES:
+        gens = tuple(la.parse_element(field, n, t) for t in gen_texts)
+        yield la.LaurentIdeal(field, n, gens), 2, (2, 3)
+    for gen_texts in (
+        ["Z[1,2]", "Z[1,2]^5"],
+        ["Z[1,1]^2 - 1 + Z[1,2]*Z[1,1]^3", "Z[1,1]^2 - 1", "Z[1,2]"],
+    ):
+        gens = tuple(la.parse_element(field, 2, t) for t in gen_texts)
+        yield la.LaurentIdeal(field, 2, gens), 3, (3, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_truncation_matches_full_ring_reference(field):
+    """Eliminating the single-variable generators leaves every slice as the
+    full-ring multiples give it, at caps d and above."""
+    checked = 0
+    for I, d_max, caps in _truncation_cases(field):
+        if I.n == 1:
+            assert not la._reduction(I)[0]  # GL_1: nothing is eliminated
+        for d in range(d_max + 1):
+            for cap in sorted({d, *caps}):
+                got = la.truncated_ideal_part(I, d, cap)
+                assert repr(got) == repr(reference_truncation(I, d, cap)), (I, d, cap)
+                checked += 1
+    assert checked == 8 * 11 + 2 * 8 + 2 * 11
+
+
+def test_ladder_reduces_the_ideal_once(monkeypatch):
+    """A five-cap ladder (caps 0..4) builds the reduction of its ideal once
+    and reads it from the cache on every later cap."""
+    field = ExactField(101)
+    I = la.catalog(field)["mu2"].ideal
+    f = la.parse_element(field, 1, "Z[1,1] - 1")
+    monkeypatch.setattr(la, "find_refutation_point", lambda *args: None)
+    la._reduction.cache_clear()
+    res = la.ideal_membership_ascending(f, I, 4)
+    assert res.status == "not_member_up_to" and res.cap == 4
+    info = la._reduction.cache_info()
+    assert (info.misses, info.hits) == (1, 4)

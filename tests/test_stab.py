@@ -287,6 +287,11 @@ def test_defining_degrees_catalog():
         assert res.minimality_certified
 
 
+def test_defining_degree_rejects_negative_dmax():
+    with pytest.raises(ValueError):
+        stab.defining_degree(la.catalog(QQ)["mu2"], -1, 4)
+
+
 def test_defining_degree_generator_permutation_invariant():
     rng = random.Random(41)
     base = la.catalog(QQ)["torus-t-t2-gl2"]
