@@ -19,6 +19,13 @@ span of the hom space.
 Each axiom reads the model through a dedicated hook, so a corrupted model
 (see MUTATIONS) flips exactly the axiom whose interpretation it damages, and
 every reported counterexample re-verifies against the hooks.
+
+A check evaluates each hook term once per assignment. A term that several
+comparisons read (a scaled vector, a sum, a tensor of two vectors, a hom
+basis and its matrices) comes from a table keyed by field scalar or list
+index. Such a table is local to one check call, so nothing is shared across
+checks or models. Check 19 keeps only the hash and pair index of each
+tensor product and recomputes an earlier product when a hash repeats.
 """
 
 from __future__ import annotations
@@ -338,6 +345,34 @@ def _combo_vectors(model, b, count=2):
     return out[: len(vs) + count]
 
 
+def _hom_table(model, reps, keep):
+    """hom(x, y): the first `keep` basis morphisms of Hom(reps[x], reps[y])
+    and their dense matrices, each read from the model once."""
+    table = {}
+
+    def hom(x, y):
+        if (x, y) not in table:
+            basis = model.hom_basis(reps[x], reps[y])[:keep]
+            table[x, y] = basis, [dr.dense_matrix(f) for f in basis]
+        return table[x, y]
+
+    return hom
+
+
+def _product_table(model, combos):
+    """product(x, p, y, q) = tensor_vec(combos[x][p], combos[y][q]), each
+    evaluated once."""
+    table = {}
+
+    def product(x, p, y, q):
+        key = (x, p, y, q)
+        if key not in table:
+            table[key] = model.tensor_vec(combos[x][p], combos[y][q])
+        return table[key]
+
+    return product
+
+
 # ---------------------------------------------------------------------------
 # The 27 checks
 
@@ -424,18 +459,17 @@ def check_addition(model: FragmentModel):
                 ):
                     return _fail(i, name, "no additive inverse", b=str(b),
                                  v=[str(c) for c in v.coeffs])
-        for v in vs:
-            for w in vs:
-                s1 = model.vector_add(v, w)
-                s2 = model.vector_add(w, v)
+        sums = [[model.vector_add(v, w) for w in vs] for v in vs]
+        for p, v in enumerate(vs):
+            for q in range(len(vs)):
+                s1 = sums[p][q]
                 if s1.obj != b:
                     return _fail(i, name, "sum leaves the fiber", b=str(b))
-                if not _vec_eq(s1, s2):
+                if not _vec_eq(s1, sums[q][p]):
                     return _fail(i, name, "commutativity fails", b=str(b))
-                for u in vs[:3]:
+                for r, u in enumerate(vs[:3]):
                     if not _vec_eq(
-                        model.vector_add(model.vector_add(v, w), u),
-                        model.vector_add(v, model.vector_add(w, u)),
+                        model.vector_add(s1, u), model.vector_add(v, sums[q][r])
                     ):
                         return _fail(i, name, "associativity fails", b=str(b))
     return _ok(i, name, "group laws on spanning sets plus combinations, all objects")
@@ -453,26 +487,23 @@ def _all_fiber_vectors(field, b, limit=1000):
 def check_scalar_multiplication(model: FragmentModel):
     i, name = 5, "scalar multiplication"
     field = model.field
+    scalars = field.elements()
     for b in model.all_objects():
         vs = _combo_vectors(model, b)
         for v in vs:
-            for lam in field.elements():
-                sv = model.scalar_mul(lam, v)
-                if sv.obj != b:
+            scaled = {lam: model.scalar_mul(lam, v) for lam in scalars}
+            for lam in scalars:
+                if scaled[lam].obj != b:
                     return _fail(i, name, "scaling leaves the fiber", b=str(b))
-                for mu in field.elements():
+                for mu in scalars:
                     if not _vec_eq(
-                        model.scalar_mul(field.mul(lam, mu), v),
-                        model.scalar_mul(lam, model.scalar_mul(mu, v)),
+                        scaled[field.mul(lam, mu)], model.scalar_mul(lam, scaled[mu])
                     ):
                         return _fail(i, name, "mixed associativity fails", b=str(b))
-                    want = _coeff_sum(
-                        field, model.scalar_mul(lam, v).coeffs, model.scalar_mul(mu, v).coeffs
-                    )
-                    got = model.scalar_mul(field.add(lam, mu), v)
-                    if got.coeffs != want:
+                    want = _coeff_sum(field, scaled[lam].coeffs, scaled[mu].coeffs)
+                    if scaled[field.add(lam, mu)].coeffs != want:
                         return _fail(i, name, "scalar distributivity fails", b=str(b))
-            if not _vec_eq(model.scalar_mul(field.one(), v), v):
+            if not _vec_eq(scaled[field.one()], v):
                 return _fail(i, name, "1 does not act as identity", b=str(b))
     return _ok(i, name, "exhaustive over scalars, spanning vectors, all objects")
 
@@ -590,26 +621,25 @@ def check_composition(model: FragmentModel):
     i, name = 11, "composition of morphisms"
     field = model.field
     reps = model.sigma_reps()[:18]
+    hom = _hom_table(model, reps, 3)
     budget = 2500
     done = 0
-    for a in reps:
-        for b in reps:
-            basis_ab = model.hom_basis(a, b)[:3]
+    for ia, a in enumerate(reps):
+        for ib, b in enumerate(reps):
+            basis_ab, dense_ab = hom(ia, ib)
             if not basis_ab:
                 continue
-            for c in reps:
-                basis_bc = model.hom_basis(b, c)[:3]
+            for ic, c in enumerate(reps):
+                basis_bc, dense_bc = hom(ib, ic)
                 if not basis_bc:
                     continue
-                for f in basis_ab:
-                    for g in basis_bc:
+                for f, df in zip(basis_ab, dense_ab):
+                    for g, dg in zip(basis_bc, dense_bc):
                         h = model.compose_morphisms(g, f)
                         if h.source != a or h.target != c:
                             return _fail(i, name, "composite has wrong endpoints",
                                          a=str(a), b=str(b), c=str(c))
-                        want = fieldmod.mat_mul(
-                            field, dr.dense_matrix(g), dr.dense_matrix(f)
-                        )
+                        want = fieldmod.mat_mul(field, dg, df)
                         if dr.dense_matrix(h) != want:
                             return _fail(
                                 i, name,
@@ -651,12 +681,10 @@ def check_linearity(model: FragmentModel):
 def check_tensor_projection_compatible(model: FragmentModel):
     i, name = 13, "tensor compatible with projections"
     reps = model.sigma_reps()[:15]
-    for b in reps:
-        for c in reps:
-            owners = set()
-            for v in _combo_vectors(model, b):
-                for w in _combo_vectors(model, c):
-                    owners.add(model.tensor_vec(v, w).obj)
+    combos = [_combo_vectors(model, b) for b in reps]
+    for b, vs in zip(reps, combos):
+        for c, ws in zip(reps, combos):
+            owners = {model.tensor_vec(v, w).obj for v in vs for w in ws}
             if len(owners) != 1:
                 return _fail(
                     i, name,
@@ -670,32 +698,28 @@ def check_tensor_bilinear(model: FragmentModel):
     i, name = 14, "tensor product bilinear"
     field = model.field
     reps = model.sigma_reps()[:10]
-    for b in reps:
-        for c in reps:
-            vs = _combo_vectors(model, b)[:3]
-            ws = _combo_vectors(model, c)[:3]
-            for v1 in vs:
-                for v2 in vs:
-                    for w in ws:
+    combos = [_combo_vectors(model, b)[:3] for b in reps]
+    for ib, b in enumerate(reps):
+        vs = combos[ib]
+        for ic, c in enumerate(reps):
+            ws = combos[ic]
+            prods = [[model.tensor_vec(v, w) for w in ws] for v in vs]
+            for p, v1 in enumerate(vs):
+                for q, v2 in enumerate(vs):
+                    for r, w in enumerate(ws):
                         left = model.tensor_vec(
                             ModelVector(field, b, _coeff_sum(field, v1.coeffs, v2.coeffs)),
                             w,
                         )
-                        right = _coeff_sum(
-                            field,
-                            model.tensor_vec(v1, w).coeffs,
-                            model.tensor_vec(v2, w).coeffs,
-                        )
+                        right = _coeff_sum(field, prods[p][r].coeffs, prods[q][r].coeffs)
                         if left.coeffs != right:
                             return _fail(i, name, "left additivity fails",
                                          b=str(b), c=str(c))
             for lam in (field.of(2), field.of(3)):
-                for v in vs[:2]:
-                    for w in ws[:2]:
+                for p, v in enumerate(vs[:2]):
+                    for r, w in enumerate(ws[:2]):
                         lhs = model.tensor_vec(dr.scale_vector(lam, v), w).coeffs
-                        rhs = tuple(
-                            field.mul(lam, x) for x in model.tensor_vec(v, w).coeffs
-                        )
+                        rhs = tuple(field.mul(lam, x) for x in prods[p][r].coeffs)
                         if lhs != rhs:
                             return _fail(i, name, "scalar compatibility fails",
                                          b=str(b), c=str(c))
@@ -733,23 +757,22 @@ def check_tensor_functorial(model: FragmentModel):
     i, name = 16, "functoriality of the tensor product"
     field = model.field
     reps = model.sigma_reps()[:8]
+    hom = _hom_table(model, reps, 2)
     done = 0
-    for b1 in reps:
-        for c1 in reps:
-            fs = model.hom_basis(b1, c1)[:2]
+    for ib1, b1 in enumerate(reps):
+        for ic1, c1 in enumerate(reps):
+            fs, dfs = hom(ib1, ic1)
             if not fs:
                 continue
-            for b2 in reps[:4]:
-                for c2 in reps[:4]:
-                    gs = model.hom_basis(b2, c2)[:2]
+            for ib2, b2 in enumerate(reps[:4]):
+                for ic2, c2 in enumerate(reps[:4]):
+                    gs, dgs = hom(ib2, ic2)
                     if not gs:
                         continue
-                    for f in fs:
-                        for g in gs:
+                    for f, df in zip(fs, dfs):
+                        for g, dg in zip(gs, dgs):
                             h = model.tensor_hom(f, g)
-                            want = fieldmod.kron(
-                                field, [dr.dense_matrix(f), dr.dense_matrix(g)]
-                            )
+                            want = fieldmod.kron(field, [df, dg])
                             if dr.dense_matrix(h) != want:
                                 return _fail(
                                     i, name,
@@ -766,15 +789,17 @@ def check_associativity(model: FragmentModel):
     i, name = 17, "associativity constraint"
     field = model.field
     reps = model.sigma_reps()[:6]
-    for b in reps:
-        for c in reps:
-            for d in reps[:4]:
+    combos = [_combo_vectors(model, b)[:2] for b in reps]
+    product = _product_table(model, combos)
+    for ib, b in enumerate(reps):
+        for ic, c in enumerate(reps):
+            for id_, d in enumerate(reps[:4]):
                 f = model.associator_morphism(b, c, d)
-                for vb in _combo_vectors(model, b)[:2]:
-                    for vc in _combo_vectors(model, c)[:2]:
-                        for vd in _combo_vectors(model, d)[:2]:
-                            lhs = model.tensor_vec(vb, model.tensor_vec(vc, vd))
-                            rhs = model.tensor_vec(model.tensor_vec(vb, vc), vd)
+                for p, vb in enumerate(combos[ib]):
+                    for q, vc in enumerate(combos[ic]):
+                        for r, vd in enumerate(combos[id_]):
+                            lhs = model.tensor_vec(vb, product(ic, q, id_, r))
+                            rhs = model.tensor_vec(product(ib, p, ic, q), vd)
                             got = dr.apply_morphism(
                                 f, ModelVector(field, f.source, lhs.coeffs)
                             )
@@ -788,16 +813,18 @@ def check_commutativity(model: FragmentModel):
     i, name = 18, "commutativity constraint"
     field = model.field
     reps = model.sigma_reps()[:8]
-    for b in reps:
-        for c in reps:
+    combos = [_combo_vectors(model, b)[:2] for b in reps]
+    product = _product_table(model, combos)
+    for ib, b in enumerate(reps):
+        for ic, c in enumerate(reps):
             f = model.braiding_morphism(b, c)
-            for vb in _combo_vectors(model, b)[:2]:
-                for vc in _combo_vectors(model, c)[:2]:
-                    lhs = model.tensor_vec(vb, vc)
+            for p in range(len(combos[ib])):
+                for q in range(len(combos[ic])):
+                    lhs = product(ib, p, ic, q)
                     got = dr.apply_morphism(
                         f, ModelVector(field, f.source, lhs.coeffs)
                     )
-                    want = model.tensor_vec(vc, vb)
+                    want = product(ic, q, ib, p)
                     if got.coeffs != want.coeffs:
                         return _fail(i, name, "swap map wrong", b=str(b), c=str(c))
     return _ok(i, name, f"verified over {len(reps)}^2 object pairs")
@@ -806,17 +833,30 @@ def check_commutativity(model: FragmentModel):
 def check_factorization_unique(model: FragmentModel):
     i, name = 19, "uniqueness of tensor factorization"
     objs = model.all_objects()
-    seen: dict = {}
-    for b in objs:
-        for c in objs:
+    n = len(objs)
+    # hash of a product -> index p*n + q of the first pair giving it; pairs
+    # whose products only share that hash chain on in `collided`
+    first: dict[int, int] = {}
+    collided: dict[int, list[int]] = {}
+    for p, b in enumerate(objs):
+        for q, c in enumerate(objs):
             t = model.tensor_obj(b, c)
-            if t in seen and seen[t] != (b, c):
-                b0, c0 = seen[t]
-                return _fail(
-                    i, name, "two distinct factorizations of one object",
-                    product=str(t), first=[str(b0), str(c0)], second=[str(b), str(c)],
-                )
-            seen[t] = (b, c)
+            h = hash(t)
+            if h not in first:
+                first[h] = p * n + q
+                continue
+            for j in [first[h], *collided.get(h, ())]:
+                b0, c0 = objs[j // n], objs[j % n]
+                if model.tensor_obj(b0, c0) == t:
+                    if (b0, c0) != (b, c):
+                        return _fail(
+                            i, name, "two distinct factorizations of one object",
+                            product=str(t), first=[str(b0), str(c0)],
+                            second=[str(b), str(c)],
+                        )
+                    break
+            else:
+                collided.setdefault(h, []).append(p * n + q)
     return _ok(i, name, f"tensor injective on all {len(objs)}^2 fragment pairs")
 
 

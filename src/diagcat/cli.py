@@ -116,6 +116,7 @@ def _resolve_presentation(args) -> laurent.SubgroupPresentation:
 def cmd_model_inspect(args) -> int:
     field = parse_field(args.field)
     group = abelian.parse_group(args.group)
+    axioms.bounds(args.max_dim, args.max_len)  # same bound check as `axioms check`
     if args.hom:
         src = diagrep.parse_object(group, args.hom[0])
         tgt = diagrep.parse_object(group, args.hom[1])
@@ -427,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--group-file", default=None, dest="group_file")
     de.add_argument("--catalog", default=None)
     de.add_argument("--field", default=None)
-    de.add_argument("--d", type=int, required=True)
-    de.add_argument("--dprime", type=int, required=True)
+    de.add_argument("--d", type=_nonnegative, required=True)
+    de.add_argument("--dprime", type=_nonnegative, required=True)
     de.add_argument("--cap", type=int, default=8)
     de.add_argument("--json", action="store_true")
     de.set_defaults(fn=cmd_stab_degrees_equal)

@@ -434,6 +434,8 @@ def degrees_equal_check(
 ) -> DegreesEqualResult:
     """Are the degree-d and degree-d' truncation groups equal? Decided by
     membership of the d'-slice generators in the ideal of the d-slice."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     if d > d_prime:
         raise ValueError("need d <= d'")
     if d == d_prime:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from axioms_reference import REFERENCE_CHECKS
 
 from diagcat import axioms as ax
 from diagcat import diagrep as dr
@@ -175,24 +176,33 @@ def _swapped_factorization(m, b):
     return tree if isinstance(tree, dr.BaseObject) else (tree[1], tree[0])
 
 
+# name -> (hook, corrupted hook, axioms it fails on F3, Z/2, N = M = 2)
+HOOK_CORRUPTIONS = {
+    "graph-empty": ("morphism_graph_pairs", lambda m, f, vs: [], [7]),
+    "graph-wrong-object": ("morphism_graph_pairs", _graph_over_wrong_object, [8]),
+    "tensor-squared": ("tensor_vec", _squared_tensor, [14]),
+    "associator-doubled": (
+        "associator_morphism",
+        lambda m, b, c, d: dr.scale_morphism(
+            m.field.of(2), dr.associator(m.field, b, c, d)),
+        [17],
+    ),
+    "braiding-doubled": (
+        "braiding_morphism",
+        lambda m, b, c: dr.scale_morphism(m.field.of(2), dr.braiding(m.field, b, c)),
+        [18],
+    ),
+    "tensor-normalized": (
+        "tensor_obj",
+        lambda m, b, c: dr.normalized_object(dr.tensor_obj(b, c)),
+        [19, 20],
+    ),
+    "factorization-swapped": ("tensor_factorization", _swapped_factorization, [20]),
+}
+
+
 @pytest.mark.parametrize(
-    "hook, corrupt, failed",
-    [
-        ("morphism_graph_pairs", lambda m, f, vs: [], [7]),
-        ("morphism_graph_pairs", _graph_over_wrong_object, [8]),
-        ("tensor_vec", _squared_tensor, [14]),
-        ("associator_morphism",
-         lambda m, b, c, d: dr.scale_morphism(
-             m.field.of(2), dr.associator(m.field, b, c, d)), [17]),
-        ("braiding_morphism",
-         lambda m, b, c: dr.scale_morphism(m.field.of(2), dr.braiding(m.field, b, c)),
-         [18]),
-        ("tensor_obj", lambda m, b, c: dr.normalized_object(dr.tensor_obj(b, c)),
-         [19, 20]),
-        ("tensor_factorization", _swapped_factorization, [20]),
-    ],
-    ids=["graph-empty", "graph-wrong-object", "tensor-squared", "associator-doubled",
-         "braiding-doubled", "tensor-normalized", "factorization-swapped"],
+    "hook, corrupt, failed", list(HOOK_CORRUPTIONS.values()), ids=list(HOOK_CORRUPTIONS)
 )
 def test_unmutated_axioms_can_fail(hook, corrupt, failed):
     """Axioms without a registered mutation still fail on a corrupted hook."""
@@ -202,3 +212,125 @@ def test_unmutated_axioms_can_fail(hook, corrupt, failed):
     report = ax.check_axioms(F3, Z2, bound, model)
     assert [r.index for r in report.failed] == failed
     assert not report.skipped
+
+
+def _corrupted_model(field, group, corruption):
+    """The canonical model at N = M = 2, a registered mutation of it, or one
+    of HOOK_CORRUPTIONS."""
+    bound = ax.bounds(2, 2)
+    if corruption in ax.MUTATIONS:
+        return ax.mutated_model(field, group, bound, corruption)
+    model = ax.FragmentModel(field, group, bound)
+    if corruption is not None:
+        hook, corrupt, _ = HOOK_CORRUPTIONS[corruption]
+        model.override(hook, corrupt)
+    return model
+
+
+def _run_recording_hooks(model, check):
+    """The result of `check` on `model` and the names of the hooks it read."""
+    read = set()
+    call = model._call
+
+    def recording(name, default, *args):
+        read.add(name)
+        return call(name, default, *args)
+
+    model._call = recording
+    try:
+        return check(model), read
+    finally:
+        del model._call
+
+
+@pytest.mark.parametrize("field, group", [(F5, Z4), (F3, Z2)], ids=["F5-Z4", "F3-Z2"])
+def test_checks_match_reference(field, group):
+    """Each check that evaluates a hook term once per assignment gives the
+    result (status, detail and witness) of the reference that calls the hooks
+    afresh, on the canonical model and under every corruption. A check whose
+    two versions read none of the hooks a corruption overrides runs exactly
+    as on the canonical model there, so it is compared on the canonical model
+    only."""
+    canonical = _corrupted_model(field, group, None)
+    reads = {}
+    for index, reference in REFERENCE_CHECKS.items():
+        got, read = _run_recording_hooks(canonical, getattr(ax, reference.__name__))
+        want, read_ref = _run_recording_hooks(canonical, reference)
+        assert got == want, (None, index)
+        reads[index] = read | read_ref
+    failed = set()
+    for corruption in [*ax.MUTATIONS, *HOOK_CORRUPTIONS]:
+        model = _corrupted_model(field, group, corruption)
+        for index, reference in REFERENCE_CHECKS.items():
+            if not reads[index] & model.overrides.keys():
+                continue
+            got = getattr(ax, reference.__name__)(model)
+            assert got == reference(model), (corruption, index)
+            if got.status == "fail":
+                failed.add(index)
+    assert failed == set(REFERENCE_CHECKS)  # every fail path was compared
+
+
+class _SameHash:
+    """A tensor product whose hash is one constant; equal by value."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other):
+        return isinstance(other, _SameHash) and self.obj == other.obj
+
+    def __hash__(self):
+        return 7
+
+    def __str__(self):
+        return str(self.obj)
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["injective", "merging"])
+def test_factorization_unique_through_hash_collisions(merge):
+    """Products whose hashes all collide are told apart by `==`: an
+    injective tensor still passes, and a tensor that merges two pairs, past
+    the first product with that hash, fails with the reference witness."""
+    model = ax.FragmentModel(F3, Z2, ax.bounds(2, 2))
+    objs = model.all_objects()
+    merged = (objs[2], objs[1]) if merge else None
+
+    def tensor(m, b, c):
+        if (b, c) == merged:
+            b, c = c, b
+        return _SameHash(dr.tensor_obj(b, c))
+
+    model.override("tensor_obj", tensor)
+    got = ax.check_factorization_unique(model)
+    assert got == REFERENCE_CHECKS[19](model)
+    if merge:
+        assert got.status == "fail"
+        assert got.witness["first"] == [str(objs[1]), str(objs[2])]
+        assert got.witness["second"] == [str(objs[2]), str(objs[1])]
+    else:
+        assert got.status == "pass"
+
+
+def test_hook_calls_per_assignment():
+    """Check 5 scales each vector once per scalar and once per pair of
+    scalars; check 19 forms each tensor product of the fragment once."""
+    model = ax.FragmentModel(F5, Z4, ax.bounds(2, 2))
+    counts = {"scalar_mul": 0, "tensor_obj": 0}
+
+    def counting(hook, default):
+        def call(m, *args):
+            counts[hook] += 1
+            return default(*args)
+
+        return call
+
+    model.override("scalar_mul", counting("scalar_mul", dr.scale_vector))
+    model.override("tensor_obj", counting("tensor_obj", dr.tensor_obj))
+    objs = model.all_objects()
+    k = len(F5.elements())
+    assert ax.check_scalar_multiplication(model).status == "pass"
+    vectors = sum(len(ax._combo_vectors(model, b)) for b in objs)
+    assert counts["scalar_mul"] == vectors * (k + k * k)
+    assert ax.check_factorization_unique(model).status == "pass"
+    assert counts["tensor_obj"] == len(objs) ** 2

@@ -287,8 +287,12 @@ def test_unknown_flag_exit_2(capsys):
         ["model", "inspect", "--field", "Q", "--group", "Z", "--coord-bound", "-1"],
         ["char-group", "--group", "Z", "--bound", "-1"],
         ["stab", "defining-degree", "--catalog", "mu2", "--field", "Q", "--dmax", "-1"],
+        ["stab", "degrees-equal", "--catalog", "mu2", "--field", "Q",
+         "--d", "-1", "--dprime", "0"],
+        ["stab", "degrees-equal", "--catalog", "mu2", "--field", "Q",
+         "--d", "0", "--dprime", "-1"],
     ],
-    ids=["limit", "coord-bound", "bound", "dmax"],
+    ids=["limit", "coord-bound", "bound", "dmax", "d", "dprime"],
 )
 def test_negative_bound_exit_2(capsys, argv):
     """A negative count or bound is a usage error, not an empty check."""
@@ -299,6 +303,19 @@ def test_negative_bound_exit_2(capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("command", [["model", "inspect"], ["axioms", "check"]])
+@pytest.mark.parametrize(
+    "flag, value", [(f, v) for f in ("--max-dim", "--max-len") for v in ("0", "-1")]
+)
+def test_fragment_bounds_below_one_exit_2(capsys, command, flag, value):
+    """`model inspect` and `axioms check` reject an empty fragment alike."""
+    code, out, err = run_cli(
+        capsys, *command, "--field", "F5", "--group", "Z/4", flag, value, "--json"
+    )
+    assert code == 2 and out == ""
+    assert "bounds must be >= 1" in err
+
+
 def test_zero_bounds_are_accepted(capsys):
     code, out, _ = run_cli(
         capsys, "model", "inspect", "--field", "F5", "--group", "Z/4", "--limit", "0", "--json"
@@ -306,6 +323,11 @@ def test_zero_bounds_are_accepted(capsys):
     assert code == 0 and json.loads(out)["count"] == 0
     code, out, _ = run_cli(capsys, "char-group", "--group", "Z", "--bound", "0", "--json")
     assert code == 0 and json.loads(out)["elements_checked"] == 1
+    code, out, _ = run_cli(
+        capsys, "stab", "degrees-equal", "--catalog", "mu2", "--field", "Q",
+        "--d", "0", "--dprime", "0",
+    )
+    assert code == 0 and out.strip() == "equal"
 
 
 def test_group_file_round_trip(tmp_path):

@@ -316,6 +316,8 @@ def test_degrees_equal():
     assert stab.degrees_equal_check(cat["mu3"], 2, 2, 4).status == "equal"
     with pytest.raises(ValueError):
         stab.degrees_equal_check(cat["mu2"], 3, 1, 4)
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        stab.degrees_equal_check(cat["mu2"], -1, 0, 4)
 
 
 def _weights_stripped(field, name):
