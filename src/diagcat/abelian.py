@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .hashcons import Interned
+
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
@@ -91,8 +93,10 @@ class FgAbelianGroup:
         return format_group(self)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+@dataclass(frozen=True, eq=False)
+class GroupElement(metaclass=Interned):
+    """Hash-consed: equal elements are one object."""
+
     group: FgAbelianGroup
     coords: tuple[int, ...]
 

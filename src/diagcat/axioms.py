@@ -523,13 +523,14 @@ def check_dimension(model: FragmentModel):
     return _ok(i, name, "rank of every fragment fiber equals its sort dimension")
 
 
-def _sample_morphisms(model, cap_pairs=40, cap_basis=4):
-    reps = model.sigma_reps()
+def _sample_morphisms(reps, hom, cap_pairs=40, cap_basis=4):
+    """The first `cap_basis` basis morphisms of each of the first `cap_pairs`
+    nonzero hom spaces between `reps`, each basis read by `hom(b, c)`."""
     out = []
     pairs = 0
     for b in reps:
         for c in reps:
-            basis = model.hom_basis(b, c)
+            basis = hom(b, c)
             if not basis:
                 continue
             out.extend(basis[:cap_basis])
@@ -541,7 +542,7 @@ def _sample_morphisms(model, cap_pairs=40, cap_basis=4):
 
 def check_morphism_projection(model: FragmentModel):
     i, name = 7, "morphism projection surjective"
-    ms = _sample_morphisms(model)
+    ms = _sample_morphisms(model.sigma_reps(), model.hom_basis)
     for f in ms:
         vs = model.fiber_spanning_set(f.source)
         pairs = model.morphism_graph_pairs(f, vs)
@@ -553,7 +554,7 @@ def check_morphism_projection(model: FragmentModel):
 
 def check_source_target_commute(model: FragmentModel):
     i, name = 8, "source/target compatible with projections"
-    ms = _sample_morphisms(model)
+    ms = _sample_morphisms(model.sigma_reps(), model.hom_basis)
     for f in ms:
         vs = _combo_vectors(model, f.source)
         for v, w in model.morphism_graph_pairs(f, vs):
@@ -566,7 +567,16 @@ def check_source_target_commute(model: FragmentModel):
 def check_morphisms_are_linear_graphs(model: FragmentModel):
     i, name = 9, "morphisms are graphs of linear maps, faithfully"
     field = model.field
-    ms = _sample_morphisms(model)
+    reps = model.sigma_reps()
+    bases = {}
+
+    def hom(b, c):
+        """Hom(b, c)'s basis, read from the model once per pair."""
+        if (b, c) not in bases:
+            bases[b, c] = model.hom_basis(b, c)
+        return bases[b, c]
+
+    ms = _sample_morphisms(reps, hom)
     for f in ms:
         vs = _combo_vectors(model, f.source)
         pairs = model.morphism_graph_pairs(f, vs)
@@ -578,11 +588,10 @@ def check_morphisms_are_linear_graphs(model: FragmentModel):
                     if lookup[key].coeffs != _coeff_sum(field, w1.coeffs, w2.coeffs):
                         return _fail(i, name, "graph is not additive",
                                      f=str(f.source) + " -> " + str(f.target))
-    reps = model.sigma_reps()
     checked = 0
     for b in reps:
         for c in reps:
-            basis = model.hom_basis(b, c)
+            basis = hom(b, c)
             if not basis:
                 continue
             checked += 1

@@ -9,17 +9,23 @@ for each group element shared by the isotypic weights of b and c.
 
 There is exactly one zero object, absorbing under tensor. All values are
 immutable and all operations are pure functions.
+
+Objects are hash-consed (`hashcons.Interned`): `BaseObject`, its
+`WeightMultiset` leaves, their `GroupElement`s and the `ParenShape` are each
+the one live instance for their field values, so equal means identical and
+the hash is a stored int. The intern tables hold their objects weakly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import FgAbelianGroup, GroupElement, parse_element
 from . import field as fieldmod
 from .field import ExactField
+from .hashcons import Interned
 from .paren import LEAF, ParenShape, enumerate_shapes, fold, pair
 
 
@@ -27,8 +33,8 @@ from .paren import LEAF, ParenShape, enumerate_shapes, fold, pair
 # Objects
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+@dataclass(frozen=True, eq=False)
+class WeightMultiset(metaclass=Interned):
     """A multiset of group elements, stored sorted; `tag` distinguishes
     deliberately duplicated copies in corrupted test models."""
 
@@ -65,8 +71,8 @@ def weight_multiset(group: FgAbelianGroup, elements, tag: str = "") -> WeightMul
     return WeightMultiset(group, elems, tag)
 
 
-@dataclass(frozen=True)
-class BaseObject:
+@dataclass(frozen=True, eq=False)
+class BaseObject(metaclass=Interned):
     """`shape is None` marks the unique zero object."""
 
     shape: ParenShape | None
@@ -82,7 +88,7 @@ class BaseObject:
             raise ValueError("the zero object has no tensor length")
         return len(self.leaves)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         if self.is_zero:
             return 0
@@ -176,18 +182,17 @@ def weight_slots(b: BaseObject) -> tuple[tuple[GroupElement, tuple[int, ...]], .
     )
 
 
-def isotypic_multiplicity(b: BaseObject, a: GroupElement) -> int:
-    return basis_weights(b).count(a)
-
-
 # ---------------------------------------------------------------------------
 # Tensor structure on objects
 
 
 def tensor_obj(b: BaseObject, c: BaseObject) -> BaseObject:
-    if b.is_zero or c.is_zero:
+    # fields, not the `is_zero`/`group` properties: check 19 calls this once
+    # per pair of fragment objects
+    if b.shape is None or c.shape is None:
         return ZERO
-    if b.group != c.group:
+    bg, cg = b.leaves[0].group, c.leaves[0].group
+    if bg is not cg and bg != cg:
         raise ValueError("objects over different groups")
     return BaseObject(pair(b.shape, c.shape), b.leaves + c.leaves)
 
@@ -206,10 +211,6 @@ def retensor(tree, tensor) -> BaseObject:
         return tree
     l, r = tree
     return tensor(retensor(l, tensor), retensor(r, tensor))
-
-
-def is_tensor_irreducible(b: BaseObject) -> bool:
-    return (not b.is_zero) and len(b.leaves) == 1
 
 
 def normalized_object(b: BaseObject) -> BaseObject:

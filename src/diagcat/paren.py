@@ -15,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .hashcons import Interned
 
-@dataclass(frozen=True)
-class ParenShape:
-    """Leaf when `children is None`, otherwise an ordered pair of shapes."""
+
+@dataclass(frozen=True, eq=False)
+class ParenShape(metaclass=Interned):
+    """Leaf when `children is None`, otherwise an ordered pair of shapes;
+    hash-consed, so equal shapes are one object."""
 
     children: tuple[ParenShape, ParenShape] | None = None
 

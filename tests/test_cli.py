@@ -139,9 +139,14 @@ def test_axioms_check_json_deterministic(capsys):
         ["axioms", "check", "--field", "F5", "--group", "Z/4",
          "--max-dim", "2", "--max-len", "2", "--json"],
         ["stab", "defining-degree", "--catalog", "torus-t-t2-gl2", "--json"],
+        ["axioms", "check", "--field", "F5", "--group", "Z/4",
+         "--max-dim", "2", "--max-len", "2", "--mutate", "duplicate-irreducible",
+         "--json"],
     ],
 )
 def test_json_output_independent_of_hash_seed(argv):
+    # a corrupted model fails its target axiom, and a failed axiom exits 1
+    expected_code = 1 if "--mutate" in argv else 0
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -152,7 +157,7 @@ def test_json_output_independent_of_hash_seed(argv):
             [sys.executable, "-m", "diagcat.cli", *argv],
             capture_output=True, env=env, timeout=300,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == expected_code, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]  # byte-identical
 

@@ -1,4 +1,7 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,7 +14,7 @@ from diagcat import axioms as ax
 from diagcat import diagrep as dr
 from diagcat import field as fm
 from diagcat.field import ExactField, QQ
-from diagcat.paren import enumerate_shapes
+from diagcat.paren import LEAF, ParenShape, enumerate_shapes, pair
 
 Z = ab.parse_group("Z")
 Z4 = ab.parse_group("Z/4")
@@ -24,6 +27,15 @@ def _irr(group, *coords):
     return dr.irreducible(group, [group.element([c]) for c in coords])
 
 
+def isotypic_multiplicity(b, a):
+    """How many basis vectors of b have weight a."""
+    return dr.basis_weights(b).count(a)
+
+
+def is_tensor_irreducible(b):
+    return (not b.is_zero) and len(b.leaves) == 1
+
+
 def test_make_irreducible():
     unit = _irr(Z, 0)
     assert unit == dr.unit_object(Z)
@@ -32,10 +44,10 @@ def test_make_irreducible():
     assert b.sort == (1, 2)
     rep = _irr(Z, 1, 1)
     assert rep.sort == (1, 2)
-    assert dr.isotypic_multiplicity(rep, Z.element([1])) == 2
-    assert dr.is_tensor_irreducible(rep)
-    assert not dr.is_tensor_irreducible(dr.tensor_obj(rep, rep))
-    assert not dr.is_tensor_irreducible(dr.ZERO)
+    assert isotypic_multiplicity(rep, Z.element([1])) == 2
+    assert is_tensor_irreducible(rep)
+    assert not is_tensor_irreducible(dr.tensor_obj(rep, rep))
+    assert not is_tensor_irreducible(dr.ZERO)
     with pytest.raises(ValueError):
         dr.irreducible(Z, [])
 
@@ -96,12 +108,12 @@ def test_ordered_basis_lex():
 
 
 def test_isotypic_multiplicity():
-    assert dr.isotypic_multiplicity(_irr(Z, 1, 2), Z.element([1])) == 1
+    assert isotypic_multiplicity(_irr(Z, 1, 2), Z.element([1])) == 1
     sq = dr.tensor_obj(_irr(Z, 1), _irr(Z, 1))
-    assert dr.isotypic_multiplicity(sq, Z.element([2])) == 1
+    assert isotypic_multiplicity(sq, Z.element([2])) == 1
     t = dr.tensor_obj(_irr(Z, 0, 1), _irr(Z, 0, 1))
-    assert dr.isotypic_multiplicity(t, Z.element([1])) == 2
-    assert dr.isotypic_multiplicity(dr.ZERO, Z.element([0])) == 0
+    assert isotypic_multiplicity(t, Z.element([1])) == 2
+    assert isotypic_multiplicity(dr.ZERO, Z.element([0])) == 0
 
 
 def _weights_from_ordered_basis(b):
@@ -131,7 +143,7 @@ def test_basis_weights_match_ordered_basis():
         assert dr.weight_slots(b) == slots, b
         assert dr.isotypic_weights(b) == tuple(sorted(weights, key=lambda e: e.coords))
         for w in set(weights) | {Z4.zero()}:
-            assert dr.isotypic_multiplicity(b, w) == sum(1 for x in weights if x == w)
+            assert isotypic_multiplicity(b, w) == sum(1 for x in weights if x == w)
 
 
 def test_hom_space_dimensions():
@@ -405,7 +417,7 @@ def _objects(group, max_len=3):
 @given(_objects(ab.parse_group("Z/4")))
 def test_normalize_idempotent_property(b):
     c, iso = dr.normalize_to_irreducible(F5, b)
-    assert dr.is_tensor_irreducible(c)
+    assert is_tensor_irreducible(c)
     assert dr.isotypic_weights(c) == dr.isotypic_weights(b)
     assert fm.rank(F5, dr.dense_matrix(iso)) == b.dimension
     c2, _ = dr.normalize_to_irreducible(F5, c)
@@ -608,3 +620,188 @@ def test_block_builders_reject_cross_weight_maps():
     assert dr._block_identity(F5, b, c) == iso
     with pytest.raises(ValueError):
         ref.reindexing_identity(F5, b, c)
+
+
+# ---------------------------------------------------------------------------
+# The free parenthesized tensor closure of the irreducible labels (weight
+# multisets) is the canonical model's own object layer
+
+
+def _labels():
+    """The irreducible labels of Z/4 with at most two weights."""
+    return dr.enumerate_multisets(Z4, 1) + dr.enumerate_multisets(Z4, 2)
+
+
+def test_closure_basics():
+    labels = _labels()
+    x = dr.make_irreducible(labels[0])
+    y = dr.make_irreducible(labels[1])
+    t = dr.tensor_obj(x, y)
+    assert t.tensor_length == 2
+    assert not is_tensor_irreducible(t)
+    assert is_tensor_irreducible(x)
+    assert not is_tensor_irreducible(dr.ZERO)
+    assert dr.tensor_obj(x, dr.ZERO) == dr.ZERO
+    with pytest.raises(ValueError):
+        dr.ZERO.tensor_length
+
+
+def test_tensor_injective_on_objects():
+    labels = _labels()
+    rng = random.Random(2)
+
+    def random_obj():
+        x = dr.make_irreducible(rng.choice(labels))
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                x = dr.tensor_obj(x, dr.make_irreducible(rng.choice(labels)))
+            else:
+                x = dr.tensor_obj(dr.make_irreducible(rng.choice(labels)), x)
+        return x
+
+    objs = [random_obj() for _ in range(40)]
+    seen = {}
+    for a in objs:
+        for b in objs:
+            t = dr.tensor_obj(a, b)
+            if t in seen:
+                assert seen[t] == (a, b)
+            seen[t] = (a, b)
+            assert t.tensor_length == a.tensor_length + b.tensor_length
+
+
+def test_factorize_round_trip():
+    labels = _labels()
+    a = dr.make_irreducible(labels[0])
+    b = dr.make_irreducible(labels[1])
+    c = dr.make_irreducible(labels[2])
+    x = dr.tensor_obj(dr.tensor_obj(a, b), c)
+    tree = dr.tensor_factorize(x)
+    assert dr.retensor(tree, dr.tensor_obj) == x
+    (l, r), leaf = tree
+    assert l == a and r == b and leaf == c
+    with pytest.raises(ValueError):
+        dr.tensor_factorize(dr.ZERO)
+
+
+def test_no_two_labels_isomorphic():
+    labels = _labels()
+    for i, l1 in enumerate(labels):
+        for l2 in labels[i + 1 :]:
+            assert dr.isotypic_weights(dr.make_irreducible(l1)) != dr.isotypic_weights(
+                dr.make_irreducible(l2)
+            )
+
+
+def test_provider_matches_model():
+    labels = _labels()
+    x = dr.tensor_obj(dr.make_irreducible(labels[1]), dr.make_irreducible(labels[2]))
+    assert isinstance(x, dr.BaseObject)
+    assert x.tensor_length == 2
+    hom = dr.hom_space(F5, x, x).basis
+    assert len(hom) == dr.hom_dimension(x, x)
+
+
+def test_pentagon():
+    """(Phi (x) id) o Phi o (id (x) Phi) = Phi o Phi on four factors."""
+    labels = _labels()
+    bw, bx, by, bz = (dr.make_irreducible(labels[i]) for i in (1, 2, 3, 4))
+
+    import diagcat.field as fieldmod
+
+    idw = dr.identity_morphism(F5, bw)
+    idz = dr.identity_morphism(F5, bz)
+    # route 1: w(x(y z)) -> w((x y)z) -> (w(x y))z -> ((w x)y)z
+    r1 = dr.compose(
+        dr.tensor_hom(dr.associator(F5, bw, bx, by), idz),
+        dr.compose(
+            dr.associator(F5, bw, dr.tensor_obj(bx, by), bz),
+            dr.tensor_hom(idw, dr.associator(F5, bx, by, bz)),
+        ),
+    )
+    # route 2: w(x(y z)) -> (w x)(y z) -> ((w x)y)z
+    r2 = dr.compose(
+        dr.associator(F5, dr.tensor_obj(bw, bx), by, bz),
+        dr.associator(F5, bw, bx, dr.tensor_obj(by, bz)),
+    )
+    assert r1.source == r2.source and r1.target == r2.target
+    assert dr.dense_matrix(r1) == dr.dense_matrix(r2)
+    assert fieldmod.rank(F5, dr.dense_matrix(r1)) == r1.source.dimension
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: equal objects are one object
+
+
+def test_every_call_form_gives_one_object():
+    assert ParenShape() is ParenShape(None) is ParenShape(children=None) is LEAF
+    node = ParenShape((LEAF, LEAF))
+    assert node is ParenShape(children=(LEAF, LEAF)) is pair(LEAF, LEAF)
+    one = ab.GroupElement(Z4, (1,))
+    assert one is ab.GroupElement(group=Z4, coords=(1,)) is Z4.element([5])
+    assert ab.parse_group("Z/4").element([1]) is one
+    elems = (Z4.element([0]), one)
+    ms = dr.WeightMultiset(Z4, elems)
+    assert ms is dr.WeightMultiset(Z4, elems, "") is dr.WeightMultiset(Z4, elems, tag="")
+    assert ms is dr.WeightMultiset(group=Z4, elements=elems)
+    assert ms is dr.weight_multiset(Z4, reversed(elems))
+    b = dr.BaseObject(LEAF, (ms,))
+    assert b is dr.BaseObject(shape=LEAF, leaves=(ms,)) is dr.make_irreducible(ms)
+    assert dr.BaseObject(None, ()) is dr.ZERO
+    assert dr.parse_object(Z4, "{0 1}") is b
+    for x in (node, one, ms, b):
+        assert copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+
+
+def test_stored_hash_is_the_hash_of_the_fields():
+    b = dr.tensor_obj(_irr(Z4, 1, 3), _irr(Z4, 2))
+    ms = b.leaves[0]
+    e = ms.elements[0]
+    assert hash(b.shape) == hash((b.shape.children,))
+    assert hash(e) == hash((e.group, e.coords))
+    assert hash(ms) == hash((ms.group, ms.elements, ms.tag))
+    assert hash(b) == hash((b.shape, b.leaves))
+
+
+def test_product_is_the_enumerated_object():
+    b, c = _irr(Z4, 0, 1), _irr(Z4, 3)
+    assert dr.BaseObject(pair(LEAF, LEAF), b.leaves + c.leaves) is dr.tensor_obj(b, c)
+    objs = dr.enumerate_objects(Z4, 3, 3)
+    model = ax.FragmentModel(F5, Z4, ax.bounds(3, 3))
+    assert len(model.all_objects()) == len(objs)
+    assert all(x is y for x, y in zip(model.all_objects(), objs))
+
+
+def test_tagged_multiset_is_a_distinct_object():
+    plain = dr.weight_multiset(Z4, [Z4.element([2])])
+    dup = dr.WeightMultiset(Z4, plain.elements, "dup")
+    assert dup is not plain and dup != plain
+    assert dup is dr.WeightMultiset(Z4, plain.elements, tag="dup")
+    assert dr.make_irreducible(dup) != dr.make_irreducible(plain)
+
+
+def test_invalid_multiset_raises_on_every_call():
+    one, two = Z4.element([1]), Z4.element([2])
+    dr.WeightMultiset(Z4, (one, two))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            dr.WeightMultiset(Z4, (two, one))
+        with pytest.raises(ValueError):
+            dr.WeightMultiset(Z4, (two, one), "")
+        with pytest.raises(ValueError):
+            dr.WeightMultiset(Z4, (two, one), tag="")
+        with pytest.raises(ValueError):
+            dr.WeightMultiset(Z4, ())
+        with pytest.raises(ValueError):
+            dr.WeightMultiset(Z4, (Z6.element([1]),))
+
+
+def test_dropped_products_leave_the_table():
+    objs = dr.enumerate_objects(Z4, 3, 2)
+    gc.collect()
+    before = len(dr.BaseObject._table)
+    products = [dr.tensor_obj(b, c) for b in objs for c in objs][:10_000]
+    assert len(dr.BaseObject._table) > before
+    del products
+    gc.collect()
+    assert len(dr.BaseObject._table) == before
