@@ -50,13 +50,6 @@ class FgAbelianGroup:
     def zero(self) -> GroupElement:
         return self.element((0,) * self.ncoords)
 
-    def generators(self) -> list[GroupElement]:
-        n = self.ncoords
-        return [
-            self.element(tuple(1 if j == i else 0 for j in range(n)))
-            for i in range(n)
-        ]
-
     def elements(self):
         """All elements; only for finite groups (rank 0)."""
         if self.rank != 0:
@@ -75,19 +68,6 @@ class FgAbelianGroup:
     @property
     def is_finite(self) -> bool:
         return self.rank == 0
-
-    def order(self) -> int:
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
-    def exponent(self) -> int:
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        return self.torsion[-1] if self.torsion else 1
 
     def __str__(self) -> str:
         return format_group(self)

@@ -22,14 +22,22 @@ every reported counterexample re-verifies against the hooks.
 
 A check evaluates each hook term once per assignment. A term that several
 comparisons read (a scaled vector, a sum, a tensor of two vectors, a hom
-basis and its matrices) comes from a table keyed by field scalar or list
-index. Such a table is local to one check call, so nothing is shared across
-checks or models. Check 19 keeps only the hash and pair index of each
-tensor product and recomputes an earlier product when a hash repeats.
+basis and its matrices) comes from a table keyed by field scalar, list index
+or object pair. Such a table is a `functools.cache` closure local to one
+check call. The only state shared across checks is each model's cached
+canonical hom basis (`FragmentModel.canonical_hom_basis`), filled by the
+default `hom_basis` hook. Check 19 keeps only the hash and pair index of
+each tensor product and recomputes an earlier product when a hash repeats.
+
+Checks that sample morphisms walk the nonzero hom spaces between class
+representatives in row-major order (`_nonzero_homs`) and stop at a fixed
+count: 40 spaces for the morphism sample of checks 7-9, 150 for check 12
+and 200 for check 9's faithfulness; check 9's detail names the count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -131,7 +139,11 @@ class FragmentModel:
         self.group = group
         self.bound = bound
         self.overrides: dict = {}
-        self._hom_cache: dict = {}
+        # the canonical Hom(b, c) basis, built once per pair for every check;
+        # closes over `field`, not `self`, so the model holds no cycle
+        self.canonical_hom_basis = functools.cache(
+            lambda b, c: list(dr.hom_space(field, b, c).basis)
+        )
 
     def override(self, name: str, fn):
         self.overrides[name] = fn
@@ -151,17 +163,17 @@ class FragmentModel:
         return self._call("irreducible_objects", default, n)
 
     def all_objects(self) -> list[BaseObject]:
-        return dr.tensor_words(
+        return list(dr.tensor_words(
             lambda n: [b.leaves[0] for b in self.irreducible_objects(n)],
             self.bound.max_dimension,
             self.bound.max_tensor_length,
-        )
+        ))
 
-    def sigma_reps(self, objs=None) -> list[BaseObject]:
+    def sigma_reps(self) -> list[BaseObject]:
         """One object per isotypic weight multiset (hom data factors
         through it)."""
         seen = {}
-        for b in objs if objs is not None else self.all_objects():
+        for b in self.all_objects():
             key = (dr.isotypic_weights(b), tuple(l.tag for l in b.leaves))
             if key not in seen:
                 seen[key] = b
@@ -212,13 +224,7 @@ class FragmentModel:
     # -- morphism interpretation ------------------------------------------
 
     def hom_basis(self, b: BaseObject, c: BaseObject) -> list[HomMorphism]:
-        def default(b, c):
-            key = (b, c)
-            if key not in self._hom_cache:
-                self._hom_cache[key] = list(dr.hom_space(self.field, b, c).basis)
-            return self._hom_cache[key]
-
-        return self._call("hom_basis", default, b, c)
+        return self._call("hom_basis", self.canonical_hom_basis, b, c)
 
     def morphism_graph_pairs(self, f: HomMorphism, vs):
         def default(f, vs):
@@ -332,8 +338,8 @@ def _in_span(field, columns, flat) -> bool:
     )
 
 
-def _combo_vectors(model, b, count=2):
-    """Spanning vectors plus a couple of deterministic combinations."""
+def _combo_vectors(model, b):
+    """Spanning vectors plus up to two deterministic combinations."""
     vs = model.fiber_spanning_set(b)
     field = model.field
     out = list(vs)
@@ -342,19 +348,17 @@ def _combo_vectors(model, b, count=2):
         out.append(dr.add_vectors(vs[0], dr.scale_vector(field.of(2), vs[1])))
     elif vs:
         out.append(dr.scale_vector(field.of(2), vs[0]))
-    return out[: len(vs) + count]
+    return out
 
 
 def _hom_table(model, reps, keep):
     """hom(x, y): the first `keep` basis morphisms of Hom(reps[x], reps[y])
     and their dense matrices, each read from the model once."""
-    table = {}
 
+    @functools.cache
     def hom(x, y):
-        if (x, y) not in table:
-            basis = model.hom_basis(reps[x], reps[y])[:keep]
-            table[x, y] = basis, [dr.dense_matrix(f) for f in basis]
-        return table[x, y]
+        basis = model.hom_basis(reps[x], reps[y])[:keep]
+        return basis, [dr.dense_matrix(f) for f in basis]
 
     return hom
 
@@ -362,15 +366,20 @@ def _hom_table(model, reps, keep):
 def _product_table(model, combos):
     """product(x, p, y, q) = tensor_vec(combos[x][p], combos[y][q]), each
     evaluated once."""
-    table = {}
+    return functools.cache(
+        lambda x, p, y, q: model.tensor_vec(combos[x][p], combos[y][q])
+    )
 
-    def product(x, p, y, q):
-        key = (x, p, y, q)
-        if key not in table:
-            table[key] = model.tensor_vec(combos[x][p], combos[y][q])
-        return table[key]
 
-    return product
+def _nonzero_homs(reps, hom):
+    """(b, c, hom(b, c)) for every pair of `reps` whose hom basis is not
+    empty, b-major (row-major) order; read lazily, so a bounded consumer
+    reads no pair past its bound."""
+    for b in reps:
+        for c in reps:
+            basis = hom(b, c)
+            if basis:
+                yield b, c, basis
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +484,9 @@ def check_addition(model: FragmentModel):
     return _ok(i, name, "group laws on spanning sets plus combinations, all objects")
 
 
-def _all_fiber_vectors(field, b, limit=1000):
-    if field.p is None or field.p**b.dimension > limit:
+def _all_fiber_vectors(field, b):
+    """Every vector of the fiber over b, or None past 1000 of them."""
+    if field.p is None or field.p**b.dimension > 1000:
         return None
     out = []
     for coeffs in itertools.product(field.elements(), repeat=b.dimension):
@@ -523,21 +533,11 @@ def check_dimension(model: FragmentModel):
     return _ok(i, name, "rank of every fragment fiber equals its sort dimension")
 
 
-def _sample_morphisms(reps, hom, cap_pairs=40, cap_basis=4):
-    """The first `cap_basis` basis morphisms of each of the first `cap_pairs`
-    nonzero hom spaces between `reps`, each basis read by `hom(b, c)`."""
-    out = []
-    pairs = 0
-    for b in reps:
-        for c in reps:
-            basis = hom(b, c)
-            if not basis:
-                continue
-            out.extend(basis[:cap_basis])
-            pairs += 1
-            if pairs >= cap_pairs:
-                return out
-    return out
+def _sample_morphisms(reps, hom):
+    """The first 4 basis morphisms of each of the first 40 nonzero hom
+    spaces between `reps`, each basis read by `hom(b, c)`."""
+    homs = itertools.islice(_nonzero_homs(reps, hom), 40)
+    return [f for _, _, basis in homs for f in basis[:4]]
 
 
 def check_morphism_projection(model: FragmentModel):
@@ -568,14 +568,7 @@ def check_morphisms_are_linear_graphs(model: FragmentModel):
     i, name = 9, "morphisms are graphs of linear maps, faithfully"
     field = model.field
     reps = model.sigma_reps()
-    bases = {}
-
-    def hom(b, c):
-        """Hom(b, c)'s basis, read from the model once per pair."""
-        if (b, c) not in bases:
-            bases[b, c] = model.hom_basis(b, c)
-        return bases[b, c]
-
+    hom = functools.cache(model.hom_basis)  # each pair read once
     ms = _sample_morphisms(reps, hom)
     for f in ms:
         vs = _combo_vectors(model, f.source)
@@ -589,27 +582,23 @@ def check_morphisms_are_linear_graphs(model: FragmentModel):
                         return _fail(i, name, "graph is not additive",
                                      f=str(f.source) + " -> " + str(f.target))
     checked = 0
-    for b in reps:
-        for c in reps:
-            basis = hom(b, c)
-            if not basis:
-                continue
-            checked += 1
-            flat = [_flat(f) for f in basis]
-            if fieldmod.rank(field, flat) != len(basis):
-                for a in range(len(basis)):
-                    for bb in range(a + 1, len(basis)):
-                        if basis[a] != basis[bb] and flat[a] == flat[bb]:
-                            return _fail(
-                                i, name,
-                                "distinct morphisms share one linear map",
-                                source=str(b), target=str(c),
-                            )
-                return _fail(i, name, "morphism labels are linearly dependent",
-                             source=str(b), target=str(c))
-            if checked > 200:
-                break
-    return _ok(i, name, "graph linearity sampled; faithfulness on all rep pairs")
+    for b, c, basis in itertools.islice(_nonzero_homs(reps, hom), 200):
+        checked += 1
+        flat = [_flat(f) for f in basis]
+        if fieldmod.rank(field, flat) != len(basis):
+            for a in range(len(basis)):
+                for bb in range(a + 1, len(basis)):
+                    if basis[a] != basis[bb] and flat[a] == flat[bb]:
+                        return _fail(
+                            i, name,
+                            "distinct morphisms share one linear map",
+                            source=str(b), target=str(c),
+                        )
+            return _fail(i, name, "morphism labels are linearly dependent",
+                         source=str(b), target=str(c))
+    return _ok(
+        i, name, f"graph linearity sampled; faithfulness on {checked} rep pairs"
+    )
 
 
 def check_identity_exists(model: FragmentModel):
@@ -664,26 +653,21 @@ def check_composition(model: FragmentModel):
 def check_linearity(model: FragmentModel):
     i, name = 12, "hom sets closed under sums and scalars"
     field = model.field
-    reps = model.sigma_reps()
     checked = 0
-    for b in reps:
-        for c in reps:
-            basis = model.hom_basis(b, c)
-            if len(basis) < 1:
-                continue
-            mats = [_flat(f) for f in basis]
-            total = [field.add(x, y) for x, y in zip(mats[0], mats[-1])]
-            if not _in_span(field, mats, total):
-                return _fail(i, name, "sum of morphisms leaves the hom span",
-                             source=str(b), target_obj=str(c))
-            lam = field.of(2)
-            scaled = [field.mul(lam, x) for x in mats[0]]
-            if not _in_span(field, mats, scaled):
-                return _fail(i, name, "scalar multiple leaves the hom span",
-                             source=str(b), target_obj=str(c))
-            checked += 1
-            if checked >= 150:
-                return _ok(i, name, f"{checked} hom spaces verified closed")
+    for b, c, basis in itertools.islice(
+        _nonzero_homs(model.sigma_reps(), model.hom_basis), 150
+    ):
+        mats = [_flat(f) for f in basis]
+        total = [field.add(x, y) for x, y in zip(mats[0], mats[-1])]
+        if not _in_span(field, mats, total):
+            return _fail(i, name, "sum of morphisms leaves the hom span",
+                         source=str(b), target_obj=str(c))
+        lam = field.of(2)
+        scaled = [field.mul(lam, x) for x in mats[0]]
+        if not _in_span(field, mats, scaled):
+            return _fail(i, name, "scalar multiple leaves the hom span",
+                         source=str(b), target_obj=str(c))
+        checked += 1
     return _ok(i, name, f"{checked} hom spaces verified closed")
 
 
@@ -998,7 +982,9 @@ def check_biproducts(model: FragmentModel):
     return _ok(i, name, f"five biproduct equations over {len(reps)}^2 pairs")
 
 
-def _morphisms_with_kernels(model, cap=25):
+def _morphisms_with_kernels(model):
+    """Per pair of class representatives, the first basis morphism, the sum
+    of the first two and the zero map, until at least 25 are collected."""
     field = model.field
     reps = model.sigma_reps()
     out = []
@@ -1010,7 +996,7 @@ def _morphisms_with_kernels(model, cap=25):
             if len(basis) >= 2:
                 out.append(dr.add_morphisms(basis[0], basis[1]))
             out.append(dr.zero_morphism(field, b, c))
-            if len(out) >= cap:
+            if len(out) >= 25:
                 return out
     return out
 
@@ -1228,10 +1214,7 @@ def _patch_spanning_set(model):
 @_mutation("hom-duplicate-labels", 9, "two morphism labels share one linear map")
 def _patch_hom_duplicates(model):
     def hom(m, b, c):
-        key = (b, c)
-        if key not in m._hom_cache:
-            m._hom_cache[key] = list(dr.hom_space(m.field, b, c).basis)
-        basis = list(m._hom_cache[key])
+        basis = list(m.canonical_hom_basis(b, c))
         if basis:
             basis.append(replace(basis[0], tag="dup"))
         return basis

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 mathematical failure (failed axiom, unknown at cap),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -63,22 +64,6 @@ def _load_group_file(path: str) -> laurent.SubgroupPresentation:
     name = data.get("name", "")
     ideal = laurent.LaurentIdeal(field, n, gens, name)
     return laurent.SubgroupPresentation(field, n, ideal, weights, name)
-
-
-def dump_group_file(pres: laurent.SubgroupPresentation) -> dict:
-    payload = {
-        "schema": 1,
-        "n": pres.n,
-        "field": str(pres.field),
-        "name": pres.name,
-        "generators": [laurent.format_element(g) for g in pres.ideal.generators],
-    }
-    if pres.weights is not None:
-        payload["weights"] = {
-            "group": str(pres.weights[0].group),
-            "elements": [str(w) for w in pres.weights],
-        }
-    return payload
 
 
 def _load_matrix(field: ExactField, path: str):
@@ -141,22 +126,23 @@ def cmd_model_inspect(args) -> int:
     else:
         elems = _bounded_elements(group, args.coord_bound)
         objects = diagrep.objects_from(elems, args.max_dim, args.max_len)
+    entries = [
+        {
+            "object": str(b),
+            "sort": list(b.sort),
+            "weights": [str(w) for w in diagrep.isotypic_weights(b)],
+            "dual": str(diagrep.dual_data(field, b).dual),
+        }
+        for b in itertools.islice(objects, args.limit)
+    ]
     payload = {
         "schema": 1,
         "field": str(field),
         "group": str(group),
         "max_dim": args.max_dim,
         "max_len": args.max_len,
-        "objects": [
-            {
-                "object": str(b),
-                "sort": list(b.sort),
-                "weights": [str(w) for w in diagrep.isotypic_weights(b)],
-                "dual": str(diagrep.dual_data(field, b).dual),
-            }
-            for b in objects[: args.limit]
-        ],
-        "count": min(len(objects), args.limit),
+        "objects": entries,
+        "count": len(entries),
     }
     lines = [f"model over {field} with character group {group}"]
     for entry in payload["objects"]:
@@ -169,14 +155,12 @@ def cmd_model_inspect(args) -> int:
 
 
 def _bounded_elements(group, bound):
-    import itertools as it
-
     ranges = []
     for _ in range(group.rank):
         ranges.append(range(-bound, bound + 1))
     for d in group.torsion:
         ranges.append(range(d))
-    return [group.element(c) for c in it.product(*ranges)]
+    return [group.element(c) for c in itertools.product(*ranges)]
 
 
 def cmd_char_group(args) -> int:

@@ -19,6 +19,7 @@ the hash is a stored int. The intern tables hold their objects weakly.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -66,9 +67,9 @@ def _format_weight(e: GroupElement) -> str:
     return str(e)
 
 
-def weight_multiset(group: FgAbelianGroup, elements, tag: str = "") -> WeightMultiset:
+def weight_multiset(group: FgAbelianGroup, elements) -> WeightMultiset:
     elems = tuple(sorted(elements, key=lambda e: e.coords))
-    return WeightMultiset(group, elems, tag)
+    return WeightMultiset(group, elems)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,46 +119,19 @@ def make_irreducible(ms: WeightMultiset) -> BaseObject:
     return BaseObject(LEAF, (ms,))
 
 
-def irreducible(group: FgAbelianGroup, elements, tag: str = "") -> BaseObject:
-    return make_irreducible(weight_multiset(group, elements, tag))
+def irreducible(group: FgAbelianGroup, elements) -> BaseObject:
+    return make_irreducible(weight_multiset(group, elements))
 
 
 def unit_object(group: FgAbelianGroup) -> BaseObject:
     return irreducible(group, [group.zero()])
 
 
-@dataclass(frozen=True)
-class BasisTuple:
-    """One basis vector: a choice of one weight from each leaf (by index)."""
-
-    indices: tuple[int, ...]
-    elements: tuple[GroupElement, ...]
-    weight: GroupElement
-
-    def __str__(self) -> str:
-        return "(" + ",".join(_format_weight(e) for e in self.elements) + ")"
-
-
-@lru_cache(maxsize=None)
-def ordered_basis(b: BaseObject) -> tuple[BasisTuple, ...]:
-    """Per-leaf canonical order, lexicographic across leaves."""
-    if b.is_zero:
-        return ()
-    ranges = [range(leaf.size) for leaf in b.leaves]
-    out = []
-    for idx in itertools.product(*ranges):
-        elems = tuple(leaf.elements[i] for leaf, i in zip(b.leaves, idx))
-        w = elems[0]
-        for e in elems[1:]:
-            w = w + e
-        out.append(BasisTuple(idx, elems, w))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def basis_weights(b: BaseObject) -> tuple[GroupElement, ...]:
-    """The weight of each basis vector, in the order of `ordered_basis`:
-    per-leaf canonical order, lexicographic across leaves."""
+    """The weight of each basis vector. A basis vector chooses one weight
+    from each leaf; they are ordered by `itertools.product` of the leaves'
+    index ranges (per-leaf canonical order, lexicographic across leaves)."""
     if b.is_zero:
         return ()
     weights = b.leaves[0].elements
@@ -237,10 +211,6 @@ class ModelVector:
     def is_zero_vector(self) -> bool:
         z = self.field.zero()
         return all(c == z for c in self.coeffs)
-
-
-def vector(field: ExactField, obj: BaseObject, coeffs) -> ModelVector:
-    return ModelVector(field, obj, tuple(field.of(c) for c in coeffs))
 
 
 def zero_vector(field: ExactField, obj: BaseObject) -> ModelVector:
@@ -581,10 +551,9 @@ def dual_data(field: ExactField, b: BaseObject) -> DualData:
     return DualData(dual, ev, coev)
 
 
-def snake_composites(field: ExactField, b: BaseObject, dd: DualData | None = None):
-    """The two rigidity composites; both must equal the identity."""
-    if dd is None:
-        dd = dual_data(field, b)
+def snake_composites(field: ExactField, b: BaseObject, dd: DualData):
+    """The two rigidity composites of b and its dual data; both must equal
+    the identity."""
     bv = dd.dual
     idb = identity_morphism(field, b)
     idv = identity_morphism(field, bv)
@@ -805,31 +774,32 @@ def multisets_from(elements, size: int) -> list[WeightMultiset]:
 
 def enumerate_objects(
     group: FgAbelianGroup, max_dim: int, max_len: int
-) -> list[BaseObject]:
+) -> Iterator[BaseObject]:
     """All non-zero objects of tensor length <= max_len, dimension <= max_dim
-    over a finite group, in a deterministic order."""
+    over a finite group, in a deterministic order (lazily)."""
     return objects_from(group.elements(), max_dim, max_len)
 
 
-def objects_from(elements, max_dim: int, max_len: int) -> list[BaseObject]:
+def objects_from(elements, max_dim: int, max_len: int) -> Iterator[BaseObject]:
     """The fragment built from an explicit weight list (for infinite groups,
-    a bounded subset)."""
+    a bounded subset), lazily."""
     elements = list(elements)
     return tensor_words(lambda n: multisets_from(elements, n), max_dim, max_len)
 
 
-def tensor_words(leaves_of_size, max_dim: int, max_len: int) -> list[BaseObject]:
+def tensor_words(leaves_of_size, max_dim: int, max_len: int) -> Iterator[BaseObject]:
     """Every word of tensor length <= max_len and dimension <= max_dim whose
     leaves of size n come from `leaves_of_size(n)`; ordered by length, then
-    shape, then leaf sizes, then leaf choices."""
+    shape, then leaf sizes, then leaf choices. The leaves are read now, the
+    words are built as the iterator is consumed."""
     choices = {n: leaves_of_size(n) for n in range(1, max_dim + 1)}
-    return [
+    return (
         BaseObject(shape, leaves)
         for m in range(1, max_len + 1)
         for shape in enumerate_shapes(m)
         for sizes in compositions_with_product_at_most(m, max_dim)
         for leaves in itertools.product(*(choices[s] for s in sizes))
-    ]
+    )
 
 
 def compositions_with_product_at_most(m: int, cap: int):
@@ -900,9 +870,13 @@ def object_json(b: BaseObject) -> dict:
         "sort": list(b.sort),
         "weights": [str(w) for w in isotypic_weights(b)],
         "basis": [
-            {"indices": list(t.indices), "elements": [str(e) for e in t.elements],
-             "weight": str(t.weight)}
-            for t in ordered_basis(b)
+            {"indices": list(idx),
+             "elements": [str(leaf.elements[i]) for leaf, i in zip(b.leaves, idx)],
+             "weight": str(w)}
+            for idx, w in zip(
+                itertools.product(*(range(leaf.size) for leaf in b.leaves)),
+                basis_weights(b),
+            )
         ],
     }
 

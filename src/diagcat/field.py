@@ -148,10 +148,6 @@ def identity(field: ExactField, n: int):
     return m
 
 
-def mat_of(field: ExactField, rows):
-    return [[field.of(x) for x in row] for row in rows]
-
-
 def mat_mul(ring, a, b):
     """Matrix product over `ring`: anything with zero(), add and mul, so an
     ExactField or a `PolyRing` of polynomial entries."""
@@ -219,20 +215,6 @@ class PolyRing:
     @staticmethod
     def mul(a, b):
         return a * b
-
-
-def mat_vec(field: ExactField, a, v):
-    return [
-        _dot(field, row, v)
-        for row in a
-    ]
-
-
-def _dot(field: ExactField, xs, ys):
-    acc = field.zero()
-    for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def transpose(a):

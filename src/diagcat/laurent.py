@@ -619,15 +619,12 @@ def candidate_points(field: ExactField, n: int):
 
 
 @lru_cache(maxsize=32)
-def _point_list(field: ExactField, n: int, limit: int = 3000):
-    out = []
-    for pt in candidate_points(field, n):
-        out.append(
-            (tuple(tuple(row) for row in pt[0]), tuple(tuple(row) for row in pt[1]))
-        )
-        if len(out) >= limit:
-            break
-    return tuple(out)
+def _point_list(field: ExactField, n: int):
+    """The first 3000 points of `candidate_points(field, n)`, as tuples."""
+    return tuple(
+        (tuple(map(tuple, g)), tuple(map(tuple, ginv)))
+        for g, ginv in itertools.islice(candidate_points(field, n), 3000)
+    )
 
 
 @lru_cache(maxsize=32)

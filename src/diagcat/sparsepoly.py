@@ -29,12 +29,6 @@ class SparsePoly:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def coeff(self, exps: tuple):
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return self.field.zero()
-
     def _check(self, other: SparsePoly) -> None:
         if self.nvars != other.nvars:
             raise ValueError(f"operands in {self.nvars} and {other.nvars} variables")

@@ -1,7 +1,9 @@
 """The axiom checks as they ran before each hook term was evaluated once
 per assignment, kept as an independent reference for the tests: every
 comparison calls the model's hooks afresh, and check 19 keeps every tensor
-product of the fragment in one dict."""
+product of the fragment in one dict. Checks 7, 8 and 12 are kept as they
+ran before the checks shared one walk over the nonzero hom spaces: each
+writes out its own double loop over pairs of representatives."""
 
 from diagcat import diagrep as dr
 from diagcat import field as fieldmod
@@ -11,6 +13,8 @@ from diagcat.axioms import (
     _coeff_sum,
     _combo_vectors,
     _fail,
+    _flat,
+    _in_span,
     _ok,
     _vec_eq,
 )
@@ -80,6 +84,47 @@ def check_scalar_multiplication(model: FragmentModel):
     return _ok(i, name, "exhaustive over scalars, spanning vectors, all objects")
 
 
+def _sample_morphisms(reps, hom, cap_pairs=40, cap_basis=4):
+    """The first `cap_basis` basis morphisms of each of the first `cap_pairs`
+    nonzero hom spaces between `reps`, each basis read by `hom(b, c)`."""
+    out = []
+    pairs = 0
+    for b in reps:
+        for c in reps:
+            basis = hom(b, c)
+            if not basis:
+                continue
+            out.extend(basis[:cap_basis])
+            pairs += 1
+            if pairs >= cap_pairs:
+                return out
+    return out
+
+
+def check_morphism_projection(model: FragmentModel):
+    i, name = 7, "morphism projection surjective"
+    ms = _sample_morphisms(model.sigma_reps(), model.hom_basis)
+    for f in ms:
+        vs = model.fiber_spanning_set(f.source)
+        pairs = model.morphism_graph_pairs(f, vs)
+        if not pairs:
+            return _fail(i, name, "morphism has an empty fiber",
+                         f=str(f.source) + " -> " + str(f.target))
+    return _ok(i, name, f"nonempty fibers for {len(ms)} sampled morphisms")
+
+
+def check_source_target_commute(model: FragmentModel):
+    i, name = 8, "source/target compatible with projections"
+    ms = _sample_morphisms(model.sigma_reps(), model.hom_basis)
+    for f in ms:
+        vs = _combo_vectors(model, f.source)
+        for v, w in model.morphism_graph_pairs(f, vs):
+            if v.obj != f.source or w.obj != f.target:
+                return _fail(i, name, "graph point lies over the wrong objects",
+                             f=str(f.source) + " -> " + str(f.target))
+    return _ok(i, name, f"checked on {len(ms)} sampled morphisms")
+
+
 def check_composition(model: FragmentModel):
     i, name = 11, "composition of morphisms"
     field = model.field
@@ -114,6 +159,32 @@ def check_composition(model: FragmentModel):
                         if done >= budget:
                             return _ok(i, name, f"{done} composite pairs verified")
     return _ok(i, name, f"{done} composite pairs verified over class representatives")
+
+
+def check_linearity(model: FragmentModel):
+    i, name = 12, "hom sets closed under sums and scalars"
+    field = model.field
+    reps = model.sigma_reps()
+    checked = 0
+    for b in reps:
+        for c in reps:
+            basis = model.hom_basis(b, c)
+            if len(basis) < 1:
+                continue
+            mats = [_flat(f) for f in basis]
+            total = [field.add(x, y) for x, y in zip(mats[0], mats[-1])]
+            if not _in_span(field, mats, total):
+                return _fail(i, name, "sum of morphisms leaves the hom span",
+                             source=str(b), target_obj=str(c))
+            lam = field.of(2)
+            scaled = [field.mul(lam, x) for x in mats[0]]
+            if not _in_span(field, mats, scaled):
+                return _fail(i, name, "scalar multiple leaves the hom span",
+                             source=str(b), target_obj=str(c))
+            checked += 1
+            if checked >= 150:
+                return _ok(i, name, f"{checked} hom spaces verified closed")
+    return _ok(i, name, f"{checked} hom spaces verified closed")
 
 
 def check_tensor_projection_compatible(model: FragmentModel):
@@ -269,7 +340,10 @@ def check_factorization_unique(model: FragmentModel):
 REFERENCE_CHECKS = {
     4: check_addition,
     5: check_scalar_multiplication,
+    7: check_morphism_projection,
+    8: check_source_target_commute,
     11: check_composition,
+    12: check_linearity,
     13: check_tensor_projection_compatible,
     14: check_tensor_bilinear,
     16: check_tensor_functorial,

@@ -149,11 +149,11 @@ def test_criterion_05_hom_dimension_formula():
 def test_criterion_06_duality_and_biproducts():
     t0 = time.time()
     Z4 = ab.parse_group("Z/4")
-    objects = dr.enumerate_objects(Z4, 3, 2)
+    objects = list(dr.enumerate_objects(Z4, 3, 2))
     snakes = 0
     for field in (F5, QQ):
         for b in objects:
-            s1, s2 = dr.snake_composites(field, b)
+            s1, s2 = dr.snake_composites(field, b, dr.dual_data(field, b))
             assert s1 == dr.identity_morphism(field, b)
             assert s2 == dr.identity_morphism(field, dr.dual_data(field, b).dual)
             snakes += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -129,12 +130,12 @@ def _reference_all_objects(model):
 def test_all_objects_is_the_shared_word_enumeration():
     bound = ax.bounds(3, 3)
     model = ax.FragmentModel(F5, Z4, bound)
-    assert model.all_objects() == dr.enumerate_objects(Z4, 3, 3)
+    assert model.all_objects() == list(dr.enumerate_objects(Z4, 3, 3))
     assert model.all_objects() == _reference_all_objects(model)
     dup = ax.mutated_model(F5, Z4, bound, "duplicate-irreducible")
     objs = dup.all_objects()
     assert objs == _reference_all_objects(dup)
-    assert len(objs) > len(dr.enumerate_objects(Z4, 3, 3))
+    assert len(objs) > len(list(dr.enumerate_objects(Z4, 3, 3)))
 
 
 @pytest.mark.parametrize(
@@ -268,7 +269,9 @@ def test_checks_match_reference(field, group):
             assert got == reference(model), (corruption, index)
             if got.status == "fail":
                 failed.add(index)
-    assert failed == set(REFERENCE_CHECKS)  # every fail path was compared
+    # every fail path was compared; check 12 has none, since the sum and
+    # double of basis labels always lie in the labels' own span
+    assert failed == set(REFERENCE_CHECKS) - {12}
 
 
 class _SameHash:
@@ -334,3 +337,45 @@ def test_hook_calls_per_assignment():
     assert counts["scalar_mul"] == vectors * (k + k * k)
     assert ax.check_factorization_unique(model).status == "pass"
     assert counts["tensor_obj"] == len(objs) ** 2
+
+
+def _nonzero_rep_pairs(model):
+    """The pairs of class representatives with a nonzero hom space,
+    row-major, counted by weight multiplicities rather than hom bases."""
+    reps = model.sigma_reps()
+    return [(b, c) for b in reps for c in reps if dr.hom_dimension(b, c) > 0]
+
+
+@pytest.mark.parametrize(
+    "field, group, bound, pairs",
+    [(F3, Z2, (2, 2), 68), (F5, Z4, (2, 2), 376)],
+    ids=["F3-Z2", "F5-Z4"],
+)
+def test_faithfulness_detail_counts_pairs(field, group, bound, pairs):
+    """Check 9 tests faithfulness on the first 200 nonzero hom spaces, or on
+    all of them when there are fewer, and its detail says how many."""
+    model = ax.FragmentModel(field, group, ax.bounds(*bound))
+    assert len(_nonzero_rep_pairs(model)) == pairs
+    result = ax.check_morphisms_are_linear_graphs(model)
+    assert result.status == "pass"
+    assert result.detail.endswith(f"faithfulness on {min(pairs, 200)} rep pairs")
+
+
+@pytest.mark.parametrize("k, status", [(1, "fail"), (200, "fail"), (201, "pass")])
+def test_faithfulness_bound_is_the_first_200_pairs(k, status):
+    """A duplicated morphism label planted in the k-th nonzero hom space
+    (1-based, row-major) fails axiom 9 exactly when k <= 200."""
+    model = ax.FragmentModel(F5, Z4, ax.bounds(3, 2))
+    planted = _nonzero_rep_pairs(model)[k - 1]
+
+    def hom(m, b, c):
+        basis = list(m.canonical_hom_basis(b, c))
+        if (b, c) == planted:
+            basis.append(dataclasses.replace(basis[0], tag="dup"))
+        return basis
+
+    model.override("hom_basis", hom)
+    result = ax.check_morphisms_are_linear_graphs(model)
+    assert result.status == status
+    if status == "fail":
+        assert result.witness == {"source": str(planted[0]), "target": str(planted[1])}

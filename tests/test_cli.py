@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from diagcat import cli
+from diagcat import diagrep as dr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -335,15 +336,78 @@ def test_zero_bounds_are_accepted(capsys):
     assert code == 0 and out.strip() == "equal"
 
 
+def _dump_group_file(pres):
+    """The group-file JSON object that `cli._load_group_file` reads back."""
+    from diagcat import laurent as la
+
+    payload = {
+        "schema": 1,
+        "n": pres.n,
+        "field": str(pres.field),
+        "name": pres.name,
+        "generators": [la.format_element(g) for g in pres.ideal.generators],
+    }
+    if pres.weights is not None:
+        payload["weights"] = {
+            "group": str(pres.weights[0].group),
+            "elements": [str(w) for w in pres.weights],
+        }
+    return payload
+
+
 def test_group_file_round_trip(tmp_path):
     from diagcat import laurent as la
     from diagcat.field import QQ
 
     pres = la.catalog(QQ)["torus-t-t2-gl2"]
-    payload = cli.dump_group_file(pres)
+    payload = _dump_group_file(pres)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(payload))
     loaded = cli._load_group_file(str(path))
     assert loaded.n == pres.n
     assert loaded.weights == pres.weights
     assert loaded.ideal.generators == pres.ideal.generators
+
+
+def test_model_inspect_limit_bounds_the_work(capsys, monkeypatch):
+    """`--limit` stops the fragment enumeration: on Z^2 with coordinates in
+    [-2, 2] (25 weights), N = M = 2 has 350 + 625 + 2 * 8125 = 17,225
+    objects, and the command builds only the 3 it prints."""
+    real = dr.tensor_words
+    built = []
+
+    def counted(*args):
+        for b in real(*args):
+            built.append(b)
+            yield b
+
+    monkeypatch.setattr(dr, "tensor_words", counted)
+    code, out, _ = run_cli(
+        capsys, "model", "inspect", "--field", "F5", "--group", "Z^2",
+        "--max-dim", "2", "--max-len", "2", "--limit", "3", "--json",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == 3 and len(payload["objects"]) == 3
+    assert [str(b) for b in built] == [o["object"] for o in payload["objects"]]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["stab", "defining-degree", "--catalog", "mu3", "--json"],
+         '"defining_degree":2'),
+        (["axioms", "check", "--field", "F3", "--group", "Z/2",
+          "--max-dim", "2", "--max-len", "1"], "27/27 passed"),
+    ],
+    ids=["defining-degree", "axioms-check"],
+)
+def test_runtime_needs_only_the_standard_library(argv, want):
+    """`python -S` leaves site-packages off the path, so a third-party
+    import anywhere under `diagcat` would fail these commands."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "diagcat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert want in proc.stdout

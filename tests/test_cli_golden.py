@@ -1,0 +1,67 @@
+"""Exact stdout and exit code of a fixed set of CLI commands.
+
+`tests/data/cli_golden.json` records, for every command in `CASES`, what
+`diagcat.cli.main` prints and returns. A refactor that claims identical
+output must leave this file unchanged; an intended output change rewrites
+it with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+
+and the diff of the data file shows exactly what changed.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from diagcat import cli
+
+DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+CATALOG = (
+    "diagonal-torus-gl2", "gm-gl1", "mu2", "mu3", "mu4", "mu5",
+    "torus-t-t2-gl2", "trivial-gl1",
+)
+
+CASES = [
+    ["model", "inspect", "--field", "F5", "--group", "Z/4", "--json"],
+    ["model", "inspect", "--field", "F5", "--group", "Z^2", "--json"],
+    ["model", "inspect", "--field", "F5", "--group", "Z/4",
+     "--hom", "( {0 1} {2} )", "{2 3}", "--json"],
+    ["model", "inspect", "--field", "F5", "--group", "Z/4", "--hom", "0", "{1}", "--json"],
+    ["char-group", "--group", "Z/4", "--json"],
+    ["char-group", "--group", "Z^2", "--bound", "2", "--json"],
+    *(["stab", "defining-degree", "--catalog", c, "--field", k, "--json"]
+      for k in ("Q", "F101") for c in CATALOG),
+    *(["stab", "degrees-equal", "--catalog", c, "--field", k,
+       "--d", "1", "--dprime", "2", "--json"]
+      for k in ("Q", "F101") for c in CATALOG),
+    ["paren", "encode", "--pattern", "((( _ _ _ )( _ ))( _ _ ))", "--json"],
+    ["paren", "decode", "--bits", "10 10 10 00 00 00 01 10 00 01 01 10 00 00 01 01",
+     "--json"],
+    *(["axioms", "check", "--field", k, "--group", g,
+       "--max-dim", "2", "--max-len", "2", "--json"]
+      for k, g in (("F5", "Z/4"), ("F3", "Z/2"))),
+    ["axioms", "check", "--field", "F5", "--group", "Z/4", "--max-dim", "2",
+     "--max-len", "2", "--mutate", "hom-duplicate-labels", "--json"],
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def test_cli_output_matches_golden():
+    golden = json.loads(DATA.read_text())
+    assert [g["argv"] for g in golden] == CASES
+    for want in golden:
+        assert _run(want["argv"]) == want
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    DATA.write_text(json.dumps([_run(argv) for argv in CASES], indent=1) + "\n")

@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,36 @@ F7 = ExactField(7)
 
 def _irr(group, *coords):
     return dr.irreducible(group, [group.element([c]) for c in coords])
+
+
+class BasisTuple(NamedTuple):
+    """One basis vector: a choice of one weight from each leaf (by index)."""
+
+    indices: tuple
+    elements: tuple
+    weight: object
+
+
+def ordered_basis(b):
+    """Reference listing of b's basis, as `diagrep` kept it before
+    `object_json` read `basis_weights`: per-leaf canonical order,
+    lexicographic across leaves, each weight summed from its elements."""
+    if b.is_zero:
+        return ()
+    ranges = [range(leaf.size) for leaf in b.leaves]
+    out = []
+    for idx in itertools.product(*ranges):
+        elems = tuple(leaf.elements[i] for leaf, i in zip(b.leaves, idx))
+        w = elems[0]
+        for e in elems[1:]:
+            w = w + e
+        out.append(BasisTuple(idx, elems, w))
+    return tuple(out)
+
+
+def vector(field, obj, coeffs):
+    """The vector of obj's fiber with the given coefficients."""
+    return dr.ModelVector(field, obj, tuple(field.of(c) for c in coeffs))
 
 
 def isotypic_multiplicity(b, a):
@@ -57,7 +88,7 @@ def test_tensor_objects():
     c = _irr(Z, 2)
     t = dr.tensor_obj(b, c)
     assert t.sort == (2, 1)
-    assert [x.weight for x in dr.ordered_basis(t)] == [Z.element([3])]
+    assert [x.weight for x in ordered_basis(t)] == [Z.element([3])]
     assert dr.tensor_obj(_irr(Z, 1, 2), _irr(Z, 0)).sort == (2, 2)
     assert dr.tensor_obj(b, dr.ZERO) == dr.ZERO
     assert dr.tensor_obj(dr.ZERO, c) == dr.ZERO
@@ -94,15 +125,15 @@ def test_tensor_factorize_round_trip():
 
 def test_ordered_basis_lex():
     b = _irr(Z, 1, 2)
-    assert [t.elements for t in dr.ordered_basis(b)] == [
+    assert [t.elements for t in ordered_basis(b)] == [
         (Z.element([1]),),
         (Z.element([2]),),
     ]
     t = dr.tensor_obj(_irr(Z, 1, 2), _irr(Z, 0, 5))
-    got = [tuple(e.coords[0] for e in x.elements) for x in dr.ordered_basis(t)]
+    got = [tuple(e.coords[0] for e in x.elements) for x in ordered_basis(t)]
     assert got == [(1, 0), (1, 5), (2, 0), (2, 5)]
     rep = _irr(Z, 1, 1)
-    slots = dr.ordered_basis(rep)
+    slots = ordered_basis(rep)
     assert len(slots) == 2 and slots[0] != slots[1]
     assert slots[0].weight == slots[1].weight
 
@@ -119,7 +150,7 @@ def test_isotypic_multiplicity():
 def _weights_from_ordered_basis(b):
     """Reference route: the basis weights and weight slots read off
     `ordered_basis`, one `BasisTuple` per slot."""
-    weights = tuple(t.weight for t in dr.ordered_basis(b))
+    weights = tuple(t.weight for t in ordered_basis(b))
     slots = {}
     for i, w in enumerate(weights):
         slots.setdefault(w, []).append(i)
@@ -136,7 +167,7 @@ def test_basis_weights_match_ordered_basis():
         dr.tensor_obj(irr[0], dr.tensor_obj(irr[1], irr[2])),
         dr.tensor_obj(dr.tensor_obj(irr[1], irr[1]), irr[0]),
     ]
-    objs = dr.enumerate_objects(Z4, 3, 3) + words + [dr.ZERO]
+    objs = list(dr.enumerate_objects(Z4, 3, 3)) + words + [dr.ZERO]
     for b in objs:
         weights, slots = _weights_from_ordered_basis(b)
         assert dr.basis_weights(b) == weights, b
@@ -144,6 +175,13 @@ def test_basis_weights_match_ordered_basis():
         assert dr.isotypic_weights(b) == tuple(sorted(weights, key=lambda e: e.coords))
         for w in set(weights) | {Z4.zero()}:
             assert isotypic_multiplicity(b, w) == sum(1 for x in weights if x == w)
+        # `object_json` lists the basis from `basis_weights` and the leaves'
+        # index ranges: the reference entries, in order
+        assert dr.object_json(b)["basis"] == [
+            {"indices": list(t.indices), "elements": [str(e) for e in t.elements],
+             "weight": str(t.weight)}
+            for t in ordered_basis(b)
+        ]
 
 
 def test_hom_space_dimensions():
@@ -183,7 +221,7 @@ def test_compose():
     for _ in range(30):
         f = _random_morphism(rng, F5, b, b)
         g = _random_morphism(rng, F5, b, b)
-        v = dr.vector(F5, b, [rng.randint(0, 4) for _ in range(b.dimension)])
+        v = vector(F5, b, [rng.randint(0, 4) for _ in range(b.dimension)])
         # apply-map oracle: (g o f)(v) = g(f(v))
         assert dr.apply_morphism(dr.compose(g, f), v) == dr.apply_morphism(
             g, dr.apply_morphism(f, v)
@@ -249,7 +287,7 @@ def test_snake_identities():
             _irr(Z4, 1, 1, 3),
             dr.tensor_obj(_irr(Z, 1), _irr(Z, -1, 2)),
         ]:
-            s1, s2 = dr.snake_composites(field, b)
+            s1, s2 = dr.snake_composites(field, b, dr.dual_data(field, b))
             assert s1 == dr.identity_morphism(field, b)
             assert s2 == dr.identity_morphism(field, dr.dual_data(field, b).dual)
 
@@ -435,7 +473,7 @@ def test_tensor_length_additive_property(b, c):
 
 
 def test_enumerate_objects_counts():
-    objs = dr.enumerate_objects(ab.parse_group("Z/2"), 2, 2)
+    objs = list(dr.enumerate_objects(ab.parse_group("Z/2"), 2, 2))
     # m=1: multisets of size 1 (2) and 2 (3); m=2 sizes (1,1): 4,
     # sizes (1,2) and (2,1): 2*3 each
     assert len(objs) == 2 + 3 + 4 + 6 + 6
@@ -461,7 +499,7 @@ def _reference_walk(b, leaf, node):
 
 
 def test_fold_outputs_match_reference_walks():
-    objs = dr.enumerate_objects(Z4, 3, 3)
+    objs = list(dr.enumerate_objects(Z4, 3, 3))
     assert len(objs) == 3298
     for b in objs:
         tree = _reference_walk(b, dr.make_irreducible, lambda l, r: (l, r))
@@ -480,7 +518,7 @@ def test_objects_from_matches_reference_loop():
                 choices = [dr.multisets_from(elems, s) for s in sizes]
                 for leaves in itertools.product(*choices):
                     want.append(dr.BaseObject(shape, tuple(leaves)))
-    assert dr.objects_from(elems, 3, 3) == want
+    assert list(dr.objects_from(elems, 3, 3)) == want
 
 
 def _reference_cokernel(field, f):
@@ -517,7 +555,7 @@ def _reference_projections(field, data):
 
 def test_cokernel_and_biproduct_match_reference():
     rng = random.Random(2019)
-    objs = dr.enumerate_objects(Z4, 3, 1) + dr.enumerate_objects(Z4, 4, 2)[::7]
+    objs = [*dr.enumerate_objects(Z4, 3, 1), *list(dr.enumerate_objects(Z4, 4, 2))[::7]]
     checked = 0
     for field in (ExactField(3), F5, F7):
         for _ in range(120):
@@ -540,7 +578,7 @@ def test_cokernel_and_biproduct_match_reference():
 
 def test_block_builders_match_dense_reference():
     rng = random.Random(2019)
-    objs = dr.enumerate_objects(Z4, 3, 2)
+    objs = list(dr.enumerate_objects(Z4, 3, 2))
     bound = ax.bounds(3, 2)
     checked = 0
     for field in (ExactField(3), F5, F7):
@@ -766,7 +804,7 @@ def test_stored_hash_is_the_hash_of_the_fields():
 def test_product_is_the_enumerated_object():
     b, c = _irr(Z4, 0, 1), _irr(Z4, 3)
     assert dr.BaseObject(pair(LEAF, LEAF), b.leaves + c.leaves) is dr.tensor_obj(b, c)
-    objs = dr.enumerate_objects(Z4, 3, 3)
+    objs = list(dr.enumerate_objects(Z4, 3, 3))
     model = ax.FragmentModel(F5, Z4, ax.bounds(3, 3))
     assert len(model.all_objects()) == len(objs)
     assert all(x is y for x, y in zip(model.all_objects(), objs))
@@ -797,7 +835,7 @@ def test_invalid_multiset_raises_on_every_call():
 
 
 def test_dropped_products_leave_the_table():
-    objs = dr.enumerate_objects(Z4, 3, 2)
+    objs = list(dr.enumerate_objects(Z4, 3, 2))
     gc.collect()
     before = len(dr.BaseObject._table)
     products = [dr.tensor_obj(b, c) for b in objs for c in objs][:10_000]
