@@ -31,7 +31,8 @@ def main() -> int:
     ok = True
     for name, pres in la.catalog(field).items():
         t0 = time.time()
-        res = stab.defining_degree(pres, args.dmax, args.cap)
+        chain = la.truncation_chain(pres, args.cap)
+        res = stab.defining_degree(pres, args.dmax, args.cap, chain)
         if res.status == "found":
             witnesses_ok = res.witness_ok()
             ok = ok and witnesses_ok
@@ -42,9 +43,8 @@ def main() -> int:
                 f"[{time.time()-t0:.2f}s]"
             )
             for d in range(res.degree + 1):
-                trunc = la.presentation_truncation(pres, d, args.cap)
                 gens = ", ".join(
-                    la.format_element(g) for g in trunc.generators
+                    la.format_element(g) for g in chain(d).generators
                 ) or "(none: the full general linear group)"
                 print(f"    degree <= {d}: {gens}")
             for r in res.refutations:

@@ -223,7 +223,7 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def echelon(field: ExactField, rows):
+def echelon(field: ExactField, rows, limit: int | None = None):
     """Reduced row echelon form of sparse rows, the one elimination core.
 
     `rows` are dicts {column: nonzero value}. Returns [(pivot_column, row)]
@@ -232,9 +232,16 @@ def echelon(field: ExactField, rows):
     Rows are first reduced one at a time against the pivots found so far,
     leftmost column first, then back-substituted from the rightmost pivot;
     each update touches only the nonzeros of the subtracted row. The result
-    is the unique reduced form for this column order."""
+    is the unique reduced form for this column order.
+
+    With a pivot `limit`, the columns from `limit` on (several right-hand
+    sides) are never pivots: a row with nothing left of the limit once
+    reduced is a residual row, reduces no other row, and the result is
+    (pivot rows, residual rows). The pivot rows are then the reduced form of
+    the columns left of the limit, whatever the columns after it hold."""
     p = field.p
     pivots: dict[int, dict] = {}
+    residual: list[dict] = []
     for src in rows:
         row = dict(src)
         queue = list(row)
@@ -244,6 +251,9 @@ def echelon(field: ExactField, rows):
             x = row.get(c)
             if x is None:
                 continue
+            if limit is not None and c >= limit:
+                residual.append(row)
+                break
             prow = pivots.get(c)
             if prow is None:
                 inv = field.inv(x)
@@ -256,7 +266,8 @@ def echelon(field: ExactField, rows):
         row = pivots[c]
         for k in [k for k in row if k != c and k in pivots]:
             _subtract(row, row[k], pivots[k], p, None)
-    return sorted(pivots.items())
+    red = sorted(pivots.items())
+    return red if limit is None else (red, residual)
 
 
 def _subtract(row, x, prow, p, queue):
@@ -359,16 +370,21 @@ def solve_linear(field: ExactField, m, b):
     return solve_echelon(field, echelon(field, aug), cols)
 
 
-def solve_echelon(field: ExactField, red, cols: int):
+def solve_echelon(field: ExactField, red, cols: int, rhs: int | None = None, residual=()):
     """The solution of an augmented system from its `echelon` form, the
-    right-hand side in column `cols`: free variables 0, None if a pivot
-    lands on the right-hand side."""
+    unknowns in columns 0..cols-1 and the right-hand side in column `rhs`
+    (default `cols`): free variables 0, None if the system is inconsistent,
+    that is if a pivot lands right of the unknowns or, for an `echelon`
+    limited at `cols`, a `residual` row is nonzero in column `rhs`."""
+    rhs = cols if rhs is None else rhs
+    if any(rhs in row for row in residual):
+        return None
     zero = field.zero()
     x = [zero] * cols
     for c, row in red:
-        if c == cols:
+        if c >= cols:
             return None
-        x[c] = row.get(cols, zero)
+        x[c] = row.get(rhs, zero)
     return x
 
 

@@ -19,7 +19,9 @@ looks for cofactors of degree <= cap in the other variables, and
 refutation point, a point of GL_n where the ideal vanishes and f does not.
 `ideal_membership_ascending` runs cap 0 that way, then one solve per larger
 cap, up to the first member or definitive negative. `all_members` asks that
-of several elements with one shared `PointScan`. The scan tests a fixed
+of several elements with one shared `PointScan`, and one elimination per cap
+for the element whose turn it is and every later one (`_capped_solves`,
+one right-hand side each). The scan tests a fixed
 stream of points in windows of 1, 2, 4, ... points, evaluating each
 polynomial at a whole window at once from per-coordinate columns
 (`SparsePoly.evaluate_columns`); a refutation point is the first point of
@@ -29,6 +31,13 @@ k[Z, W]; `not_member_up_to(D)` means no representation with cofactors of
 degree <= D for the generators that are not single variables (definitive
 only beyond the Hermann bound, so the cap is always reported), unless a
 refutation point makes it definitive.
+
+The degree <= d slices of an ideal at one cap come from one graded
+elimination (`graded_truncation`): the multiples m*g are echeloned once with
+the columns ordered by degree, and each slice re-echelons the rows whose
+pivot has degree <= d. What solves or slices share lives in the call that
+makes them, or in the `truncation_chain` its caller holds; nothing but
+`_reduction` is cached per ideal at module level.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from operator import add
 
 from . import sparsepoly as sp
 from .abelian import FgAbelianGroup, GroupElement, relation_lattice
@@ -393,16 +403,20 @@ def _reduction(I: LaurentIdeal):
     return eliminated, kept, [(g, r) for g, r in pairs if not r.is_zero()]
 
 
-def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
-    """Solve f = sum h_i g_i with deg h_i <= cap in a small polynomial ring.
+def _solve_cofactors(field, gens: list[SparsePoly], fs, cap: int):
+    """Solve f = sum h_i g_i with deg h_i <= cap in a small polynomial ring,
+    for every f of `fs` from one elimination.
 
     One sparse row per monomial of the products m*g_i: the unknown coefficient
-    of m in h_i is a column, f's coefficient sits in the last column. The
-    system is inconsistent exactly when `echelon` puts a pivot there;
-    otherwise free unknowns are 0. Returns list of cofactor SparsePolys or
-    None."""
+    of m in h_i is a column, and each f puts its coefficients in a
+    right-hand-side column of its own after them. `echelon`, limited at the
+    first right-hand side, reduces the unknowns' columns once; f's system is
+    inconsistent exactly when its column is nonzero in a residual row, and
+    otherwise its free unknowns are 0. The pivot columns of the unknowns are
+    independent, so that solution is the one f alone would get. Returns, per
+    f, the list of cofactor SparsePolys or None."""
     if not gens:
-        return None if not f.is_zero() else []
+        return [None if not f.is_zero() else [] for f in fs]
     nvars = gens[0].nvars
     cof_monos = sp.monomials_up_to(nvars, cap)
     columns = []  # (gen_index, monomial_exps)
@@ -412,19 +426,24 @@ def _solve_cofactors(field, gens: list[SparsePoly], f: SparsePoly, cap: int):
             col = len(columns)
             columns.append((gi, m))
             for e, c in g.terms:
-                prod = tuple(x + y for x, y in zip(m, e))
-                rows.setdefault(prod, {})[col] = c
-    rhs = len(columns)
-    for e, c in f.terms:
-        rows.setdefault(e, {})[rhs] = c
-    sol = fieldmod.solve_echelon(field, fieldmod.echelon(field, rows.values()), rhs)
-    if sol is None:
-        return None
-    cofs = [sp.zero(field, nvars) for _ in gens]
-    for (gi, m), x in zip(columns, sol):
-        if x != field.zero():
-            cofs[gi] = cofs[gi] + sp.monomial(field, nvars, m, x)
-    return cofs
+                rows.setdefault(tuple(map(add, m, e)), {})[col] = c
+    limit = len(columns)
+    for rhs, f in enumerate(fs, limit):
+        for e, c in f.terms:
+            rows.setdefault(e, {})[rhs] = c
+    red, residual = fieldmod.echelon(field, rows.values(), limit)
+    out = []
+    for rhs in range(limit, limit + len(fs)):
+        sol = fieldmod.solve_echelon(field, red, limit, rhs, residual)
+        if sol is None:
+            out.append(None)
+            continue
+        cofs = [sp.zero(field, nvars) for _ in gens]
+        for (gi, m), x in zip(columns, sol):
+            if x != field.zero():
+                cofs[gi] = cofs[gi] + sp.monomial(field, nvars, m, x)
+        out.append(cofs)
+    return out
 
 
 def _solve_work_estimate(nvars: int, ngens: int, cap: int, max_deg: int) -> int:
@@ -442,23 +461,30 @@ def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     """One cofactor solve of f = sum h_i g_i over the generators of I and the
     relation ideal: `member` with expandable witnesses, `not_member_up_to`
     (never definitive) or `unknown` when the solve is over the work budget.
+    The solve of `_capped_solves` with f alone."""
+    return _capped_solves([f], I, cap)[0]
+
+
+def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
+    """The `_capped_solve` of fs[0], and of the other fs from the same
+    elimination when fs[0] takes one: one result per f, in order, and None
+    for a later f that fs[0] carried no solve for (fs[0] is zero or over the
+    work budget). Each f keeps its own work-budget test, and no matrix is
+    built when no f needs one.
 
     The generators come reduced into the variables that I's single-variable
     generators leave (`_reduction`), repeated reductions are dropped, and one
-    cofactor solve with deg h_i <= cap runs in the kept variables. The
-    witness is lifted back: each term of the remainder f - sum h_i g_i goes
-    to the generator of its lowest-index eliminated variable, so the cap
-    bounds the cofactors of the generators that are not single variables,
-    and an eliminated generator's cofactor may exceed it."""
+    cofactor solve with deg h_i <= cap runs in the kept variables. A witness
+    is lifted back: each term of the remainder f - sum h_i g_i goes to the
+    generator of its lowest-index eliminated variable, so the cap bounds the
+    cofactors of the generators that are not single variables, and an
+    eliminated generator's cofactor may exceed it."""
     field, n = I.field, I.n
-    nvars = 2 * n * n
-    if (f.field, f.nvars) != (field, nvars):
+    ring = (field, 2 * n * n)
+    if (fs[0].field, fs[0].nvars) != ring:
         raise ValueError("f is not in the ring of the ideal")
     if cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
-    if f.is_zero():
-        return MembershipResult("member", cap, ())
-
     eliminated, kept, reductions = _reduction(I)
     gens, reduced, seen = [], [], set()
     for g, r in reductions:
@@ -466,12 +492,36 @@ def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
             seen.add(r.terms)
             gens.append(g)
             reduced.append(r)
-    max_deg = max([r.degree() for r in reduced] + [f.degree()])
-    if _solve_work_estimate(len(kept), len(reduced), cap, max_deg) > _work_budget(field):
-        return MembershipResult("unknown", cap)
-    cofs = _solve_cofactors(field, reduced, _eliminate(f, kept), cap)
+    top = max((r.degree() for r in reduced), default=-1)
+    results: list = [None] * len(fs)
+    todo = []
+    for k, f in enumerate(fs):
+        if (f.field, f.nvars) != ring:
+            continue  # it raises at a solve of its own
+        if f.is_zero():
+            results[k] = MembershipResult("member", cap, ())
+            continue
+        max_deg = max(top, f.degree())
+        if _solve_work_estimate(len(kept), len(reduced), cap, max_deg) > _work_budget(field):
+            results[k] = MembershipResult("unknown", cap)
+        else:
+            todo.append(k)
+    if results[0] is not None:  # fs[0] takes no solve, so none is carried
+        return results[:1] + [None] * (len(fs) - 1)
+    targets = [_eliminate(fs[k], kept) for k in todo]
+    for k, cofs in zip(todo, _solve_cofactors(field, reduced, targets, cap)):
+        results[k] = _lift_witness(fs[k], cap, cofs, gens, eliminated, kept)
+    return results
+
+
+def _lift_witness(f, cap, cofs, gens, eliminated, kept) -> MembershipResult:
+    """The result of one solve in the kept variables (`_capped_solves`):
+    `not_member_up_to` without cofactors, else `member` with the cofactors
+    embedded in k[Z, W] and the remainder assigned to the eliminated
+    generators; the lifted witness must re-verify."""
     if cofs is None:
         return MembershipResult("not_member_up_to", cap)
+    field, nvars = f.field, f.nvars
     pairs = [
         (g, _embed(h, kept, nvars)) for g, h in zip(gens, cofs) if not h.is_zero()
     ]
@@ -503,12 +553,14 @@ def ideal_membership(
     I: LaurentIdeal,
     cofactor_degree_cap: int,
     scan: PointScan | None = None,
+    solve=None,
 ) -> MembershipResult:
     """Decide f = sum h_i g_i over the generators of I and the relation
-    ideal by one capped solve (see `_capped_solve`). Any answer other than
-    `member` then gets one `find_refutation_point(f, I, scan)`; a point
-    makes it a definitive `not_member_up_to` at this cap."""
-    result = _capped_solve(f, I, cofactor_degree_cap)
+    ideal by one capped solve (see `_capped_solve`; `solve` stands in for it
+    with the same answers). Any answer other than `member` then gets one
+    `find_refutation_point(f, I, scan)`; a point makes it a definitive
+    `not_member_up_to` at this cap."""
+    result = (solve or _capped_solve)(f, I, cofactor_degree_cap)
     if result.is_member:
         return result
     pt = find_refutation_point(f, I, scan)
@@ -518,30 +570,61 @@ def ideal_membership(
 
 
 def ideal_membership_ascending(
-    f: SparsePoly, I: LaurentIdeal, max_cap: int, scan: PointScan | None = None
+    f: SparsePoly,
+    I: LaurentIdeal,
+    max_cap: int,
+    scan: PointScan | None = None,
+    solve=None,
 ) -> MembershipResult:
     """Cap 0 through `ideal_membership`, which scans for a refutation point
     once, then one capped solve at each cap 1..max_cap; the first member or
     definitive negative ends the ladder. Pass a `PointScan` of I as `scan`
-    to share the zero points across calls on the same ideal."""
+    to share the zero points across calls on the same ideal, and a `solve`
+    in place of `_capped_solve` to share its solves (see `all_members`)."""
     if max_cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
-    result = ideal_membership(f, I, 0, scan)
+    solve = solve or _capped_solve
+    result = ideal_membership(f, I, 0, scan, solve)
     for cap in range(1, max_cap + 1):
         if result.is_member or result.definitive:
             break
-        result = _capped_solve(f, I, cap)
+        result = solve(f, I, cap)
     return result
 
 
 def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]:
-    """Ascend each f of `fs` in turn against I, sharing one `PointScan` of I.
-    Returns the ((f, member result), ...) found before the first f not shown
-    a member, and that (f, result), or None when every f is a member."""
+    """Ascend each f of `fs` in turn against I, sharing one `PointScan` of I
+    and the cofactor solves. Returns the ((f, member result), ...) found
+    before the first f not shown a member, and that (f, result), or None
+    when every f is a member.
+
+    The first f that needs the solve at a cap gets it in one elimination
+    with every later f not yet a member at a lower cap, each with its own
+    right-hand side (`_capped_solves`); the later f read their answers from
+    it. The answers are those of separate `_capped_solve` calls, and the
+    solves live and die with this call."""
+    fs = tuple(fs)
     scan = PointScan(I)
+    solved: dict[int, dict[int, MembershipResult]] = {}  # cap -> {k: result}
     witnesses = []
-    for f in fs:
-        result = ideal_membership_ascending(f, I, max_cap, scan)
+    for i, f in enumerate(fs):
+
+        def solve(f, I, cap, i=i):
+            at_cap = solved.setdefault(cap, {})
+            if i not in at_cap:
+                done = {
+                    k
+                    for c, found in solved.items()
+                    if c < cap
+                    for k, r in found.items()
+                    if r.is_member
+                }
+                todo = [i] + [k for k in range(i + 1, len(fs)) if k not in done]
+                got = _capped_solves([fs[k] for k in todo], I, cap)
+                at_cap.update((k, r) for k, r in zip(todo, got) if r is not None)
+            return at_cap[i]
+
+        result = ideal_membership_ascending(f, I, max_cap, scan, solve)
         if not result.is_member:
             return tuple(witnesses), (f, result)
         witnesses.append((f, result))
@@ -757,50 +840,79 @@ def _prune_generators(gens) -> tuple[SparsePoly, ...]:
     return tuple(kept)
 
 
-def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationResult:
-    """A basis of a subspace of (I + relations) intersected with the degree
-    <= d slice: the span of monomial multiples m*g of degree <= cap, cut
-    down by exact row reduction. The span holds every monomial that a
-    variable eliminated by `_reduction` divides: each is one unit row in
-    degree <= d and no column above. The other rows are m*r, for m free
-    of those variables and r the reduction of g, over the monomials of
-    degree > d, then those of degree <= d; the basis is the reduced rows
-    whose pivot lies in the low part, which are exactly the rows with no
-    high-degree term. Complete only when the cap reaches the Hermann
-    bound for the largest degree D of d and the generators, plus D."""
-    if d < 0 or work_cap < d:
-        raise ValueError("need 0 <= d <= work_cap")
+def graded_truncation(I: LaurentIdeal, work_cap: int):
+    """The degree slices of (I + relations) at one cap, from one
+    elimination: returns `read`, where `read(d)` is the TruncationResult of
+    degree d <= work_cap (see `truncated_ideal_part`).
+
+    The span is that of the monomial multiples m*g of degree <= work_cap.
+    It holds every monomial that a variable eliminated by `_reduction`
+    divides. Its other rows are the products m*r, for m free of those
+    variables and r the reduction of g; they are echeloned once, with the
+    columns ordered by degree, highest first. The rows whose pivot has
+    degree <= d then span the part of degree <= d, since a pivot is a row's
+    highest-degree term. `read(d)` re-echelons those rows, with the unit
+    rows of the eliminated-variable monomials of degree <= d, over the
+    monomials of degree <= d in `sp.monomials_up_to` order: the unique
+    reduced basis, whichever d was read before."""
     field, n = I.field, I.n
     nvars = 2 * n * n
     gens = (*I.generators, *relation_generators(field, n))
     eliminated, kept, reductions = _reduction(I)
     monos = sp.monomials_up_to(nvars, work_cap)
     free = [e for e in monos if not any(e[k] for k in eliminated)]
-    high = [e for e in free if sum(e) > d]
-    low = [e for e in monos if sum(e) <= d]
-    columns = high + low
-    mono_index = {e: j for j, e in enumerate(columns)}
-    rows = [{mono_index[e]: field.one()} for e in low if any(e[k] for k in eliminated)]
+    graded = free[::-1]  # highest degree first
+    graded_index = {e: j for j, e in enumerate(graded)}
+    rows = []
     for g, r in reductions:
         gd, terms = g.degree(), _embed(r, kept, nvars).terms
         rows += [
-            {mono_index[tuple(x + y for x, y in zip(m, e))]: c for e, c in terms}
+            {graded_index[tuple(map(add, m, e))]: c for e, c in terms}
             for m in free
             if sum(m) + gd <= work_cap
         ]
-    nhigh = len(high)
-    basis = [
-        sp.from_dict(field, nvars, {columns[j]: x for j, x in row.items()})
-        for pivot, row in fieldmod.echelon(field, rows)
-        if pivot >= nhigh
-    ]
-    # Hermann: f and the generators of degree <= D give cofactors of degree
-    # <= hermann_bound(D, n), so every m*g needed has degree <= bound + D.
-    top = max(d, max(g.degree() for g in gens if not g.is_zero()))
-    complete = work_cap >= hermann_bound(top, n) + top
-    return TruncationResult(
-        tuple(basis), complete, d, work_cap, _prune_generators(basis)
-    )
+    # (degree of the pivot, row), highest pivot degree first
+    echeloned = [(sum(graded[c]), row) for c, row in fieldmod.echelon(field, rows)]
+    top_gen = max(g.degree() for g in gens if not g.is_zero())
+
+    def read(d: int) -> TruncationResult:
+        if d < 0 or work_cap < d:
+            raise ValueError("need 0 <= d <= work_cap")
+        low = [e for e in monos if sum(e) <= d]
+        index = {e: j for j, e in enumerate(low)}
+        one = field.one()
+        slice_rows = [{index[e]: one} for e in low if any(e[k] for k in eliminated)]
+        slice_rows += [
+            {index[graded[c]]: x for c, x in row.items()}
+            for degree, row in echeloned
+            if degree <= d
+        ]
+        basis = tuple(
+            sp.from_dict(field, nvars, {low[j]: x for j, x in row.items()})
+            for _, row in fieldmod.echelon(field, slice_rows)
+        )
+        # Hermann: f and the generators of degree <= D give cofactors of
+        # degree <= hermann_bound(D, n), so every m*g needed has degree
+        # <= bound + D.
+        top = max(d, top_gen)
+        complete = work_cap >= hermann_bound(top, n) + top
+        return TruncationResult(basis, complete, d, work_cap, _prune_generators(basis))
+
+    return read
+
+
+def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationResult:
+    """A basis of a subspace of (I + relations) intersected with the degree
+    <= d slice: the span of monomial multiples m*g of degree <= cap, cut
+    down by exact row reduction, in reduced echelon form over the monomials
+    of degree <= d in `sp.monomials_up_to` order. One read of
+    `graded_truncation(I, work_cap)`; a caller that asks for several d at
+    one cap reads them from one `graded_truncation`. Complete only when the
+    cap reaches the Hermann bound for the largest degree D of d and the
+    generators, plus D."""
+    if d < 0 or work_cap < d:
+        raise ValueError("need 0 <= d <= work_cap")
+    return graded_truncation(I, work_cap)(d)
 
 
 def _character_kernel(field: ExactField, weights, monos) -> list[SparsePoly]:
@@ -858,16 +970,21 @@ def character_slice_generators(
     return tuple(gens + _character_kernel(field, weights, diag_monos))
 
 
-def presentation_truncation(
-    G: SubgroupPresentation, d: int, work_cap: int
-) -> TruncationResult:
-    """Degree <= d slice of I(G). Exact (complete) when weight data is
-    attached; otherwise the generator-multiple lower bound."""
-    if G.weights is not None:
+def truncation_chain(G: SubgroupPresentation, work_cap: int):
+    """`read(d)`, the degree <= d slice of I(G) for each d: exact (complete)
+    when weight data is attached; otherwise the generator-multiple lower
+    bound, read from one `graded_truncation` of the ideal at `work_cap`.
+    Each d is read once for the life of the chain."""
+    if G.weights is None:
+        return cache(graded_truncation(G.ideal, work_cap))
+
+    @cache
+    def read(d: int) -> TruncationResult:
         basis = character_slice(G.field, G.weights, d)
         gens = character_slice_generators(G.field, G.weights, d)
         return TruncationResult(basis, True, d, work_cap, gens)
-    return truncated_ideal_part(G.ideal, d, work_cap)
+
+    return read
 
 
 # ---------------------------------------------------------------------------

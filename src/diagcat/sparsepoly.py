@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import add
 
 from .field import ExactField
 
@@ -152,7 +153,7 @@ def _product(field: ExactField, a, b) -> dict:
     d: dict = {}
     for e1, c1 in a:
         for e2, c2 in b:
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             s = field.add(d.get(e, z), field.mul(c1, c2))
             if s == z:
                 d.pop(e, None)

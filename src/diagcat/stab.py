@@ -346,10 +346,14 @@ def _as_tuple(A):
 
 
 def group_le_d(
-    G: SubgroupPresentation, d: int, work_cap: int
+    G: SubgroupPresentation, d: int, work_cap: int, chain=None
 ) -> tuple[SubgroupPresentation, TruncationResult]:
-    """The subgroup cut out by the ideal generated by the degree <= d slice."""
-    trunc = la.presentation_truncation(G, d, work_cap)
+    """The subgroup cut out by the ideal generated by the degree <= d slice,
+    read from `chain`, the `la.truncation_chain(G, work_cap)` of a caller
+    that reads several d, or from a chain of its own."""
+    if chain is None:
+        chain = la.truncation_chain(G, work_cap)
+    trunc = chain(d)
     ideal = LaurentIdeal(G.field, G.n, trunc.generators, f"{G.name}<=deg{d}")
     pres = SubgroupPresentation(G.field, G.n, ideal, None, f"{G.name}<=deg{d}")
     return pres, trunc
@@ -380,19 +384,23 @@ class DefiningDegreeResult:
 
 
 def defining_degree(
-    G: SubgroupPresentation, d_max: int, work_cap: int
+    G: SubgroupPresentation, d_max: int, work_cap: int, chain=None
 ) -> DefiningDegreeResult:
     """Smallest d <= d_max with I(G_{<= d}) containing every presented
     generator, certified by membership witnesses; smaller degrees carry
     refutation evidence (definitive when the slice is exact and a point
-    certificate was found)."""
+    certificate was found). Every slice is read from one
+    `la.truncation_chain(G, work_cap)`: `chain`, when the caller reads the
+    slices again afterwards, or one of its own."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     refutations: list[DegreeRefutation] = []
     slices_exact = G.weights is not None
     saw_unknown = False
+    if chain is None:
+        chain = la.truncation_chain(G, work_cap)
     for d in range(d_max + 1):
-        pres, trunc = group_le_d(G, d, work_cap)
+        pres, trunc = group_le_d(G, d, work_cap, chain)
         witnesses, failed = la.all_members(G.ideal.generators, pres.ideal, work_cap)
         if failed is None:
             minimal = slices_exact and all(r.definitive for r in refutations)
@@ -433,15 +441,17 @@ def degrees_equal_check(
     G: SubgroupPresentation, d: int, d_prime: int, work_cap: int
 ) -> DegreesEqualResult:
     """Are the degree-d and degree-d' truncation groups equal? Decided by
-    membership of the d'-slice generators in the ideal of the d-slice."""
+    membership of the d'-slice generators in the ideal of the d-slice; both
+    slices are read from one `la.truncation_chain` of G at `work_cap`."""
     if d < 0:
         raise ValueError("d must be >= 0")
     if d > d_prime:
         raise ValueError("need d <= d'")
     if d == d_prime:
         return DegreesEqualResult("equal", d, d_prime, ())
-    pres_d, _ = group_le_d(G, d, work_cap)
-    _, trunc_hi = group_le_d(G, d_prime, work_cap)
+    chain = la.truncation_chain(G, work_cap)
+    pres_d, _ = group_le_d(G, d, work_cap, chain)
+    trunc_hi = chain(d_prime)
     witnesses, failed = la.all_members(trunc_hi.basis, pres_d.ideal, work_cap)
     if failed is None:
         return DegreesEqualResult("equal", d, d_prime, witnesses)

@@ -8,15 +8,16 @@ from diagcat import field as fm
 from diagcat.diagrep import HomMorphism, make_morphism, weight_slots
 
 
-def dense_rref(field, m):
-    """Reduced row echelon form by dense row operations: (R, pivot_columns)."""
+def dense_rref(field, m, limit=None):
+    """Reduced row echelon form by dense row operations: (R, pivot_columns),
+    pivots only in the columns left of `limit` when one is given."""
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     zero = field.zero()
-    for c in range(cols):
+    for c in range(cols if limit is None else min(cols, limit)):
         piv = None
         for i in range(r, rows):
             if a[i][c] != zero:
@@ -38,9 +39,10 @@ def dense_rref(field, m):
     return a, pivots
 
 
-def dense_echelon(field, rows):
+def dense_echelon(field, rows, limit=None):
     """`field.echelon`'s contract computed by `dense_rref`: sparse rows in,
-    [(pivot_column, {column: value})] out."""
+    [(pivot_column, {column: value})] out, and with a `limit` also the
+    nonzero rows left below the pivot rows as the residual rows."""
     rows = [dict(row) for row in rows]
     cols = max((max(row) + 1 for row in rows if row), default=0)
     zero = field.zero()
@@ -50,11 +52,12 @@ def dense_echelon(field, rows):
         for j, x in row.items():
             line[j] = x
         dense.append(line)
-    red, pivots = dense_rref(field, dense)
-    return [
-        (c, {j: x for j, x in enumerate(line) if x != zero})
-        for c, line in zip(pivots, red)
-    ]
+    red, pivots = dense_rref(field, dense, limit)
+    sparse = [{j: x for j, x in enumerate(line) if x != zero} for line in red]
+    out = list(zip(pivots, sparse))
+    if limit is None:
+        return out
+    return out, [row for row in sparse[len(pivots) :] if row]
 
 
 def morphism_from_dense(field, source, target, dense, tag: str = "") -> HomMorphism:

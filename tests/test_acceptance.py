@@ -213,7 +213,7 @@ def test_criterion_07_coalgebra_and_hopf():
     witnesses = 0
     for name, pres in la.catalog(QQ).items():
         for d in (1, 2):
-            trunc = la.presentation_truncation(pres, d, d + 2)
+            trunc = la.truncation_chain(pres, d + 2)(d)
             ideal = la.LaurentIdeal(pres.field, pres.n, trunc.generators)
             for f in trunc.basis:
                 sf = la.antipode(f)
@@ -336,7 +336,7 @@ def test_criterion_10_truncation_chain():
         dstar = res.degree
         previous = None
         for d in range(dstar + 1):
-            trunc = la.presentation_truncation(pres, d, 6)
+            trunc = la.truncation_chain(pres, 6)(d)
             ideal_d = la.LaurentIdeal(pres.field, pres.n, trunc.generators)
             if previous is not None:
                 # ascending chain of ideals, certified by witnesses
@@ -375,7 +375,7 @@ def test_criterion_11_truncation_groups_on_points():
     pres = la.diagonalizable_image_ideal(F5, weights, "mu4")
     b = dr.irreducible(Z4, weights)
     for d in (1, 2):
-        trunc = la.presentation_truncation(pres, d, d + 2)
+        trunc = la.truncation_chain(pres, d + 2)(d)
         cut_points = set()
         for u in F5.units():
             point = ([[u]], [[F5.inv(u)]])

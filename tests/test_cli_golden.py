@@ -1,7 +1,9 @@
 """Exact stdout and exit code of a fixed set of CLI commands.
 
 `tests/data/cli_golden.json` records, for every command in `CASES`, what
-`diagcat.cli.main` prints and returns. A refactor that claims identical
+`diagcat.cli.main` prints and returns. A `--group-file` path is relative
+to `tests/data`; the weight-stripped GL_2 groups there run the general
+(Macaulay) path of `stab`. A refactor that claims identical
 output must leave this file unchanged; an intended output change rewrites
 it with
 
@@ -25,6 +27,9 @@ CATALOG = (
     "torus-t-t2-gl2", "trivial-gl1",
 )
 
+# catalog groups with their weights stripped, in tests/data/groups
+WEIGHT_FREE = ("diagonal-torus-gl2", "torus-t-t2-gl2")
+
 CASES = [
     ["model", "inspect", "--field", "F5", "--group", "Z/4", "--json"],
     ["model", "inspect", "--field", "F5", "--group", "Z^2", "--json"],
@@ -38,6 +43,11 @@ CASES = [
     *(["stab", "degrees-equal", "--catalog", c, "--field", k,
        "--d", "1", "--dprime", "2", "--json"]
       for k in ("Q", "F101") for c in CATALOG),
+    *(["stab", "defining-degree", "--group-file", f"groups/{g}-{k}.json", "--json"]
+      for k in ("Q", "F101") for g in WEIGHT_FREE),
+    *(["stab", "degrees-equal", "--group-file", f"groups/{g}-{k}.json",
+       "--d", "1", "--dprime", "2", "--json"]
+      for k in ("Q", "F101") for g in WEIGHT_FREE),
     ["paren", "encode", "--pattern", "((( _ _ _ )( _ ))( _ _ ))", "--json"],
     ["paren", "decode", "--bits", "10 10 10 00 00 00 01 10 00 01 01 10 00 00 01 01",
      "--json"],
@@ -50,9 +60,13 @@ CASES = [
 
 
 def _run(argv):
+    args = list(argv)
+    if "--group-file" in args:
+        at = args.index("--group-file") + 1
+        args[at] = str(DATA.parent / args[at])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
+        code = cli.main(args)
     return {"argv": argv, "exit": code, "stdout": out.getvalue()}
 
 

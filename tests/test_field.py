@@ -248,3 +248,34 @@ def test_rational_results_stay_fractions_on_int_input():
     assert x == [Fraction(1, 5), Fraction(2, 5)] and fractions_only(x)
     basis = fm.kernel(QQ, [[3, 1, 2]])
     assert len(basis) == 2 and fractions_only(x for v in basis for x in v)
+
+
+@pytest.mark.parametrize("field", [ExactField(5), QQ], ids=str)
+def test_limited_echelon_solves_each_right_hand_side(field):
+    """Seeded systems A x = b_t with several right-hand sides after a pivot
+    limit: the pivot rows left of the limit are A's reduced form, and each
+    b_t gets the answer `solve_echelon` gives it alone, None included."""
+    rng = random.Random(23)
+    entries = [0, 0, 0, 1, -1, 2, 3] + ([Fraction(1, 2)] if field.p is None else [])
+    answers = set()
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 6)
+        a = [[field.of(rng.choice(entries)) for _ in range(cols)] for _ in range(rows)]
+        bs = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:  # consistent: b = A x
+                x = [field.of(rng.choice(entries)) for _ in range(cols)]
+                bs.append(mat_vec(field, a, x))
+            else:
+                bs.append([field.of(rng.choice(entries)) for _ in range(rows)])
+        wide = _as_dict_rows(field, [row + [b[i] for b in bs] for i, row in enumerate(a)])
+        red, residual = fm.echelon(field, wide, cols)
+        left = [(c, {k: v for k, v in row.items() if k < cols}) for c, row in red]
+        assert left == fm.echelon(field, _as_dict_rows(field, a))
+        assert all(residual) and all(min(row) >= cols for row in residual)
+        for t, b in enumerate(bs):
+            alone = _as_dict_rows(field, [row + [b[i]] for i, row in enumerate(a)])
+            want = fm.solve_echelon(field, fm.echelon(field, alone), cols)
+            assert fm.solve_echelon(field, red, cols, cols + t, residual) == want
+            answers.add(want is None)
+    assert answers == {True, False}

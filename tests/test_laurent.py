@@ -179,7 +179,7 @@ def test_membership_negative_definitive():
 
 def test_membership_in_truncation_of_t_t2():
     tt2 = la.catalog(QQ)["torus-t-t2-gl2"]
-    trunc = la.presentation_truncation(tt2, 2, 4)
+    trunc = la.truncation_chain(tt2, 4)(2)
     ideal = la.LaurentIdeal(QQ, 2, trunc.generators)
     f = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
     res = la.ideal_membership_ascending(f, ideal, 4)
@@ -775,7 +775,7 @@ def test_partial_elimination_matches_full_ring(field):
             new_cap = ref_cap = None
             for cap in range(max_cap + 1):
                 res = la.ideal_membership(f, I, cap)
-                ref_member = la._solve_cofactors(field, full, f, cap) is not None
+                ref_member = la._solve_cofactors(field, full, [f], cap)[0] is not None
                 if res.is_member:
                     assert la.verify_membership_witness(f, res)
                     new_cap = cap if new_cap is None else new_cap
@@ -841,3 +841,141 @@ def test_ladder_reduces_the_ideal_once(monkeypatch):
     assert res.status == "not_member_up_to" and res.cap == 4
     info = la._reduction.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+
+
+def _conjugated(I, g, ginv):
+    """I moved by Z -> g^-1 Z g, W -> g^-1 W g: an automorphism of k[Z, W]
+    that keeps degrees and fixes the relation ideal."""
+    F, n = I.field, I.n
+    ring = fm.PolyRing(la.lau_zero(F, n), la.lau_const(F, n, 1))
+
+    def lift(m):
+        return [[la.lau_const(F, n, x) for x in row] for row in m]
+
+    images = []
+    for var in (la.z_var, la.w_var):
+        v = [[var(F, n, i, j) for j in range(n)] for i in range(n)]
+        moved = fm.mat_mul(ring, fm.mat_mul(ring, lift(ginv), v), lift(g))
+        images += [x for row in moved for x in row]
+    gens = tuple(h.substitute(images) for h in I.generators)
+    return la.LaurentIdeal(F, n, gens, I.name + "^g")
+
+
+def _weight_free_ideals(field):
+    """The two GL_2 catalog ideals, weights stripped, each also conjugated
+    by [[1,1],[0,1]], so that no generator is a single variable."""
+    g, ginv = [[1, 1], [0, 1]], [[1, -1], [0, 1]]
+    for name in ("torus-t-t2-gl2", "diagonal-torus-gl2"):
+        I = la.catalog(field)[name].ideal
+        yield I
+        yield _conjugated(I, [[field.of(x) for x in r] for r in g],
+                          [[field.of(x) for x in r] for r in ginv])
+
+
+@pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
+def test_graded_truncation_matches_reference_at_every_degree(field):
+    """One graded elimination gives, at every d <= cap and in any reading
+    order, the basis and pruned generators of the full-ring reference."""
+    rng = random.Random(3)
+    cap = 3
+    for I in _weight_free_ideals(field):
+        read = la.graded_truncation(I, cap)
+        order = list(range(cap + 1))
+        rng.shuffle(order)
+        for d in order + order[:1]:
+            got, want = read(d), reference_truncation(I, d, cap)
+            assert got.basis == want.basis, (I.name, d)
+            assert got.generators == want.generators, (I.name, d)
+            assert repr(got) == repr(want)
+        with pytest.raises(ValueError):
+            read(cap + 1)
+
+
+def _members_cases(field):
+    """(ideal, targets) for `all_members`: the weight-stripped
+    torus-t-t2-gl2 ideal with targets that are zero, members at caps 0, 1
+    and 2, refuted by a point (Z[1,1] - 1), and over the work budget at
+    every cap (a member of degree 200), in lists that fail first, in the
+    middle and not at all."""
+    I = la.catalog(field)["torus-t-t2-gl2"].ideal
+
+    def el(text):
+        return la.parse_element(field, 2, text)
+
+    zero = la.lau_zero(field, 2)
+    cap0 = [el("Z[1,1]^2 - Z[2,2]"), el("Z[1,2]"), el("Z[1,1]*W[1,1] - 1")]
+    cap1 = [el("Z[1,1]^3 - Z[1,1]*Z[2,2]"), el("W[2,2]*Z[1,1]^2 - 1")]
+    cap2 = [el("Z[1,1]^4 - Z[2,2]^2")]
+    refuted = el("Z[1,1] - 1")
+    big = el("Z[1,1]^200 - Z[1,1]^198*Z[2,2]")
+    lists = [
+        [zero, *cap0, *cap1, zero, *cap2, refuted, *cap1],
+        [*cap2, *cap0, big, *cap1],
+        [refuted, *cap0, *cap2],
+        [*cap1, zero, *cap2, *cap0, *cap1],
+        [big, *cap0],
+    ]
+    return I, lists
+
+
+@pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
+def test_all_members_matches_separate_ladders(field):
+    """The shared solves of `all_members` give each target the answer of
+    its own ladder, cofactor for cofactor: the same as one
+    `ideal_membership_ascending` per target and, but for the cap of a
+    definitive negative, as the reference ladder."""
+    I, lists = _members_cases(field)
+    outcomes = set()
+    for fs in lists:
+        for max_cap in range(4):
+            witnesses, failure = la.all_members(fs, I, max_cap)
+            got = [res for _, res in witnesses] + ([failure[1]] if failure else [])
+            scan, ref_scan = la.PointScan(I), la.PointScan(I)
+            for f, res in zip(fs, got):
+                want = la.ideal_membership_ascending(f, I, max_cap, scan)
+                ref = reference_ascending(f, I, max_cap, ref_scan)
+                case = (max_cap, la.format_element(f))
+                assert res == want, case
+                assert (res.status, res.definitive, res.cofactors, res.refutation_point) == (
+                    ref.status, ref.definitive, ref.cofactors, ref.refutation_point
+                ), case
+                if res.is_member:
+                    assert la.verify_membership_witness(f, res)
+                outcomes.add((res.status, res.cap if res.is_member else res.definitive))
+            if failure is None:
+                assert len(got) == len(fs)
+            else:
+                assert failure[0] is fs[len(got) - 1]
+    assert {("member", 0), ("member", 1), ("member", 2)} <= outcomes
+    assert {("not_member_up_to", True), ("unknown", False)} <= outcomes
+
+
+def test_all_members_builds_nothing_over_budget(monkeypatch):
+    """A cap at which every target is over the work budget builds no
+    matrix, and neither does one at which the target whose turn it is is
+    over it, though a later target is within it."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(la, "_solve_cofactors", counted("solve", la._solve_cofactors))
+    monkeypatch.setattr(fm, "echelon", counted("echelon", fm.echelon))
+    monkeypatch.setattr(la, "find_refutation_point", lambda *args: None)
+    I = la.catalog(QQ)["torus-t-t2-gl2"].ideal
+    big = [
+        la.parse_element(QQ, 2, "Z[1,1]^200 - Z[1,1]^198*Z[2,2]"),
+        la.parse_element(QQ, 2, "Z[1,1]^201 - Z[1,1]^199*Z[2,2]"),
+    ]
+    small = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
+    for fs in (big, [big[0], small]):
+        witnesses, (f, res) = la.all_members(fs, I, 2)
+        assert witnesses == () and f is big[0] and res.status == "unknown"
+    assert calls == []
+    witnesses, failure = la.all_members([small, *big], I, 0)
+    assert failure[0] is big[0] and failure[1].status == "unknown"
+    assert calls == ["solve", "echelon"]

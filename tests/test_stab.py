@@ -343,3 +343,28 @@ def test_general_path_torus_at_cap_6(p):
     res = stab.defining_degree(_weights_stripped(ExactField(p), "torus-t-t2-gl2"), 3, 6)
     assert res.status == "found" and res.degree == 2
     assert res.witness_ok()
+
+
+def test_general_path_eliminates_once_per_call(monkeypatch):
+    """`defining_degree` and `degrees_equal_check` read all their slices
+    from one graded elimination, and a chain passed in is read again
+    afterwards without a further elimination."""
+    built = []
+    graded = la.graded_truncation
+
+    def counted(*args):
+        built.append(args)
+        return graded(*args)
+
+    monkeypatch.setattr(la, "graded_truncation", counted)
+    bare = _weights_stripped(ExactField(101), "torus-t-t2-gl2")
+    res = stab.defining_degree(bare, 3, 4)
+    assert res.degree == 2 and len(res.refutations) == 2 and len(built) == 1
+    assert stab.degrees_equal_check(bare, 1, 2, 4).status == "not_equal"
+    assert len(built) == 2
+    want = [la.truncated_ideal_part(bare.ideal, d, 4) for d in range(3)]
+    chain = la.truncation_chain(bare, 4)
+    res = stab.defining_degree(bare, 3, 4, chain)
+    assert len(built) == 6
+    monkeypatch.setattr(fm, "echelon", None)  # a further elimination raises
+    assert [chain(d) for d in range(res.degree + 1)] == want
