@@ -50,9 +50,17 @@ def _load_group_file(path: str) -> laurent.SubgroupPresentation:
             raise UsageError(f"group file {path} has no {key!r}")
     field = parse_field(data["field"])
     n = int(data["n"])
-    gens = tuple(
-        laurent.parse_element(field, n, g) for g in data.get("generators", [])
-    )
+    texts = data.get("generators", [])
+    gens = tuple(laurent.parse_element(field, n, g) for g in texts)
+    # a subgroup contains the identity: every generator vanishes at (I, I)
+    eye = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    for text, g in zip(texts, gens):
+        value = laurent.evaluate_at_point(g, eye, eye)
+        if value != field.zero():
+            raise UsageError(
+                f"group file {path}: generator {text!r} is {value} at the "
+                "identity, so its zero set is not a subgroup"
+            )
     weights = None
     if "weights" in data and data["weights"] is not None:
         group = abelian.parse_group(data["weights"]["group"])

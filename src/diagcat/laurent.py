@@ -46,7 +46,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import add
 
 from . import sparsepoly as sp
@@ -278,10 +278,18 @@ def relation_generators(field: ExactField, n: int) -> tuple[SparsePoly, ...]:
     )
 
 
-def hermann_bound(d: int, n: int) -> int:
-    """Cofactor degree bound (2d)^(2^v) with v = 2n^2 ring variables."""
-    v = 2 * n * n
-    return (2 * max(d, 1)) ** (2**v)
+def _reaches_hermann_bound(work_cap: int, d: int, n: int) -> bool:
+    """work_cap >= B + d for Hermann's cofactor degree bound
+    B = (2 max(d, 1))^(2^v), v = 2n^2 ring variables, decided without
+    building B: the base is squared at most v times, and the test fails as
+    soon as a square exceeds work_cap - d (every later one is larger)."""
+    limit = work_cap - d
+    power = 2 * max(d, 1)
+    for _ in range(2 * n * n):
+        if power > limit:
+            return False
+        power *= power
+    return power <= limit
 
 
 @dataclass(frozen=True)
@@ -462,15 +470,23 @@ def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     relation ideal: `member` with expandable witnesses, `not_member_up_to`
     (never definitive) or `unknown` when the solve is over the work budget.
     The solve of `_capped_solves` with f alone."""
-    return _capped_solves([f], I, cap)[0]
+    return _read(_capped_solves([f], I, cap)[0])
+
+
+def _read(result) -> MembershipResult:
+    """An entry of `_capped_solves` as its MembershipResult: a deferred
+    witness lift is run here."""
+    return result() if callable(result) else result
 
 
 def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
     """The `_capped_solve` of fs[0], and of the other fs from the same
-    elimination when fs[0] takes one: one result per f, in order, and None
+    elimination when fs[0] takes one: one entry per f, in order, and None
     for a later f that fs[0] carried no solve for (fs[0] is zero or over the
     work budget). Each f keeps its own work-budget test, and no matrix is
-    built when no f needs one.
+    built when no f needs one. An f the solve shows a member gets, in place
+    of its result, the call that lifts and re-verifies its witness, so that
+    only the witnesses someone reads are lifted (`_read`).
 
     The generators come reduced into the variables that I's single-variable
     generators leave (`_reduction`), repeated reductions are dropped, and one
@@ -510,17 +526,18 @@ def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
         return results[:1] + [None] * (len(fs) - 1)
     targets = [_eliminate(fs[k], kept) for k in todo]
     for k, cofs in zip(todo, _solve_cofactors(field, reduced, targets, cap)):
-        results[k] = _lift_witness(fs[k], cap, cofs, gens, eliminated, kept)
+        if cofs is None:
+            results[k] = MembershipResult("not_member_up_to", cap)
+        else:
+            results[k] = partial(_lift_witness, fs[k], cap, cofs, gens, eliminated, kept)
     return results
 
 
 def _lift_witness(f, cap, cofs, gens, eliminated, kept) -> MembershipResult:
-    """The result of one solve in the kept variables (`_capped_solves`):
-    `not_member_up_to` without cofactors, else `member` with the cofactors
-    embedded in k[Z, W] and the remainder assigned to the eliminated
-    generators; the lifted witness must re-verify."""
-    if cofs is None:
-        return MembershipResult("not_member_up_to", cap)
+    """The `member` result of one solve in the kept variables
+    (`_capped_solves`): the cofactors embedded in k[Z, W] and the remainder
+    assigned to the eliminated generators; the lifted witness must
+    re-verify."""
     field, nvars = f.field, f.nvars
     pairs = [
         (g, _embed(h, kept, nvars)) for g, h in zip(gens, cofs) if not h.is_zero()
@@ -601,11 +618,12 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
     The first f that needs the solve at a cap gets it in one elimination
     with every later f not yet a member at a lower cap, each with its own
     right-hand side (`_capped_solves`); the later f read their answers from
-    it. The answers are those of separate `_capped_solve` calls, and the
-    solves live and die with this call."""
+    it, and a witness is lifted only when its f reads it. The answers are
+    those of separate `_capped_solve` calls, and the solves live and die
+    with this call."""
     fs = tuple(fs)
     scan = PointScan(I)
-    solved: dict[int, dict[int, MembershipResult]] = {}  # cap -> {k: result}
+    solved: dict[int, dict] = {}  # cap -> {k: `_capped_solves` entry}
     witnesses = []
     for i, f in enumerate(fs):
 
@@ -617,11 +635,12 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
                     for c, found in solved.items()
                     if c < cap
                     for k, r in found.items()
-                    if r.is_member
+                    if callable(r) or r.is_member
                 }
                 todo = [i] + [k for k in range(i + 1, len(fs)) if k not in done]
                 got = _capped_solves([fs[k] for k in todo], I, cap)
                 at_cap.update((k, r) for k, r in zip(todo, got) if r is not None)
+            at_cap[i] = _read(at_cap[i])
             return at_cap[i]
 
         result = ideal_membership_ascending(f, I, max_cap, scan, solve)
@@ -654,9 +673,27 @@ def _diagonal_point(field: ExactField, entries):
     return g, ginv
 
 
+def _transvections_and_permutations(field: ExactField, n: int):
+    """The elementary transvections I + E_ij (i != j), then the permutation
+    matrices, the identity first, as (g, g^{-1}) pairs: they reach
+    coordinates a diagonal grid cannot refute."""
+    one, zero = field.one(), field.zero()
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            g = [[one if a == b else zero for b in range(n)] for a in range(n)]
+            g[i][j] = one
+            yield g, matrix_inverse_exact(field, g)
+    for perm in itertools.permutations(range(n)):
+        g = [[one if perm[a] == b else zero for b in range(n)] for a in range(n)]
+        yield g, matrix_inverse_exact(field, g)
+
+
 def candidate_points(field: ExactField, n: int):
     """Deterministic stream of invertible matrices (as (g, g^{-1}) pairs):
-    diagonal grids first, then, over small finite fields, all of GL_n."""
+    diagonal grids first, then the transvections and permutation matrices,
+    then, over small finite fields, all of GL_n."""
     if field.is_finite:
         diag_entries = field.units()
     else:
@@ -673,25 +710,7 @@ def candidate_points(field: ExactField, n: int):
         ]
     for diag in itertools.product(diag_entries, repeat=n):
         yield _diagonal_point(field, diag)
-    # elementary transvections and permutation matrices reach coordinates a
-    # diagonal grid cannot refute
-    one = field.one()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            g = [[one if a == b else field.zero() for b in range(n)] for a in range(n)]
-            g[i][j] = one
-            ginv = matrix_inverse_exact(field, g)
-            if ginv is not None:
-                yield g, ginv
-    for perm in itertools.permutations(range(n)):
-        g = [
-            [one if perm[a] == b else field.zero() for b in range(n)]
-            for a in range(n)
-        ]
-        ginv = matrix_inverse_exact(field, g)
-        yield g, ginv
+    yield from _transvections_and_permutations(field, n)
     if field.is_finite and n <= 2 and field.p <= 7:
         elems = field.elements()
         for entries in itertools.product(elems, repeat=n * n):
@@ -701,12 +720,26 @@ def candidate_points(field: ExactField, n: int):
                 yield g, ginv
 
 
+def _scanned_points(field: ExactField, n: int):
+    """The first 3000 points of `candidate_points(field, n)`, then, when the
+    stream runs past them, its transvections and its permutation matrices
+    other than the identity. Over a large field the diagonal grid fills the
+    prefix for n >= 2; the tail gives the scan the points off the diagonal
+    that the stream holds further on."""
+    stream = candidate_points(field, n)
+    yield from itertools.islice(stream, 3000)
+    if next(stream, None) is not None:
+        for g, ginv in _transvections_and_permutations(field, n):
+            if any(g[i][j] for i in range(n) for j in range(n) if i != j):
+                yield g, ginv
+
+
 @lru_cache(maxsize=32)
 def _point_list(field: ExactField, n: int):
-    """The first 3000 points of `candidate_points(field, n)`, as tuples."""
+    """`_scanned_points(field, n)` as tuples."""
     return tuple(
         (tuple(map(tuple, g)), tuple(map(tuple, ginv)))
-        for g, ginv in itertools.islice(candidate_points(field, n), 3000)
+        for g, ginv in _scanned_points(field, n)
     )
 
 
@@ -892,10 +925,8 @@ def graded_truncation(I: LaurentIdeal, work_cap: int):
             for _, row in fieldmod.echelon(field, slice_rows)
         )
         # Hermann: f and the generators of degree <= D give cofactors of
-        # degree <= hermann_bound(D, n), so every m*g needed has degree
-        # <= bound + D.
-        top = max(d, top_gen)
-        complete = work_cap >= hermann_bound(top, n) + top
+        # degree <= B, so every m*g needed has degree <= B + D.
+        complete = _reaches_hermann_bound(work_cap, max(d, top_gen), n)
         return TruncationResult(basis, complete, d, work_cap, _prune_generators(basis))
 
     return read

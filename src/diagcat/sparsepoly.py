@@ -9,7 +9,8 @@ operands from different rings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import add
 
 from .field import ExactField
@@ -192,24 +193,17 @@ def monomial(field: ExactField, nvars: int, exps, c=1) -> SparsePoly:
     return SparsePoly(field, nvars, ((tuple(exps), c),))
 
 
-def monomials_up_to(nvars: int, d: int) -> list[tuple]:
-    """All exponent tuples of total degree <= d, graded then lex."""
-    out: list[tuple] = []
-
-    def rec(prefix, left, vars_left):
-        if vars_left == 1:
-            out.append(prefix + (left,))
-            return
-        for k in range(left + 1):
-            rec(prefix + (k,), left - k, vars_left - 1)
-
-    result = []
+@lru_cache(maxsize=128)
+def monomials_up_to(nvars: int, d: int) -> tuple[tuple, ...]:
+    """All exponent tuples of total degree <= d, graded then lex, as one
+    cached tuple per (nvars, d). The tuples of degree t in nvars >= 1
+    variables are the placements of nvars - 1 bars among t + nvars - 1
+    slots, whose lex order is that of the exponents they give."""
+    if nvars == 0:
+        return ((),) if d >= 0 else ()
+    out = []
     for total in range(d + 1):
-        out = []
-        if nvars == 0:
-            if total == 0:
-                result.append(())
-            continue
-        rec((), total, nvars)
-        result.extend(out)
-    return result
+        end = total + nvars - 1
+        for bars in combinations(range(end), nvars - 1):
+            out.append(tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, end))))
+    return tuple(out)

@@ -369,6 +369,46 @@ def test_group_file_round_trip(tmp_path):
     assert loaded.ideal.generators == pres.ideal.generators
 
 
+@pytest.mark.parametrize(
+    "n, text, value",
+    [(1, "Z[1,1] - 2", "-1"), (2, "Z[1,2]*Z[2,1] + Z[1,1] - 2", "-1"),
+     (2, "Z[1,1]^2 - 4", "-3")],
+)
+def test_group_file_missing_the_identity_exit_2(tmp_path, capsys, n, text, value):
+    """A generator that is nonzero at (I, I) cuts out a set without the
+    identity, which is no subgroup: the file is refused and the generator
+    named. Before this check `Z[1,1] - 2` printed `found 1` with verified
+    witnesses and exited 0."""
+    gens = ["Z[1,2]", text] if n == 2 else [text]
+    group = {"schema": 1, "n": n, "field": "Q", "generators": gens}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(group))
+    code, out, err = run_cli(
+        capsys, "stab", "defining-degree", "--group-file", str(path), "--json"
+    )
+    assert code == 2 and out == ""
+    assert f"generator {text!r} is {value} at the identity" in err
+    assert "Traceback" not in err
+
+
+def test_every_group_file_and_catalog_group_loads(tmp_path):
+    """The identity check refuses none of the shipped group files and none
+    of the catalog groups written out as group files."""
+    from diagcat import laurent as la
+    from diagcat.field import ExactField
+
+    data = Path(__file__).resolve().parent / "data" / "groups"
+    paths = sorted(data.glob("*.json"))
+    assert len(paths) == 4
+    for p in (None, 5, 101):
+        for name, pres in la.catalog(ExactField(p)).items():
+            path = tmp_path / f"{name}-{p}.json"
+            path.write_text(json.dumps(_dump_group_file(pres)))
+            paths.append(path)
+    for path in paths:
+        assert cli._load_group_file(str(path)).name, path
+
+
 def test_model_inspect_limit_bounds_the_work(capsys, monkeypatch):
     """`--limit` stops the fragment enumeration: on Z^2 with coordinates in
     [-2, 2] (25 weights), N = M = 2 has 350 + 625 + 2 * 8125 = 17,225

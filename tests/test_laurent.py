@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -9,7 +12,7 @@ from diagcat.field import ExactField, QQ
 from diagcat.sparsepoly import SparsePoly
 from dense_reference import dense_echelon
 from ladder_reference import reference_ascending
-from truncation_reference import reference_truncation
+from truncation_reference import hermann_bound, reference_truncation
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -412,10 +415,44 @@ def test_balanced_binomials():
 
 
 def test_hermann_bound():
-    assert la.hermann_bound(1, 1) == 2 ** (2**2)
-    assert la.hermann_bound(2, 1) == 4 ** (2**2)
+    assert hermann_bound(1, 1) == 2 ** (2**2)
+    assert hermann_bound(2, 1) == 4 ** (2**2)
     # astronomically large already for n = 2
-    assert la.hermann_bound(1, 2) == 2**256
+    assert hermann_bound(1, 2) == 2**256
+
+
+def test_hermann_test_matches_the_integer_bound():
+    """Repeated squaring decides work_cap >= B + D as the integer B does,
+    on both sides of the edge, for n <= 3 and D <= 3."""
+    checked = 0
+    for n in (1, 2, 3):
+        for d in range(4):
+            edge = hermann_bound(d, n) + d
+            caps = (0, 1, d, 15, 16, 17, 19, 255, 258, 1296, 1299, edge - 1, edge, edge + 1)
+            for cap in caps:
+                want = cap >= edge
+                assert la._reaches_hermann_bound(cap, d, n) == want, (n, d, cap)
+                checked += want
+    assert checked >= 12 * 2
+
+
+def test_gl4_slice_reads_without_the_hermann_integer():
+    """The weight-stripped diagonal torus of GL_4: its Hermann bound has
+    the exponent 2^32, an integer of over 512 MB, yet a degree-1 slice at
+    cap 2 reads in well under a second. The slice is the span of the 24
+    off-diagonal variables, as the exact character slice says."""
+    Z4 = ab.parse_group("Z^4")
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    for field in (QQ, ExactField(101)):
+        weights = [Z4.element(row) for row in units]
+        I = la.diagonalizable_image_ideal(field, weights).ideal
+        start = time.perf_counter()
+        got = la.truncated_ideal_part(I, 1, 2)
+        assert time.perf_counter() - start < 5
+        assert not got.complete and got.d == 1 and got.cap == 2
+        exact = la.character_slice(field, weights, 1)
+        assert sorted(g.terms for g in got.basis) == sorted(g.terms for g in exact)
+        assert len(got.generators) == 24
 
 
 def test_truncation_complete_uses_generator_degree():
@@ -525,11 +562,23 @@ def test_truncation_matches_dense_reference(monkeypatch, p, caps):
     assert [repr(la.truncated_ideal_part(*case)) for case in cases] == sparse
 
 
-def _reference_refutation_point(f, I):
-    """The point scan as one loop: the first stream point where f is nonzero
-    and every generator of I vanishes."""
+def _prefix_point_list(field, n):
+    """`_point_list` as it was before the stream got its tail: the first
+    3000 points of `candidate_points(field, n)`, as tuples."""
+    return tuple(
+        (tuple(map(tuple, g)), tuple(map(tuple, ginv)))
+        for g, ginv in itertools.islice(la.candidate_points(field, n), 3000)
+    )
+
+
+def _reference_refutation_point(f, I, points=None):
+    """The point scan as one loop: the first stream point (of `points`, by
+    default `_point_list`) where f is nonzero and every generator of I
+    vanishes."""
     z = I.field.zero()
-    for g, ginv in la._point_list(I.field, I.n):
+    if points is None:
+        points = la._point_list(I.field, I.n)
+    for g, ginv in points:
         if la.evaluate_at_point(f, g, ginv) == z:
             continue
         if all(la.evaluate_at_point(h, g, ginv) == z for h in I.generators):
@@ -565,6 +614,80 @@ def test_point_scan_matches_reference_loop(field):
     other_scan = la.PointScan(cat["mu3"].ideal)
     with pytest.raises(ValueError):
         la.find_refutation_point(fs[0], cat["mu2"].ideal, other_scan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_list_is_the_stream_prefix_then_its_tail(n):
+    """Over F_101 the first 3000 points are the stream's, and only a stream
+    that runs past them gets a tail; over Q, F_5 and F_7 the stream is
+    shorter and `_point_list` is all of it."""
+    F101 = ExactField(101)
+    points = la._point_list(F101, n)
+    assert points[:3000] == _prefix_point_list(F101, n)
+    tail = points[3000:]
+    assert len(tail) == (0 if n == 1 else n * (n - 1) + math.factorial(n) - 1)
+    for field in (QQ, F5, ExactField(7)):
+        stream = _prefix_point_list(field, n)
+        assert len(stream) < 3000
+        assert la._point_list(field, n) == stream
+        assert sum(1 for _ in la.candidate_points(field, n)) == len(stream)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tail_points_are_off_the_diagonal_and_invertible(n):
+    """Every tail point (g, g^-1) has an entry off the diagonal and
+    g g^-1 = I; the tail lists n(n-1) transvections, then the n! - 1
+    permutation matrices other than the identity, none twice."""
+    F101 = ExactField(101)
+    tail = la._point_list(F101, n)[3000:]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    for g, ginv in tail:
+        assert any(g[i][j] for i in range(n) for j in range(n) if i != j)
+        assert fm.mat_mul(F101, [list(r) for r in g], [list(r) for r in ginv]) == eye
+    assert len(set(tail)) == len(tail) == n * (n - 1) + math.factorial(n) - 1
+    transvections = tail[: n * (n - 1)]
+    assert all(sum(map(sum, g)) == n + 1 for g, _ in transvections)
+    assert all(sum(map(sum, g)) == n for g, _ in tail[n * (n - 1) :])
+
+
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_tail_keeps_every_prefix_refutation(field):
+    """Wherever the prefix-only stream refutes f, the scan returns that same
+    point; over F_101 the tail refutes some f that the prefix could not."""
+    prefixes = {}
+    new = 0
+    for name, I, fs in _scan_cases(field):
+        prefix = prefixes.setdefault(I.n, _prefix_point_list(field, I.n))
+        scan = la.PointScan(I)
+        for f in fs:
+            want = _reference_refutation_point(f, I, prefix)
+            got = la.find_refutation_point(f, I, scan)
+            if want is not None:
+                assert got == want, (name, I.name)
+            elif got is not None:
+                new += 1
+                assert got in la._point_list(field, I.n)[3000:], (name, I.name)
+    assert (new > 0) == (field.p == 101)
+
+
+def test_off_diagonal_refutation_ends_the_ladder_at_cap_0(monkeypatch):
+    """Z[1,2] against the bare relation ideal of GL_2 over F_101: the
+    transvection I + E_12 refutes it at cap 0, after the one cap-0 solve,
+    and no cap-1 or cap-2 solve in the 8 variables follows."""
+    solves = []
+    solve = la._solve_cofactors
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(la, "_solve_cofactors", counting)
+    F101 = ExactField(101)
+    I = la.LaurentIdeal(F101, 2, ())
+    res = la.ideal_membership_ascending(la.z_var(F101, 2, 0, 1), I, 4)
+    assert len(solves) == 1
+    assert res.status == "not_member_up_to" and res.definitive and res.cap == 0
+    assert res.refutation_point == (((1, 1), (0, 1)), ((1, 100), (0, 1)))
 
 
 def _count_kernel_rows(monkeypatch):
@@ -948,6 +1071,29 @@ def test_all_members_matches_separate_ladders(field):
                 assert failure[0] is fs[len(got) - 1]
     assert {("member", 0), ("member", 1), ("member", 2)} <= outcomes
     assert {("not_member_up_to", True), ("unknown", False)} <= outcomes
+
+
+@pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
+def test_all_members_lifts_only_the_witnesses_it_returns(monkeypatch, field):
+    """A shared solve lifts a later target's witness only when that target's
+    own ladder reads it: one lift per nonzero member returned, none for the
+    targets after the first failure."""
+    lifts = []
+    lift = la._lift_witness
+
+    def counting(f, *args):
+        lifts.append(f)
+        return lift(f, *args)
+
+    monkeypatch.setattr(la, "_lift_witness", counting)
+    I, lists = _members_cases(field)
+    for fs in lists:
+        for max_cap in range(4):
+            del lifts[:]
+            witnesses, failure = la.all_members(fs, I, max_cap)
+            got = [(f, res) for f, res in witnesses] + ([failure] if failure else [])
+            read = [f for f, res in got if res.is_member and not f.is_zero()]
+            assert lifts == read, (max_cap, len(got))
 
 
 def test_all_members_builds_nothing_over_budget(monkeypatch):

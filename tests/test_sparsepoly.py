@@ -95,3 +95,35 @@ def test_monomial_count_is_binomial():
     for v in range(19):
         for d in range(5):
             assert len(sp.monomials_up_to(v, d)) == math.comb(v + d, d)
+
+
+def _reference_monomials_up_to(nvars, d):
+    """The former recursive enumeration: for each total degree in turn,
+    every first exponent from 0 up, then the rest recursively."""
+    out = []
+
+    def rec(prefix, left, vars_left):
+        if vars_left == 1:
+            out.append(prefix + (left,))
+            return
+        for k in range(left + 1):
+            rec(prefix + (k,), left - k, vars_left - 1)
+
+    result = []
+    for total in range(d + 1):
+        out = []
+        if nvars == 0:
+            if total == 0:
+                result.append(())
+            continue
+        rec((), total, nvars)
+        result.extend(out)
+    return result
+
+
+def test_monomials_match_the_recursive_enumeration():
+    for v in range(9):
+        for d in range(-1, 5):
+            got = sp.monomials_up_to(v, d)
+            assert list(got) == _reference_monomials_up_to(v, d), (v, d)
+            assert sp.monomials_up_to(v, d) is got  # one cached tuple

@@ -287,6 +287,24 @@ def test_defining_degrees_catalog():
         assert res.minimality_certified
 
 
+@pytest.mark.parametrize("p", [None, 5, 101])
+def test_catalog_minimality_is_certified(p):
+    """At d_max 3 and cap 4 every catalog group has its minimality
+    certified: each smaller degree refuted by a point. Over F_101 the GL_2
+    groups need the stream's off-diagonal tail for d = 0. The one exception
+    is mu4 over F_5, which is all of GL_1(F_5) (x^4 = 1 on every unit), so
+    no F_5-point can refute its smaller degrees."""
+    for name, G in la.catalog(ExactField(p)).items():
+        res = stab.defining_degree(G, 3, 4)
+        assert res.status == "found" and res.witness_ok(), name
+        if (p, name) == (5, "mu4"):
+            assert not res.minimality_certified
+            assert all(r.point is None for r in res.refutations)
+        else:
+            assert res.minimality_certified, name
+            assert len(res.refutations) == res.degree, name
+
+
 def test_defining_degree_rejects_negative_dmax():
     with pytest.raises(ValueError):
         stab.defining_degree(la.catalog(QQ)["mu2"], -1, 4)

@@ -2,11 +2,18 @@
 read the elimination of single-variable generators, kept as an independent
 reference for the tests: every multiple m*g of degree <= cap in the full
 2n^2-variable ring, multiples of the single-variable generators included,
-reduced by `field.echelon`."""
+reduced by `field.echelon`, and complete by the Hermann bound built as an
+integer."""
 
 from diagcat import field as fieldmod
 from diagcat import laurent as la
 from diagcat import sparsepoly as sp
+
+
+def hermann_bound(d, n):
+    """Cofactor degree bound (2d)^(2^v) with v = 2n^2 ring variables."""
+    v = 2 * n * n
+    return (2 * max(d, 1)) ** (2**v)
 
 
 def reference_truncation(I, d, work_cap):
@@ -43,7 +50,7 @@ def reference_truncation(I, d, work_cap):
         if pivot >= nhigh
     ]
     top = max(d, max(g.degree() for g in gens if not g.is_zero()))
-    complete = work_cap >= la.hermann_bound(top, n) + top
+    complete = work_cap >= hermann_bound(top, n) + top
     return la.TruncationResult(
         tuple(basis), complete, d, work_cap, la._prune_generators(basis)
     )
