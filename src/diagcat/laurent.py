@@ -13,24 +13,25 @@ no generators still has a ring, and checks that its generators lie in it.
 
 Ideals always implicitly contain the relation ideal. A generator that is a
 single variable eliminates it, once per ideal (`_reduction`), for the solve
-and the slice alike. A membership question takes one path: `_capped_solve`
-looks for cofactors of degree <= cap in the other variables, and
-`ideal_membership` gives any other answer than `member` one scan for a
-refutation point, a point of GL_n where the ideal vanishes and f does not.
-`ideal_membership_ascending` runs cap 0 that way, then one solve per larger
-cap, up to the first member or definitive negative. `all_members` asks that
-of several elements with one shared `PointScan`, and one elimination per cap
-for the element whose turn it is and every later one (`_capped_solves`,
-one right-hand side each). The scan tests a fixed
-stream of points in windows of 1, 2, 4, ... points, evaluating each
+and the slice alike. A membership question takes one path. `all_members`
+asks "is every f of fs in I?" with one ladder for all of them: at each cap
+0..max_cap one elimination (`_capped_solves`) looks for cofactors of degree
+<= cap in the other variables for every f not yet decided, each with its
+own right-hand side and its own work-budget test, and after cap 0 the
+non-members are scanned in order for a refutation point, a point of GL_n
+where the ideal vanishes and f does not, through one shared `PointScan`.
+A refuted f or one over the budget ends the ladder for every f after it.
+`ideal_membership_ascending` is that ladder for one f, and
+`ideal_membership` is one solve at one cap plus one scan. The scan tests a
+fixed stream of points in windows of 1, 2, 4, ... points, evaluating each
 polynomial at a whole window at once from per-coordinate columns
 (`SparsePoly.evaluate_columns`); a refutation point is the first point of
 the stream where I vanishes and f does not, whatever the order of the
 generators. `member` carries expandable cofactor witnesses, lifted back to
-k[Z, W]; `not_member_up_to(D)` means no representation with cofactors of
-degree <= D for the generators that are not single variables (definitive
-only beyond the Hermann bound, so the cap is always reported), unless a
-refutation point makes it definitive.
+k[Z, W] only for the answers returned; `not_member_up_to(D)` means no
+representation with cofactors of degree <= D for the generators that are
+not single variables (definitive only beyond the Hermann bound, so the cap
+is always reported), unless a refutation point makes it definitive.
 
 The degree <= d slices of an ideal at one cap come from one graded
 elimination (`graded_truncation`): the multiples m*g are echeloned once with
@@ -46,7 +47,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from operator import add
 
 from . import sparsepoly as sp
@@ -398,8 +399,9 @@ def _embed(p: SparsePoly, kept: list[int], nvars: int) -> SparsePoly:
 def _reduction(I: LaurentIdeal):
     """The elimination of I's single-variable generators, cached and shared
     (k[x]/(x_k : k in E) = k[x_j : j not in E], Cox-Little-O'Shea): {k in E:
-    the first generator x_k}, the kept variables, and (g, r) for each g of I
-    then of the relations with a nonzero reduction r into them, repeats too."""
+    the first generator x_k}, the kept variables, (g, r) for each g of I
+    then of the relations with a nonzero reduction r into them, repeats too,
+    and those pairs again with each repeated r dropped after its first."""
     eliminated: dict[int, SparsePoly] = {}
     for g in I.generators:
         idx = _is_single_variable(g)
@@ -408,7 +410,11 @@ def _reduction(I: LaurentIdeal):
     kept = [k for k in range(2 * I.n * I.n) if k not in eliminated]
     gens = (*I.generators, *relation_generators(I.field, I.n))
     pairs = [(g, _eliminate(g, kept)) for g in gens]
-    return eliminated, kept, [(g, r) for g, r in pairs if not r.is_zero()]
+    reductions = [(g, r) for g, r in pairs if not r.is_zero()]
+    distinct: dict[tuple, tuple] = {}
+    for g, r in reductions:
+        distinct.setdefault(r.terms, (g, r))
+    return eliminated, kept, reductions, list(distinct.values())
 
 
 def _solve_cofactors(field, gens: list[SparsePoly], fs, cap: int):
@@ -465,82 +471,50 @@ def _work_budget(field: ExactField) -> int:
     return 4 * 10**7 if field.p is None else 4 * 10**8
 
 
-def _capped_solve(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
-    """One cofactor solve of f = sum h_i g_i over the generators of I and the
-    relation ideal: `member` with expandable witnesses, `not_member_up_to`
-    (never definitive) or `unknown` when the solve is over the work budget.
-    The solve of `_capped_solves` with f alone."""
-    return _read(_capped_solves([f], I, cap)[0])
-
-
-def _read(result) -> MembershipResult:
-    """An entry of `_capped_solves` as its MembershipResult: a deferred
-    witness lift is run here."""
-    return result() if callable(result) else result
-
-
 def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
-    """The `_capped_solve` of fs[0], and of the other fs from the same
-    elimination when fs[0] takes one: one entry per f, in order, and None
-    for a later f that fs[0] carried no solve for (fs[0] is zero or over the
-    work budget). Each f keeps its own work-budget test, and no matrix is
-    built when no f needs one. An f the solve shows a member gets, in place
-    of its result, the call that lifts and re-verifies its witness, so that
-    only the witnesses someone reads are lifted (`_read`).
+    """One cofactor solve of f = sum h_i g_i, deg h_i <= cap, over the
+    generators of I and the relation ideal, for each f of the longest prefix
+    of fs within the work budget, in order: f's cofactors in the kept
+    variables (`_lift_witness` lifts them), or None when it has none. A zero
+    f gets () and no solve; every other f has its own work-budget test, and
+    the first f over it ends the prefix. One elimination serves the whole
+    prefix, one right-hand side per f, and none is built when the prefix
+    holds no nonzero f. Every f's ring is checked first.
 
     The generators come reduced into the variables that I's single-variable
-    generators leave (`_reduction`), repeated reductions are dropped, and one
-    cofactor solve with deg h_i <= cap runs in the kept variables. A witness
-    is lifted back: each term of the remainder f - sum h_i g_i goes to the
-    generator of its lowest-index eliminated variable, so the cap bounds the
-    cofactors of the generators that are not single variables, and an
-    eliminated generator's cofactor may exceed it."""
+    generators leave (`_reduction`), and repeated reductions are dropped."""
     field, n = I.field, I.n
-    ring = (field, 2 * n * n)
-    if (fs[0].field, fs[0].nvars) != ring:
+    if any((f.field, f.nvars) != (field, 2 * n * n) for f in fs):
         raise ValueError("f is not in the ring of the ideal")
     if cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
-    eliminated, kept, reductions = _reduction(I)
-    gens, reduced, seen = [], [], set()
-    for g, r in reductions:
-        if r.terms not in seen:
-            seen.add(r.terms)
-            gens.append(g)
-            reduced.append(r)
+    _, kept, _, distinct = _reduction(I)
+    reduced = [r for _, r in distinct]
     top = max((r.degree() for r in reduced), default=-1)
-    results: list = [None] * len(fs)
-    todo = []
-    for k, f in enumerate(fs):
-        if (f.field, f.nvars) != ring:
-            continue  # it raises at a solve of its own
-        if f.is_zero():
-            results[k] = MembershipResult("member", cap, ())
-            continue
-        max_deg = max(top, f.degree())
-        if _solve_work_estimate(len(kept), len(reduced), cap, max_deg) > _work_budget(field):
-            results[k] = MembershipResult("unknown", cap)
-        else:
-            todo.append(k)
-    if results[0] is not None:  # fs[0] takes no solve, so none is carried
-        return results[:1] + [None] * (len(fs) - 1)
-    targets = [_eliminate(fs[k], kept) for k in todo]
-    for k, cofs in zip(todo, _solve_cofactors(field, reduced, targets, cap)):
-        if cofs is None:
-            results[k] = MembershipResult("not_member_up_to", cap)
-        else:
-            results[k] = partial(_lift_witness, fs[k], cap, cofs, gens, eliminated, kept)
-    return results
+    size, budget = (len(kept), len(reduced), cap), _work_budget(field)
+    prefix = []
+    for f in fs:
+        if not f.is_zero() and _solve_work_estimate(*size, max(top, f.degree())) > budget:
+            break
+        prefix.append(f)
+    targets = [_eliminate(f, kept) for f in prefix if not f.is_zero()]
+    solved = iter(_solve_cofactors(field, reduced, targets, cap) if targets else ())
+    return [() if f.is_zero() else next(solved) for f in prefix]
 
 
-def _lift_witness(f, cap, cofs, gens, eliminated, kept) -> MembershipResult:
-    """The `member` result of one solve in the kept variables
-    (`_capped_solves`): the cofactors embedded in k[Z, W] and the remainder
-    assigned to the eliminated generators; the lifted witness must
-    re-verify."""
+def _lift_witness(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
+    """The `member` result of f from its cofactors in the kept variables
+    (`_capped_solves`): the cofactors embedded in k[Z, W], and each term of
+    the remainder f - sum h_i g_i assigned to the generator of its
+    lowest-index eliminated variable, so the cap bounds the cofactors of the
+    generators that are not single variables, and an eliminated generator's
+    cofactor may exceed it. The lifted witness must re-verify."""
     field, nvars = f.field, f.nvars
+    eliminated, kept, _, distinct = _reduction(I)
     pairs = [
-        (g, _embed(h, kept, nvars)) for g, h in zip(gens, cofs) if not h.is_zero()
+        (g, _embed(h, kept, nvars))
+        for (g, _), h in zip(distinct, cofs)
+        if not h.is_zero()
     ]
     if not eliminated:
         return MembershipResult("member", cap, tuple(pairs))
@@ -565,88 +539,84 @@ def _lift_witness(f, cap, cofs, gens, eliminated, kept) -> MembershipResult:
     return result
 
 
-def ideal_membership(
-    f: SparsePoly,
-    I: LaurentIdeal,
-    cofactor_degree_cap: int,
-    scan: PointScan | None = None,
-    solve=None,
-) -> MembershipResult:
+def _member(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
+    """The `member` result of an entry `cofs` of `_capped_solves`."""
+    if not cofs:
+        return MembershipResult("member", cap, ())
+    return _lift_witness(f, I, cap, cofs)
+
+
+def ideal_membership(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     """Decide f = sum h_i g_i over the generators of I and the relation
-    ideal by one capped solve (see `_capped_solve`; `solve` stands in for it
-    with the same answers). Any answer other than `member` then gets one
-    `find_refutation_point(f, I, scan)`; a point makes it a definitive
-    `not_member_up_to` at this cap."""
-    result = (solve or _capped_solve)(f, I, cofactor_degree_cap)
-    if result.is_member:
-        return result
-    pt = find_refutation_point(f, I, scan)
-    if pt is None:
-        return result
-    return MembershipResult("not_member_up_to", result.cap, None, pt, True)
+    ideal by one capped solve (`_capped_solves`): `member` with expandable
+    witnesses, `not_member_up_to` or, over the work budget, `unknown`. Any
+    answer other than `member` then gets one `find_refutation_point(f, I)`;
+    a point makes it a definitive `not_member_up_to` at this cap."""
+    solved = _capped_solves([f], I, cap)
+    if solved and solved[0] is not None:
+        return _member(f, I, cap, solved[0])
+    pt = find_refutation_point(f, I)
+    if pt is not None:
+        return MembershipResult("not_member_up_to", cap, None, pt, True)
+    return MembershipResult("not_member_up_to" if solved else "unknown", cap)
 
 
 def ideal_membership_ascending(
-    f: SparsePoly,
-    I: LaurentIdeal,
-    max_cap: int,
-    scan: PointScan | None = None,
-    solve=None,
+    f: SparsePoly, I: LaurentIdeal, max_cap: int
 ) -> MembershipResult:
-    """Cap 0 through `ideal_membership`, which scans for a refutation point
-    once, then one capped solve at each cap 1..max_cap; the first member or
-    definitive negative ends the ladder. Pass a `PointScan` of I as `scan`
-    to share the zero points across calls on the same ideal, and a `solve`
-    in place of `_capped_solve` to share its solves (see `all_members`)."""
-    if max_cap < 0:
-        raise ValueError("cofactor degree cap must be >= 0")
-    solve = solve or _capped_solve
-    result = ideal_membership(f, I, 0, scan, solve)
-    for cap in range(1, max_cap + 1):
-        if result.is_member or result.definitive:
-            break
-        result = solve(f, I, cap)
-    return result
+    """The answer of `all_members` for f alone: a member at the least cap
+    <= max_cap, a negative made definitive at cap 0 by a refutation point,
+    or the answer at max_cap."""
+    witnesses, failure = all_members((f,), I, max_cap)
+    return failure[1] if failure else witnesses[0][1]
 
 
 def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]:
-    """Ascend each f of `fs` in turn against I, sharing one `PointScan` of I
-    and the cofactor solves. Returns the ((f, member result), ...) found
+    """Are all of `fs` members of I? Returns the ((f, member result), ...)
     before the first f not shown a member, and that (f, result), or None
     when every f is a member.
 
-    The first f that needs the solve at a cap gets it in one elimination
-    with every later f not yet a member at a lower cap, each with its own
-    right-hand side (`_capped_solves`); the later f read their answers from
-    it, and a witness is lifted only when its f reads it. The answers are
-    those of separate `_capped_solve` calls, and the solves live and die
-    with this call."""
+    One ladder climbs caps 0..max_cap with every undecided f at once: one
+    `_capped_solves` elimination per cap, and after cap 0 one refutation
+    scan per non-member, in order, through one shared `PointScan` of I, up
+    to the first point found. A refuted f, or one over the work budget
+    (which `_solve_work_estimate` keeps it over at every larger cap), is no
+    member, so no f after it is solved again. Each f gets the answer of its
+    own ladder: a member at its least cap with the cofactors of that solve,
+    a definitive negative at cap 0 with the first point of the stream, or
+    its answer at max_cap (`unknown` over the budget). Only the witnesses
+    returned are lifted, once, at the end."""
     fs = tuple(fs)
+    if max_cap < 0:
+        raise ValueError("cofactor degree cap must be >= 0")
     scan = PointScan(I)
-    solved: dict[int, dict] = {}  # cap -> {k: `_capped_solves` entry}
+    found = {}  # k -> (least cap, cofactors) of a member
+    failed = {}  # k -> the answer of an f refuted or over the budget
+    todo = list(range(len(fs)))  # undecided, in order
+    for cap in range(max_cap + 1):
+        if not todo:
+            break
+        solved = _capped_solves([fs[k] for k in todo], I, cap)
+        over = todo[len(solved) : len(solved) + 1]
+        if over:
+            failed[over[0]] = MembershipResult("unknown", max_cap)
+        for k, cofs in zip(todo, solved):
+            if cofs is not None:
+                found[k] = (cap, cofs)
+        todo = [k for k, cofs in zip(todo, solved) if cofs is None]
+        if cap == 0:
+            for k in todo + over:
+                pt = find_refutation_point(fs[k], I, scan)
+                if pt is not None:
+                    failed[k] = MembershipResult("not_member_up_to", 0, None, pt, True)
+                    todo = [j for j in todo if j < k]
+                    break
     witnesses = []
-    for i, f in enumerate(fs):
-
-        def solve(f, I, cap, i=i):
-            at_cap = solved.setdefault(cap, {})
-            if i not in at_cap:
-                done = {
-                    k
-                    for c, found in solved.items()
-                    if c < cap
-                    for k, r in found.items()
-                    if callable(r) or r.is_member
-                }
-                todo = [i] + [k for k in range(i + 1, len(fs)) if k not in done]
-                got = _capped_solves([fs[k] for k in todo], I, cap)
-                at_cap.update((k, r) for k, r in zip(todo, got) if r is not None)
-            at_cap[i] = _read(at_cap[i])
-            return at_cap[i]
-
-        result = ideal_membership_ascending(f, I, max_cap, scan, solve)
-        if not result.is_member:
-            return tuple(witnesses), (f, result)
-        witnesses.append((f, result))
+    for k, f in enumerate(fs):
+        if k not in found:
+            capped = MembershipResult("not_member_up_to", max_cap)
+            return tuple(witnesses), (f, failed.get(k, capped))
+        witnesses.append((f, _member(f, I, *found[k])))
     return tuple(witnesses), None
 
 
@@ -891,7 +861,7 @@ def graded_truncation(I: LaurentIdeal, work_cap: int):
     field, n = I.field, I.n
     nvars = 2 * n * n
     gens = (*I.generators, *relation_generators(field, n))
-    eliminated, kept, reductions = _reduction(I)
+    eliminated, kept, reductions, _ = _reduction(I)
     monos = sp.monomials_up_to(nvars, work_cap)
     free = [e for e in monos if not any(e[k] for k in eliminated)]
     graded = free[::-1]  # highest degree first

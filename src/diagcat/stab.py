@@ -442,7 +442,10 @@ def degrees_equal_check(
 ) -> DegreesEqualResult:
     """Are the degree-d and degree-d' truncation groups equal? Decided by
     membership of the d'-slice generators in the ideal of the d-slice; both
-    slices are read from one `la.truncation_chain` of G at `work_cap`."""
+    slices are read from one `la.truncation_chain` of G at `work_cap`. A
+    refutation point shows `not_equal` only when the d-slice is complete: a
+    capped slice is a lower bound of the degree <= d part of I(G), so its
+    zero set may hold points outside the degree-d truncation group."""
     if d < 0:
         raise ValueError("d must be >= 0")
     if d > d_prime:
@@ -450,13 +453,13 @@ def degrees_equal_check(
     if d == d_prime:
         return DegreesEqualResult("equal", d, d_prime, ())
     chain = la.truncation_chain(G, work_cap)
-    pres_d, _ = group_le_d(G, d, work_cap, chain)
+    pres_d, trunc_d = group_le_d(G, d, work_cap, chain)
     trunc_hi = chain(d_prime)
     witnesses, failed = la.all_members(trunc_hi.basis, pres_d.ideal, work_cap)
     if failed is None:
         return DegreesEqualResult("equal", d, d_prime, witnesses)
     g, res = failed
-    if res.definitive:
+    if res.definitive and trunc_d.complete:
         return DegreesEqualResult(
             "not_equal", d, d_prime, witnesses, g, res.refutation_point
         )

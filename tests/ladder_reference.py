@@ -8,6 +8,19 @@ found the point; an answer over the work budget is never refuted."""
 from diagcat import laurent as la
 
 
+def _capped_solve(f, I, cap):
+    """One solve of f at `cap`: `member` with its lifted witness,
+    `not_member_up_to`, or `unknown` over the work budget."""
+    solved = la._capped_solves([f], I, cap)
+    if not solved:
+        return la.MembershipResult("unknown", cap)
+    if solved[0] is None:
+        return la.MembershipResult("not_member_up_to", cap)
+    if f.is_zero():
+        return la.MembershipResult("member", cap, ())
+    return la._lift_witness(f, I, cap, solved[0])
+
+
 def reference_ascending(f, I, max_cap, scan=None):
     points = []
 
@@ -17,7 +30,7 @@ def reference_ascending(f, I, max_cap, scan=None):
         return points[0]
 
     def membership(cap):
-        result = la._capped_solve(f, I, cap)
+        result = _capped_solve(f, I, cap)
         if result.status != "not_member_up_to":
             return result
         pt = refute()

@@ -796,7 +796,7 @@ def test_cap0_refutation_ends_the_ladder(monkeypatch, field):
 def test_refutation_covers_an_answer_over_budget():
     I = la.catalog(QQ)["diagonal-torus-gl2"].ideal
     f = la.parse_element(QQ, 2, "Z[1,1]^130 - Z[2,2]")
-    assert la._capped_solve(f, I, 0).status == "unknown"
+    assert la._capped_solves([f], I, 0) == []  # over the work budget
     res = la.ideal_membership(f, I, 0)
     assert res.status == "not_member_up_to" and res.definitive
     g, ginv = res.refutation_point
@@ -812,9 +812,9 @@ def test_ladder_matches_reference_ladder(field):
     outcomes = set()
     for name, I, fs in _scan_cases(field):
         for max_cap in range(4):
-            scan, ref_scan = la.PointScan(I), la.PointScan(I)
+            ref_scan = la.PointScan(I)
             for f in fs:
-                got = la.ideal_membership_ascending(f, I, max_cap, scan)
+                got = la.ideal_membership_ascending(f, I, max_cap)
                 want = reference_ascending(f, I, max_cap, ref_scan)
                 case = (name, I.name, max_cap, la.format_element(f))
                 assert got.status == want.status, case
@@ -1017,9 +1017,10 @@ def test_graded_truncation_matches_reference_at_every_degree(field):
 def _members_cases(field):
     """(ideal, targets) for `all_members`: the weight-stripped
     torus-t-t2-gl2 ideal with targets that are zero, members at caps 0, 1
-    and 2, refuted by a point (Z[1,1] - 1), and over the work budget at
-    every cap (a member of degree 200), in lists that fail first, in the
-    middle and not at all."""
+    and 2, refuted by a point (Z[1,1] - 1), over the work budget at every
+    cap (a member of degree 200), and over it from cap 1 on over Q and
+    from cap 2 on over F_101 (a member of degree 60), in lists that fail
+    first, in the middle and not at all."""
     I = la.catalog(field)["torus-t-t2-gl2"].ideal
 
     def el(text):
@@ -1031,12 +1032,14 @@ def _members_cases(field):
     cap2 = [el("Z[1,1]^4 - Z[2,2]^2")]
     refuted = el("Z[1,1] - 1")
     big = el("Z[1,1]^200 - Z[1,1]^198*Z[2,2]")
+    mid = el("Z[1,1]^60 - Z[1,1]^58*Z[2,2]")
     lists = [
         [zero, *cap0, *cap1, zero, *cap2, refuted, *cap1],
         [*cap2, *cap0, big, *cap1],
         [refuted, *cap0, *cap2],
         [*cap1, zero, *cap2, *cap0, *cap1],
         [big, *cap0],
+        [*cap0, mid, *cap1, *cap2],
     ]
     return I, lists
 
@@ -1045,19 +1048,22 @@ def _members_cases(field):
 def test_all_members_matches_separate_ladders(field):
     """The shared solves of `all_members` give each target the answer of
     its own ladder, cofactor for cofactor: the same as one
-    `ideal_membership_ascending` per target and, but for the cap of a
-    definitive negative, as the reference ladder."""
+    `ideal_membership_ascending` per target, which is the one-target
+    `all_members` call, and, but for the cap of a definitive negative, as
+    the reference ladder."""
     I, lists = _members_cases(field)
     outcomes = set()
     for fs in lists:
         for max_cap in range(4):
             witnesses, failure = la.all_members(fs, I, max_cap)
             got = [res for _, res in witnesses] + ([failure[1]] if failure else [])
-            scan, ref_scan = la.PointScan(I), la.PointScan(I)
+            ref_scan = la.PointScan(I)
             for f, res in zip(fs, got):
-                want = la.ideal_membership_ascending(f, I, max_cap, scan)
+                want = la.ideal_membership_ascending(f, I, max_cap)
                 ref = reference_ascending(f, I, max_cap, ref_scan)
                 case = (max_cap, la.format_element(f))
+                alone, failed = la.all_members([f], I, max_cap)
+                assert want == (failed[1] if failed else alone[0][1]), case
                 assert res == want, case
                 assert (res.status, res.definitive, res.cofactors, res.refutation_point) == (
                     ref.status, ref.definitive, ref.cofactors, ref.refutation_point
@@ -1071,6 +1077,57 @@ def test_all_members_matches_separate_ladders(field):
                 assert failure[0] is fs[len(got) - 1]
     assert {("member", 0), ("member", 1), ("member", 2)} <= outcomes
     assert {("not_member_up_to", True), ("unknown", False)} <= outcomes
+
+
+@pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
+def test_all_members_solves_nothing_behind_a_target_over_budget(monkeypatch, field):
+    """From the cap at which a target goes over the work budget, no target
+    after it reaches `_solve_cofactors`: that target is no member, so the
+    ladder ends with it."""
+    solves = []
+    solve = la._solve_cofactors
+
+    def recording(field, gens, targets, cap):
+        solves.append((cap, targets))
+        return solve(field, gens, targets, cap)
+
+    I, lists = _members_cases(field)
+    kept = la._reduction(I)[1]
+    over_caps = set()
+    monkeypatch.setattr(la, "_solve_cofactors", recording)
+    for fs in lists:
+        for max_cap in range(4):
+            first_over = {}
+            for k, f in enumerate(fs):
+                for c in range(max_cap + 1):
+                    if not la._capped_solves([f], I, c):  # over the budget
+                        first_over[k] = c
+                        break
+            del solves[:]
+            la.all_members(fs, I, max_cap)
+            for k, c in first_over.items():
+                ahead = {la._eliminate(f, kept).terms for f in fs[: k + 1]}
+                behind = {la._eliminate(f, kept).terms for f in fs[k + 1 :]} - ahead
+                for cap, targets in solves:
+                    if cap >= c:
+                        assert not behind & {t.terms for t in targets}, (k, c, cap)
+                over_caps.add(c)
+    assert {0, 1 if field.p is None else 2} <= over_caps
+
+
+def test_all_members_checks_every_ring_before_any_solve(monkeypatch):
+    """A target outside the ideal's ring raises ValueError wherever it
+    stands, even behind a refuted target, before any solve."""
+    calls = []
+    monkeypatch.setattr(la, "_solve_cofactors", lambda *args: calls.append(args))
+    I = la.catalog(QQ)["torus-t-t2-gl2"].ideal
+    refuted = la.parse_element(QQ, 2, "Z[1,1] - 1")
+    member = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
+    for wrong in (la.z_var(QQ, 1, 0, 0), la.z_var(ExactField(101), 2, 0, 0)):
+        for fs in ([wrong, member], [member, refuted, wrong], [refuted, wrong]):
+            with pytest.raises(ValueError):
+                la.all_members(fs, I, 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
