@@ -38,14 +38,14 @@ def main() -> int:
     bound = ax.bounds(args.max_dim, args.max_len)
     ok = True
     for field, group in grid:
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = ax.check_axioms(field, group, bound)
         status = "ok" if report.all_pass else "FAILED"
         ok = ok and report.all_pass
         print(
             f"{str(field):4s} {str(group):12s} N={bound.max_dimension} "
             f"M={bound.max_tensor_length}: {report.passed}/27 "
-            f"({len(report.skipped)} skipped) [{time.time()-t0:.1f}s] {status}"
+            f"({len(report.skipped)} skipped) [{time.perf_counter() - t0:.1f}s] {status}"
         )
         for r in report.failed:
             print(f"    axiom {r.index}: {r.detail}")

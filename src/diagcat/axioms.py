@@ -28,6 +28,10 @@ check call. The only state shared across checks is each model's cached
 canonical hom basis (`FragmentModel.canonical_hom_basis`), filled by the
 default `hom_basis` hook. Check 19 keeps only the hash and pair index of
 each tensor product and recomputes an earlier product when a hash repeats.
+Since no check reads what another wrote, `check_axioms` runs the checks in
+forked workers, one per usable CPU, and reports them in check order. A cache
+that one check fills, such as `canonical_hom_basis`, is then per process: it
+saves work within a process and is never a channel between checks.
 
 Checks that sample morphisms walk the nonzero hom spaces between class
 representatives in row-major order (`_nonzero_homs`) and stop at a fixed
@@ -37,9 +41,12 @@ and 200 for check 9's faithfulness; check 9's detail names the count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -1134,8 +1141,111 @@ def check_axioms(
 ) -> AxiomReport:
     if model is None:
         model = FragmentModel(field, group, bound)
-    results = tuple(chk(model) for chk in AXIOM_CHECKS)
-    return AxiomReport(field, group, bound, results)
+    return AxiomReport(field, group, bound, _run_checks(model))
+
+
+# ---------------------------------------------------------------------------
+# Running the checks on every usable core
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_checks(model: FragmentModel) -> tuple[AxiomResult, ...]:
+    """The results of AXIOM_CHECKS on `model`, in check order.
+
+    The checks share no state, so they run in the parent and in forked
+    children, which pull check indices from one pipe in index order. A check
+    whose result does not come back (it raised, its result would not pickle,
+    or its child died) is run again here, in check order, so the first check
+    that raises raises in the caller as it would serially. Without `os.fork`,
+    on one usable CPU, or while other threads are alive (a fork is unsafe
+    then) every check runs here, one after another."""
+    checks = list(AXIOM_CHECKS)
+    workers = min(_usable_cpus(), len(checks))
+    done: dict[int, AxiomResult] = {}
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        done = _run_forked(model, checks, workers - 1)
+    return tuple(
+        done[i] if i in done else chk(model) for i, chk in enumerate(checks)
+    )
+
+
+def _run_forked(model, checks, children: int) -> dict[int, AxiomResult]:
+    """Fork up to `children` workers; run checks here too until the queue is
+    empty; return every result that came back, by check index."""
+    import pickle
+
+    queue, handout = os.pipe()
+    os.write(handout, bytes(range(len(checks))))
+    os.close(handout)
+    forked: list = []  # (pid, reader of that child's results)
+    try:
+        for _ in range(children):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(queue, w, model, checks)
+            os.close(w)
+            forked.append((pid, open(r, "rb")))
+        done = _pull(queue, model, checks)
+        for _, reader in forked:
+            # a child that died wrote nothing, or a cut pickle
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                done.update(pickle.loads(reader.read()))
+        return done
+    except BaseException:
+        import signal
+
+        for pid, _ in forked:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, reader in forked:
+            reader.close()
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _pull(queue: int, model, checks) -> dict[int, AxiomResult]:
+    """Run the checks whose indices this process reads from `queue`, one
+    byte at a time until EOF; a check that raises is left out."""
+    done = {}
+    while index := os.read(queue, 1):
+        i = index[0]
+        try:
+            done[i] = checks[i](model)
+        except Exception:
+            continue
+    return done
+
+
+def _child(queue: int, out: int, model, checks):
+    """A forked worker: pickle the results that pickle to `out`, then leave
+    without running the parent's exit handlers."""
+    try:
+        import pickle
+
+        sent = {}
+        for i, result in _pull(queue, model, checks).items():
+            try:
+                pickle.dumps(result)
+            except Exception:
+                continue
+            sent[i] = result
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(sent))
+    finally:
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------

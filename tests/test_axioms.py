@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import itertools
+import os
+import threading
 
 import pytest
 from axioms_reference import REFERENCE_CHECKS
@@ -379,3 +382,172 @@ def test_faithfulness_bound_is_the_first_200_pairs(k, status):
     assert result.status == status
     if status == "fail":
         assert result.witness == {"source": str(planted[0]), "target": str(planted[1])}
+
+
+# ---------------------------------------------------------------------------
+# The runner: checks in forked workers give the serial report
+
+
+def _report(field, group, model, cpus):
+    """`check_axioms` on `model` with the runner's CPU count set to `cpus`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ax, "_usable_cpus", lambda: cpus)
+        return ax.check_axioms(field, group, model.bound, model)
+
+
+@functools.cache
+def _serial_report(field, group, corruption):
+    """The serial report on `_corrupted_model`, computed once per argument
+    triple: the checks are deterministic and no test alters a report."""
+    return _report(field, group, _corrupted_model(field, group, corruption), 1)
+
+
+def _assert_no_children():
+    """No child of this process is running or left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls to `os.fork`, which still forks."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field, group", [(F5, Z4), (F3, Z2)], ids=["F5-Z4", "F3-Z2"])
+def test_each_check_alone_gives_its_result_in_the_run(field, group):
+    """No state shared across checks changes a result: each check, run alone
+    on a fresh model, gives the result it gives after all the checks before
+    it in one serial run, on the canonical model and under every mutation."""
+    for corruption in [None, *ax.MUTATIONS]:
+        alone = tuple(
+            chk(_corrupted_model(field, group, corruption)) for chk in ax.AXIOM_CHECKS
+        )
+        assert alone == _serial_report(field, group, corruption).results, corruption
+
+
+@pytest.mark.parametrize(
+    "field, group, corruption",
+    [(F5, Z4, c) for c in [None, *ax.MUTATIONS]]
+    + [(F3, Z2, c) for c in HOOK_CORRUPTIONS],
+    ids=[f"F5-Z4-{c}" for c in ["canonical", *ax.MUTATIONS]]
+    + [f"F3-Z2-{c}" for c in HOOK_CORRUPTIONS],
+)
+def test_parallel_report_is_the_serial_report(field, group, corruption, forks):
+    model = _corrupted_model(field, group, corruption)
+    report = _report(field, group, model, 3)
+    assert len(forks) == 2
+    assert report.to_json() == _serial_report(field, group, corruption).to_json()
+    _assert_no_children()
+
+
+def _in_children_only(how):
+    """The checks, each spoiling its result when run in a forked child: the
+    child dies, raises, or returns a result that does not pickle."""
+    parent = os.getpid()
+
+    def spoil(chk):
+        def run(model):
+            result = chk(model)
+            if os.getpid() == parent:
+                return result
+            if how == "dies":
+                os._exit(3)
+            if how == "raises":
+                raise RuntimeError("raised in a child")
+            return dataclasses.replace(result, witness={"lock": threading.Lock()})
+
+        return run
+
+    return [spoil(chk) for chk in ax.AXIOM_CHECKS]
+
+
+@pytest.mark.parametrize("how", ["dies", "raises", "unpicklable"])
+def test_results_lost_in_children_are_recomputed(monkeypatch, forks, how):
+    """A check whose result does not come back from a child runs again in
+    the caller, so the report is the serial one."""
+    monkeypatch.setattr(ax, "AXIOM_CHECKS", _in_children_only(how))
+    report = _report(F3, Z2, ax.FragmentModel(F3, Z2, ax.bounds(2, 2)), 3)
+    assert len(forks) == 2
+    assert report.to_json() == _serial_report(F3, Z2, None).to_json()
+    _assert_no_children()
+
+
+def _raising(message):
+    def hook(m, *args):
+        raise RuntimeError(message)
+
+    return hook
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "parallel"])
+def test_first_raising_check_raises_in_the_caller(forks, cpus):
+    """With checks 18 and 25 both raising, check 18's exception reaches the
+    caller, whichever worker ran either check."""
+    model = ax.FragmentModel(F3, Z2, ax.bounds(2, 2))
+    model.override("braiding_morphism", _raising("no braiding"))
+    model.override("kernel_data", _raising("no kernels"))
+    with pytest.raises(RuntimeError, match="^no braiding$"):
+        _report(F3, Z2, model, cpus)
+    assert len(forks) == cpus - 1
+    _assert_no_children()
+
+
+@pytest.fixture
+def refused_forks(monkeypatch):
+    """The calls to `os.fork`, each refused as when out of processes."""
+    calls = []
+
+    def refuse():
+        calls.append(os.getpid())
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(ax, "_usable_cpus", lambda: 2)
+    return calls
+
+
+def test_live_threads_keep_every_check_in_process(refused_forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = ax.check_axioms(F3, Z2, ax.bounds(2, 2))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.to_json() == _serial_report(F3, Z2, None).to_json()
+    assert refused_forks == []
+
+
+def test_refused_fork_runs_every_check_in_process(refused_forks):
+    report = ax.check_axioms(F3, Z2, ax.bounds(2, 2))
+    assert report.to_json() == _serial_report(F3, Z2, None).to_json()
+    assert len(refused_forks) == 1
+    _assert_no_children()
+
+
+def test_no_fork_runs_every_check_in_process(monkeypatch):
+    monkeypatch.setattr(ax, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    report = ax.check_axioms(F3, Z2, ax.bounds(2, 2))
+    assert report.to_json() == _serial_report(F3, Z2, None).to_json()
+
+
+@pytest.mark.parametrize("cpus, children", [(1, []), (2, [1]), (4, [3]), (64, [26])])
+def test_workers_are_capped_by_cpus_and_checks(monkeypatch, cpus, children):
+    """The parent and one child per further usable CPU, 27 workers at most."""
+    asked = []
+    monkeypatch.setattr(ax, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ax, "_run_forked", lambda model, checks, n: asked.append(n) or {})
+    assert ax.check_axioms(F3, Z2, ax.bounds(1, 1)).all_pass
+    assert asked == children
