@@ -16,9 +16,13 @@ a pass and never an error. Axiom 22 is the one existential checked by search:
 when the unit embedding it is given fails, it looks for v -> u0 (x) v in the
 span of the hom space.
 
-Each axiom reads the model through a dedicated hook, so a corrupted model
-(see MUTATIONS) flips exactly the axiom whose interpretation it damages, and
-every reported counterexample re-verifies against the hooks.
+The model is a many-sorted structure given by its signature: `SIGNATURE`
+maps each function and relation symbol to its canonical interpretation, and
+every check reads a symbol through the model's hook of that name, which calls
+the model's interpretation of it. A corrupted model (see MUTATIONS)
+reinterprets one symbol, so it flips exactly the axiom that the damaged
+interpretation falsifies, and every reported counterexample re-verifies
+against the hooks.
 
 A check evaluates each hook term once per assignment. A term that several
 comparisons read (a scaled vector, a sum, a tensor of two vectors, a hom
@@ -26,12 +30,13 @@ basis and its matrices) comes from a table keyed by field scalar, list index
 or object pair. Such a table is a `functools.cache` closure local to one
 check call. The only state shared across checks is each model's cached
 canonical hom basis (`FragmentModel.canonical_hom_basis`), filled by the
-default `hom_basis` hook. Check 19 keeps only the hash and pair index of
-each tensor product and recomputes an earlier product when a hash repeats.
-Since no check reads what another wrote, `check_axioms` runs the checks in
-forked workers, one per usable CPU, and reports them in check order. A cache
-that one check fills, such as `canonical_hom_basis`, is then per process: it
-saves work within a process and is never a channel between checks.
+canonical interpretation of `hom_basis`. Check 19 keeps only the hash and
+pair index of each tensor product and recomputes an earlier product when a
+hash repeats. Since no check reads what another wrote, `check_axioms` runs
+the checks in forked workers, one per usable CPU, and reports them in check
+order. A cache that one check fills, such as `canonical_hom_basis`, is then
+per process: it saves work within a process and is never a channel between
+checks.
 
 Checks that sample morphisms walk the nonzero hom spaces between class
 representatives in row-major order (`_nonzero_homs`) and stop at a fixed
@@ -134,8 +139,9 @@ class AxiomReport:
 
 
 class FragmentModel:
-    """The canonical model restricted to a fragment, presented through hooks
-    that corrupted variants may override."""
+    """The canonical model restricted to a fragment. Each symbol of
+    `SIGNATURE` is a method of the same name that reads the symbol's
+    interpretation through `_call`; `override` reinterprets one symbol."""
 
     def __init__(self, field: ExactField, group: FgAbelianGroup, bound: FragmentBound):
         if not field.is_finite:
@@ -145,29 +151,21 @@ class FragmentModel:
         self.field = field
         self.group = group
         self.bound = bound
-        self.overrides: dict = {}
+        self.interpretation: dict[str, Callable] = dict(SIGNATURE)
         # the canonical Hom(b, c) basis, built once per pair for every check;
         # closes over `field`, not `self`, so the model holds no cycle
         self.canonical_hom_basis = functools.cache(
             lambda b, c: list(dr.hom_space(field, b, c).basis)
         )
 
-    def override(self, name: str, fn):
-        self.overrides[name] = fn
+    def override(self, symbol: str, interpretation: Callable):
+        """Interpret `symbol` as `interpretation(model, *args)`."""
+        if symbol not in SIGNATURE:
+            raise ValueError(f"{symbol!r} is not a symbol of the signature")
+        self.interpretation[symbol] = interpretation
 
-    def _call(self, name, default, *args):
-        fn = self.overrides.get(name)
-        if fn is not None:
-            return fn(self, *args)
-        return default(*args)
-
-    # -- enumeration ------------------------------------------------------
-
-    def irreducible_objects(self, n: int) -> list[BaseObject]:
-        def default(n):
-            return [dr.make_irreducible(ms) for ms in dr.enumerate_multisets(self.group, n)]
-
-        return self._call("irreducible_objects", default, n)
+    def _call(self, symbol, *args):
+        return self.interpretation[symbol](self, *args)
 
     def all_objects(self) -> list[BaseObject]:
         return list(dr.tensor_words(
@@ -186,124 +184,68 @@ class FragmentModel:
                 seen[key] = b
         return list(seen.values())
 
-    # -- vector interpretation --------------------------------------------
 
-    def sample_vector(self, b: BaseObject):
-        return self._call(
-            "sample_vector", lambda b: dr.basis_vector(self.field, b, 0), b
-        )
+def _independent(m, vs) -> bool:
+    """The canonical independence relation: a nonempty family of one fiber
+    whose coordinate rows have full rank."""
+    if not vs or any(v.obj != vs[0].obj for v in vs):
+        return False
+    return fieldmod.rank(m.field, [list(v.coeffs) for v in vs]) == len(vs)
 
-    def zero_vectors(self, b: BaseObject) -> list[ModelVector]:
-        return self._call(
-            "zero_vectors", lambda b: [dr.zero_vector(self.field, b)], b
-        )
 
-    def vector_add(self, v: ModelVector, w: ModelVector) -> ModelVector:
-        return self._call("vector_add", dr.add_vectors, v, w)
+# The model's signature: each function and relation symbol with its canonical
+# interpretation, called as interpretation(model, *args).
+SIGNATURE: dict[str, Callable] = {
+    # enumeration
+    "irreducible_objects": lambda m, n: [
+        dr.make_irreducible(ms) for ms in dr.enumerate_multisets(m.group, n)
+    ],
+    # vectors
+    "sample_vector": lambda m, b: dr.basis_vector(m.field, b, 0),
+    "zero_vectors": lambda m, b: [dr.zero_vector(m.field, b)],
+    "vector_add": lambda m, v, w: dr.add_vectors(v, w),
+    "scalar_mul": lambda m, lam, v: dr.scale_vector(lam, v),
+    "fiber_spanning_set": lambda m, b: [
+        dr.basis_vector(m.field, b, i) for i in range(b.dimension)
+    ],
+    "li_predicate": _independent,
+    # the field
+    "field_add": lambda m, a, b: m.field.add(a, b),
+    "field_mul": lambda m, a, b: m.field.mul(a, b),
+    # morphisms
+    "hom_basis": lambda m, b, c: m.canonical_hom_basis(b, c),
+    "morphism_graph_pairs": lambda m, f, vs: [(v, dr.apply_morphism(f, v)) for v in vs],
+    "identity_morphism": lambda m, b: dr.identity_morphism(m.field, b),
+    "compose_morphisms": lambda m, g, f: dr.compose(g, f),
+    # tensor structure and witnesses
+    "tensor_obj": lambda m, b, c: dr.tensor_obj(b, c),
+    "tensor_vec": lambda m, v, w: dr.tensor_vec(v, w),
+    "tensor_hom": lambda m, f, g: dr.tensor_hom(f, g),
+    "associator_morphism": lambda m, b, c, d: dr.associator(m.field, b, c, d),
+    "braiding_morphism": lambda m, b, c: dr.braiding(m.field, b, c),
+    "tensor_factorization": lambda m, b: dr.tensor_factorize(b),
+    "normalizer": lambda m, b: dr.normalize_to_irreducible(m.field, b),
+    "unit_embedding": lambda m, b, u0: dr.scale_morphism(u0, dr.left_unitor(m.field, b)),
+    "dual_data": lambda m, b: dr.dual_data(m.field, b),
+    "biproduct_data": lambda m, b, c: dr.direct_sum_data(m.field, b, c),
+    "kernel_data": lambda m, f: dr.kernel_of(m.field, f),
+    "cokernel_data": lambda m, f: dr.cokernel_of(m.field, f),
+}
 
-    def scalar_mul(self, lam, v: ModelVector) -> ModelVector:
-        return self._call("scalar_mul", dr.scale_vector, lam, v)
 
-    def fiber_spanning_set(self, b: BaseObject) -> list[ModelVector]:
-        def default(b):
-            return [dr.basis_vector(self.field, b, i) for i in range(b.dimension)]
+def _hook(symbol: str):
+    # `_call` is looked up on each call, so a wrapped `FragmentModel._call`
+    # sees every hook call
+    def hook(self, *args):
+        return self._call(symbol, *args)
 
-        return self._call("fiber_spanning_set", default, b)
+    hook.__name__ = symbol
+    hook.__qualname__ = f"FragmentModel.{symbol}"
+    return hook
 
-    def li_predicate(self, vs: list[ModelVector]) -> bool:
-        def default(vs):
-            if not vs:
-                return False
-            if any(v.obj != vs[0].obj for v in vs):
-                return False
-            return fieldmod.rank(self.field, [list(v.coeffs) for v in vs]) == len(vs)
 
-        return self._call("li_predicate", default, vs)
-
-    # -- field interpretation ---------------------------------------------
-
-    def field_add(self, a, b):
-        return self._call("field_add", self.field.add, a, b)
-
-    def field_mul(self, a, b):
-        return self._call("field_mul", self.field.mul, a, b)
-
-    # -- morphism interpretation ------------------------------------------
-
-    def hom_basis(self, b: BaseObject, c: BaseObject) -> list[HomMorphism]:
-        return self._call("hom_basis", self.canonical_hom_basis, b, c)
-
-    def morphism_graph_pairs(self, f: HomMorphism, vs):
-        def default(f, vs):
-            return [(v, dr.apply_morphism(f, v)) for v in vs]
-
-        return self._call("morphism_graph_pairs", default, f, vs)
-
-    def identity_morphism(self, b: BaseObject) -> HomMorphism:
-        return self._call(
-            "identity_morphism", lambda b: dr.identity_morphism(self.field, b), b
-        )
-
-    def compose_morphisms(self, g: HomMorphism, f: HomMorphism) -> HomMorphism:
-        return self._call("compose_morphisms", dr.compose, g, f)
-
-    # -- tensor interpretation --------------------------------------------
-
-    def tensor_obj(self, b: BaseObject, c: BaseObject) -> BaseObject:
-        return self._call("tensor_obj", dr.tensor_obj, b, c)
-
-    def tensor_vec(self, v: ModelVector, w: ModelVector) -> ModelVector:
-        return self._call("tensor_vec", dr.tensor_vec, v, w)
-
-    def tensor_hom(self, f: HomMorphism, g: HomMorphism) -> HomMorphism:
-        return self._call("tensor_hom", dr.tensor_hom, f, g)
-
-    def associator_morphism(self, b, c, d) -> HomMorphism:
-        return self._call(
-            "associator_morphism",
-            lambda b, c, d: dr.associator(self.field, b, c, d),
-            b,
-            c,
-            d,
-        )
-
-    def braiding_morphism(self, b, c) -> HomMorphism:
-        return self._call(
-            "braiding_morphism", lambda b, c: dr.braiding(self.field, b, c), b, c
-        )
-
-    def tensor_factorization(self, b: BaseObject):
-        return self._call("tensor_factorization", dr.tensor_factorize, b)
-
-    def normalizer(self, b: BaseObject):
-        return self._call(
-            "normalizer", lambda b: dr.normalize_to_irreducible(self.field, b), b
-        )
-
-    def unit_embedding(self, b: BaseObject, u0) -> HomMorphism:
-        def default(b, u0):
-            return dr.scale_morphism(u0, dr.left_unitor(self.field, b))
-
-        return self._call("unit_embedding", default, b, u0)
-
-    def dual_data(self, b: BaseObject):
-        return self._call("dual_data", lambda b: dr.dual_data(self.field, b), b)
-
-    def biproduct_data(self, b: BaseObject, c: BaseObject):
-        return self._call(
-            "biproduct_data",
-            lambda b, c: dr.direct_sum_data(self.field, b, c),
-            b,
-            c,
-        )
-
-    def kernel_data(self, f: HomMorphism):
-        return self._call("kernel_data", lambda f: dr.kernel_of(self.field, f), f)
-
-    def cokernel_data(self, f: HomMorphism):
-        return self._call(
-            "cokernel_data", lambda f: dr.cokernel_of(self.field, f), f
-        )
+for _symbol in SIGNATURE:
+    setattr(FragmentModel, _symbol, _hook(_symbol))
 
 
 # ---------------------------------------------------------------------------
@@ -1254,199 +1196,141 @@ def _child(queue: int, out: int, model, checks):
 
 @dataclass(frozen=True)
 class Mutation:
-    """A corruption of one model hook, meant to flip exactly `axiom`."""
+    """A corruption of the model: `symbol` reinterpreted as `interpretation`,
+    meant to flip exactly `axiom`."""
 
     name: str
     axiom: int
     description: str
-    patch: Callable[[FragmentModel], None]
+    symbol: str
+    interpretation: Callable
 
     def apply(self, model: FragmentModel) -> FragmentModel:
-        self.patch(model)
+        model.override(self.symbol, self.interpretation)
         return model
 
 
-MUTATIONS: dict[str, Mutation] = {}
+def _unit_times_inverse_zeroed(m, a, b):
+    """The field's product, except that u * u^-1 = 0 for u = 2, the first
+    unit other than 1; over F_2, where 2 = 0, for u = 1."""
+    f = m.field
+    u = 2 % f.p or 1
+    if {a, b} == {u, f.inv(u)}:
+        return f.zero()
+    return f.mul(a, b)
 
 
-def _mutation(name: str, axiom: int, description: str):
-    """Register the decorated model patch as the corruption `name`."""
-
-    def register(patch):
-        MUTATIONS[name] = Mutation(name, axiom, description, patch)
-        return patch
-
-    return register
+def _degenerate_span(m, b):
+    first = dr.basis_vector(m.field, b, 0)
+    return [first for _ in range(b.dimension)]
 
 
-@_mutation("field-mul-corrupted", 1, "one product rewired to 0")
-def _patch_field_mul(model):
-    f = model.field
-    bad = {(f.of(2), f.of(3)), (f.of(3), f.of(2))}
-
-    def mul(m, a, b):
-        if (a, b) in bad:
-            return f.zero()
-        return f.mul(a, b)
-
-    model.override("field_mul", mul)
+def _hom_with_duplicate_label(m, b, c):
+    basis = list(m.canonical_hom_basis(b, c))
+    if basis:
+        basis.append(replace(basis[0], tag="dup"))
+    return basis
 
 
-@_mutation("fiber-sample-missing", 2, "object fibers emptied")
-def _patch_sample_vector(model):
-    model.override("sample_vector", lambda m, b: None)
+def _tensor_owner_swapped(m, v, w):
+    out = dr.tensor_vec(v, w)
+    swapped = dr.tensor_obj(w.obj, v.obj)
+    if (
+        v.coeffs
+        and v.coeffs[0] == m.field.zero()
+        and swapped != out.obj
+        and swapped.dimension == out.obj.dimension
+    ):
+        return ModelVector(m.field, swapped, out.coeffs)
+    return out
 
 
-@_mutation("zero-relation-empty", 3, "zero relation emptied")
-def _patch_zero_vectors(model):
-    model.override("zero_vectors", lambda m, b: [])
+def _tensor_hom_zero(m, f, g):
+    h = dr.tensor_hom(f, g)
+    return dr.zero_morphism(m.field, h.source, h.target)
 
 
-@_mutation("addition-projects-left", 4, "addition returns its first argument")
-def _patch_vector_add(model):
-    model.override("vector_add", lambda m, v, w: v)
+def _irreducibles_with_duplicate(m, n):
+    out = SIGNATURE["irreducible_objects"](m, n)
+    if n == 1 and out:
+        first = out[0].leaves[0]
+        out.append(
+            dr.make_irreducible(dr.WeightMultiset(first.group, first.elements, "dup"))
+        )
+    return out
 
 
-@_mutation("scaling-ignores-scalar", 5, "scalar action ignores the scalar")
-def _patch_scalar_mul(model):
-    model.override("scalar_mul", lambda m, lam, v: v)
+def _coevaluation_zero(m, b):
+    dd = dr.dual_data(m.field, b)
+    broken = dr.zero_morphism(m.field, dd.coev.source, dd.coev.target)
+    return dr.DualData(dd.dual, dd.ev, broken)
 
 
-@_mutation("spanning-set-degenerate", 6, "fiber presented by a rank-deficient set")
-def _patch_spanning_set(model):
-    def span(m, b):
-        first = dr.basis_vector(m.field, b, 0)
-        return [first for _ in range(b.dimension)]
-
-    model.override("fiber_spanning_set", span)
+def _second_projection_zero(m, b, c):
+    data = dr.direct_sum_data(m.field, b, c)
+    broken = dr.zero_morphism(m.field, data.total, c)
+    return dr.BiproductData(data.total, data.inj1, data.inj2, data.proj1, broken)
 
 
-@_mutation("hom-duplicate-labels", 9, "two morphism labels share one linear map")
-def _patch_hom_duplicates(model):
-    def hom(m, b, c):
-        basis = list(m.canonical_hom_basis(b, c))
-        if basis:
-            basis.append(replace(basis[0], tag="dup"))
-        return basis
-
-    model.override("hom_basis", hom)
+def _kernel_zero(m, f):
+    u, inc = dr.kernel_of(m.field, f)
+    if not u.is_zero:
+        return dr.ZERO, dr.zero_morphism(m.field, dr.ZERO, f.source)
+    return u, inc
 
 
-@_mutation("identity-rescaled", 10, "identity scaled by 2")
-def _patch_identity(model):
-    def ident(m, b):
-        return dr.scale_morphism(m.field.of(2), dr.identity_morphism(m.field, b))
-
-    model.override("identity_morphism", ident)
-
-
-@_mutation("composition-collapses", 11, "every composite replaced by zero")
-def _patch_compose(model):
-    def comp(m, g, f):
-        return dr.zero_morphism(m.field, f.source, g.target)
-
-    model.override("compose_morphisms", comp)
+def _cokernel_zero(m, f):
+    w, proj = dr.cokernel_of(m.field, f)
+    if not w.is_zero:
+        return dr.ZERO, dr.zero_morphism(m.field, f.target, dr.ZERO)
+    return w, proj
 
 
-@_mutation(
-    "tensor-owner-inconsistent", 13, "tensor projection depends on representatives"
-)
-def _patch_tensor_owner(model):
-    def tvec(m, v, w):
-        out = dr.tensor_vec(v, w)
-        swapped = dr.tensor_obj(w.obj, v.obj)
-        if (
-            v.coeffs
-            and v.coeffs[0] == m.field.zero()
-            and swapped != out.obj
-            and swapped.dimension == out.obj.dimension
-        ):
-            return ModelVector(m.field, swapped, out.coeffs)
-        return out
-
-    model.override("tensor_vec", tvec)
-
-
-@_mutation("tensor-collapses-to-zero", 15, "tensor of vectors replaced by the zero map")
-def _patch_tensor_zero(model):
-    def tvec(m, v, w):
-        return dr.zero_vector(m.field, dr.tensor_obj(v.obj, w.obj))
-
-    model.override("tensor_vec", tvec)
-
-
-@_mutation("tensor-hom-dropped", 16, "tensor of morphisms replaced by zero")
-def _patch_tensor_hom(model):
-    def thom(m, f, g):
-        h = dr.tensor_hom(f, g)
-        return dr.zero_morphism(m.field, h.source, h.target)
-
-    model.override("tensor_hom", thom)
-
-
-@_mutation("duplicate-irreducible", 21, "two isomorphic irreducible objects")
-def _patch_duplicate_irreducible(model):
-    def irr(m, n):
-        out = [
-            dr.make_irreducible(ms) for ms in dr.enumerate_multisets(m.group, n)
-        ]
-        if n == 1 and out:
-            first = out[0].leaves[0]
-            out.append(
-                dr.make_irreducible(
-                    dr.WeightMultiset(first.group, first.elements, "dup")
-                )
-            )
-        return out
-
-    model.override("irreducible_objects", irr)
-
-
-@_mutation("coevaluation-erased", 23, "coevaluation zeroed")
-def _patch_coev(model):
-    def dual(m, b):
-        dd = dr.dual_data(m.field, b)
-        broken = dr.zero_morphism(m.field, dd.coev.source, dd.coev.target)
-        return dr.DualData(dd.dual, dd.ev, broken)
-
-    model.override("dual_data", dual)
-
-
-@_mutation("biproduct-projection-erased", 24, "second projection zeroed")
-def _patch_biproduct(model):
-    def bip(m, b, c):
-        data = dr.direct_sum_data(m.field, b, c)
-        broken = dr.zero_morphism(m.field, data.total, c)
-        return dr.BiproductData(data.total, data.inj1, data.inj2, data.proj1, broken)
-
-    model.override("biproduct_data", bip)
-
-
-@_mutation("kernel-truncated", 25, "kernels reported as zero")
-def _patch_kernel(model):
-    def ker(m, f):
-        u, inc = dr.kernel_of(m.field, f)
-        if not u.is_zero:
-            return dr.ZERO, dr.zero_morphism(m.field, dr.ZERO, f.source)
-        return u, inc
-
-    model.override("kernel_data", ker)
-
-
-@_mutation("cokernel-truncated", 26, "cokernels reported as zero")
-def _patch_cokernel(model):
-    def coker(m, f):
-        w, proj = dr.cokernel_of(m.field, f)
-        if not w.is_zero:
-            return dr.ZERO, dr.zero_morphism(m.field, f.target, dr.ZERO)
-        return w, proj
-
-    model.override("cokernel_data", coker)
-
-
-@_mutation("independence-tautology", 27, "independence relation always holds")
-def _patch_li(model):
-    model.override("li_predicate", lambda m, vs: True)
+MUTATIONS: dict[str, Mutation] = {
+    mut.name: mut
+    for mut in [
+        Mutation("field-mul-corrupted", 1, "one product rewired to 0",
+                 "field_mul", _unit_times_inverse_zeroed),
+        Mutation("fiber-sample-missing", 2, "object fibers emptied",
+                 "sample_vector", lambda m, b: None),
+        Mutation("zero-relation-empty", 3, "zero relation emptied",
+                 "zero_vectors", lambda m, b: []),
+        Mutation("addition-projects-left", 4, "addition returns its first argument",
+                 "vector_add", lambda m, v, w: v),
+        Mutation("scaling-ignores-scalar", 5, "scalar action ignores the scalar",
+                 "scalar_mul", lambda m, lam, v: v),
+        Mutation("spanning-set-degenerate", 6, "fiber presented by a rank-deficient set",
+                 "fiber_spanning_set", _degenerate_span),
+        Mutation("hom-duplicate-labels", 9, "two morphism labels share one linear map",
+                 "hom_basis", _hom_with_duplicate_label),
+        Mutation("identity-rescaled", 10, "identity scaled by 2", "identity_morphism",
+                 lambda m, b: dr.scale_morphism(
+                     m.field.of(2), dr.identity_morphism(m.field, b))),
+        Mutation("composition-collapses", 11, "every composite replaced by zero",
+                 "compose_morphisms",
+                 lambda m, g, f: dr.zero_morphism(m.field, f.source, g.target)),
+        Mutation("tensor-owner-inconsistent", 13,
+                 "tensor projection depends on representatives",
+                 "tensor_vec", _tensor_owner_swapped),
+        Mutation("tensor-collapses-to-zero", 15,
+                 "tensor of vectors replaced by the zero map", "tensor_vec",
+                 lambda m, v, w: dr.zero_vector(m.field, dr.tensor_obj(v.obj, w.obj))),
+        Mutation("tensor-hom-dropped", 16, "tensor of morphisms replaced by zero",
+                 "tensor_hom", _tensor_hom_zero),
+        Mutation("duplicate-irreducible", 21, "two isomorphic irreducible objects",
+                 "irreducible_objects", _irreducibles_with_duplicate),
+        Mutation("coevaluation-erased", 23, "coevaluation zeroed",
+                 "dual_data", _coevaluation_zero),
+        Mutation("biproduct-projection-erased", 24, "second projection zeroed",
+                 "biproduct_data", _second_projection_zero),
+        Mutation("kernel-truncated", 25, "kernels reported as zero",
+                 "kernel_data", _kernel_zero),
+        Mutation("cokernel-truncated", 26, "cokernels reported as zero",
+                 "cokernel_data", _cokernel_zero),
+        Mutation("independence-tautology", 27, "independence relation always holds",
+                 "li_predicate", lambda m, vs: True),
+    ]
+}
 
 
 def mutated_model(

@@ -12,6 +12,7 @@ from diagcat import diagrep as dr
 from diagcat.abelian import parse_group
 from diagcat.field import ExactField, QQ
 
+F2 = ExactField(2)
 F3 = ExactField(3)
 F5 = ExactField(5)
 Z2 = parse_group("Z/2")
@@ -63,15 +64,17 @@ def test_report_json_shape():
 
 
 @pytest.mark.parametrize(
-    "name",
-    ["tensor-collapses-to-zero", "duplicate-irreducible", "kernel-truncated",
-     "addition-projects-left", "identity-rescaled"],
+    "field, name",
+    [(F3, n) for n in ax.MUTATIONS] + [(F2, n) for n in ax.MUTATIONS],
+    ids=[*ax.MUTATIONS, *(f"F2-{n}" for n in ax.MUTATIONS)],
 )
-def test_selected_mutations_flip_their_axiom(name):
+def test_selected_mutations_flip_their_axiom(field, name):
+    """Over the small fields too, where 2 = 0 or 3 = 0, each mutation fails
+    exactly its axiom."""
     mut = ax.MUTATIONS[name]
     bound = ax.bounds(2, 2)
-    model = ax.mutated_model(F3, Z2, bound, name)
-    report = ax.check_axioms(F3, Z2, bound, model)
+    model = ax.mutated_model(field, Z2, bound, name)
+    report = ax.check_axioms(field, Z2, bound, model)
     assert sorted(r.index for r in report.failed) == [mut.axiom]
 
 
@@ -102,6 +105,24 @@ def test_duplicate_irreducible_counterexample():
 def test_mutation_catalog_targets():
     targets = sorted(m.axiom for m in ax.MUTATIONS.values())
     assert len(targets) == len(set(targets)) >= 10
+    assert {m.symbol for m in ax.MUTATIONS.values()} <= ax.SIGNATURE.keys()
+
+
+def test_checks_read_exactly_the_signature():
+    """On the canonical model the 27 checks together read every symbol of
+    the signature through `_call`, and nothing else."""
+    model = ax.FragmentModel(F3, Z2, ax.bounds(2, 2))
+    read = set()
+    for check in ax.AXIOM_CHECKS:
+        read |= _run_recording_hooks(model, check)[1]
+    assert read == ax.SIGNATURE.keys()
+
+
+def test_override_of_an_unknown_symbol_is_refused():
+    model = ax.FragmentModel(F3, Z2, ax.bounds(1, 1))
+    with pytest.raises(ValueError, match="'tensor_vector' is not a symbol"):
+        model.override("tensor_vector", lambda m, v, w: None)
+    assert model.interpretation == ax.SIGNATURE
 
 
 def test_tensor_owner_witness_is_sorted():
@@ -236,9 +257,9 @@ def _run_recording_hooks(model, check):
     read = set()
     call = model._call
 
-    def recording(name, default, *args):
+    def recording(name, *args):
         read.add(name)
-        return call(name, default, *args)
+        return call(name, *args)
 
     model._call = recording
     try:
@@ -265,8 +286,11 @@ def test_checks_match_reference(field, group):
     failed = set()
     for corruption in [*ax.MUTATIONS, *HOOK_CORRUPTIONS]:
         model = _corrupted_model(field, group, corruption)
+        overridden = {
+            s for s, fn in model.interpretation.items() if fn is not ax.SIGNATURE[s]
+        }
         for index, reference in REFERENCE_CHECKS.items():
-            if not reads[index] & model.overrides.keys():
+            if not reads[index] & overridden:
                 continue
             got = getattr(ax, reference.__name__)(model)
             assert got == reference(model), (corruption, index)

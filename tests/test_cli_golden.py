@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from diagcat import cli
+from diagcat import axioms, cli
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -54,8 +54,9 @@ CASES = [
     *(["axioms", "check", "--field", k, "--group", g,
        "--max-dim", "2", "--max-len", "2", "--json"]
       for k, g in (("F5", "Z/4"), ("F3", "Z/2"))),
-    ["axioms", "check", "--field", "F5", "--group", "Z/4", "--max-dim", "2",
-     "--max-len", "2", "--mutate", "hom-duplicate-labels", "--json"],
+    *(["axioms", "check", "--field", "F5", "--group", "Z/4", "--max-dim", "2",
+       "--max-len", "2", "--mutate", name, "--json"]
+      for name in axioms.MUTATIONS),
 ]
 
 
