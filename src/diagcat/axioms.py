@@ -28,15 +28,30 @@ A check evaluates each hook term once per assignment. A term that several
 comparisons read (a scaled vector, a sum, a tensor of two vectors, a hom
 basis and its matrices) comes from a table keyed by field scalar, list index
 or object pair. Such a table is a `functools.cache` closure local to one
-check call. The only state shared across checks is each model's cached
-canonical hom basis (`FragmentModel.canonical_hom_basis`), filled by the
-canonical interpretation of `hom_basis`. Check 19 keeps only the hash and
-pair index of each tensor product and recomputes an earlier product when a
-hash repeats. Since no check reads what another wrote, `check_axioms` runs
-the checks in forked workers, one per usable CPU, and reports them in check
-order. A cache that one check fills, such as `canonical_hom_basis`, is then
-per process: it saves work within a process and is never a channel between
-checks.
+check call. Each model caches its canonical hom bases
+(`FragmentModel.canonical_hom_basis`), filled by the canonical
+interpretation of `hom_basis`; the cache holds the values any check would
+compute, so it changes no result. Check 19 keeps only the hash and pair
+index of each tensor product and recomputes an earlier product when a hash
+repeats. Since no check reads what another wrote, `check_axioms` runs the
+checks in forked workers, one per usable CPU, and reports them in check
+order.
+
+A corrupted model is checked by difference from the canonical one. Each
+generated hook records its symbol, so a check run yields its footprint: the
+symbols it read, through nested calls such as `all_objects` too. The
+process that calls `check_axioms` keeps a store, per (field, group, bound),
+of each check's canonical result and footprint. On a model that
+reinterprets the symbols S, a check whose stored footprint misses S takes
+the stored result, and every other check runs. This is the reduct argument:
+a check is deterministic and reads the model only through its hooks and its
+field, group and bound, so a check that never calls a hook in S sees the
+reduct of the model to the other symbols, which is the canonical model's,
+and it runs exactly as it does there. For the same reason a run on any model
+whose footprint misses S gives the canonical result, and only such runs are
+stored, none with a witness (its dict would be shared). The canonical model
+itself always runs every check. Only a plain `FragmentModel`, checked while
+no other thread is alive, reads or writes the store (see `_run_checks`).
 
 Checks that sample morphisms walk the nonzero hom spaces between class
 representatives in row-major order (`_nonzero_homs`) and stop at a fixed
@@ -152,11 +167,7 @@ class FragmentModel:
         self.group = group
         self.bound = bound
         self.interpretation: dict[str, Callable] = dict(SIGNATURE)
-        # the canonical Hom(b, c) basis, built once per pair for every check;
-        # closes over `field`, not `self`, so the model holds no cycle
-        self.canonical_hom_basis = functools.cache(
-            lambda b, c: list(dr.hom_space(field, b, c).basis)
-        )
+        self._hom_bases: dict[tuple, list] = {}
 
     def override(self, symbol: str, interpretation: Callable):
         """Interpret `symbol` as `interpretation(model, *args)`."""
@@ -166,6 +177,15 @@ class FragmentModel:
 
     def _call(self, symbol, *args):
         return self.interpretation[symbol](self, *args)
+
+    def canonical_hom_basis(self, b, c) -> list:
+        """The canonical basis of Hom(b, c), built once per pair for every
+        check. A method, so that an instance that replaces it holds more
+        than `__init__` sets and bypasses the store of canonical results."""
+        basis = self._hom_bases.get((b, c))
+        if basis is None:
+            basis = self._hom_bases[b, c] = list(dr.hom_space(self.field, b, c).basis)
+        return basis
 
     def all_objects(self) -> list[BaseObject]:
         return list(dr.tensor_words(
@@ -233,10 +253,18 @@ SIGNATURE: dict[str, Callable] = {
 }
 
 
+# The symbols read through any model's hooks since the runner last cleared
+# this set: while one check runs, its footprint (see `_run_checks`).
+_READ: set[str] = set()
+
+
 def _hook(symbol: str):
     # `_call` is looked up on each call, so a wrapped `FragmentModel._call`
     # sees every hook call
+    read = _READ.add
+
     def hook(self, *args):
+        read(symbol)
         return self._call(symbol, *args)
 
     hook.__name__ = symbol
@@ -1087,7 +1115,8 @@ def check_axioms(
 
 
 # ---------------------------------------------------------------------------
-# Running the checks on every usable core
+# Running the checks: by difference from the canonical model, on every
+# usable core
 
 
 def _usable_cpus() -> int:
@@ -1096,33 +1125,91 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# Canonical results by (field, group, bound), then by check index: (result,
+# footprint), where the footprint is the set of symbols the check read
+# through the model's hooks. Only `_run_checks`, in the process that calls
+# `check_axioms`, writes it.
+_CANONICAL: dict[tuple, dict[int, tuple]] = {}
+
+# the instance attributes `FragmentModel.__init__` sets
+_MODEL_STATE = frozenset({"field", "group", "bound", "interpretation", "_hom_bases"})
+
+
+def _overridden(model) -> set[str] | None:
+    """The symbols `model` reinterprets, or None when the store may not
+    serve it: a subclass, an instance that holds more than `__init__` sets
+    (a shadowed `_call` or hook), or an interpretation table over other
+    symbols."""
+    if (
+        type(model) is not FragmentModel
+        or vars(model).keys() != _MODEL_STATE
+        or model.interpretation.keys() != SIGNATURE.keys()
+    ):
+        return None
+    return {s for s, fn in model.interpretation.items() if fn is not SIGNATURE[s]}
+
+
 def _run_checks(model: FragmentModel) -> tuple[AxiomResult, ...]:
     """The results of AXIOM_CHECKS on `model`, in check order.
 
-    The checks share no state, so they run in the parent and in forked
-    children, which pull check indices from one pipe in index order. A check
-    whose result does not come back (it raised, its result would not pickle,
-    or its child died) is run again here, in check order, so the first check
-    that raises raises in the caller as it would serially. Without `os.fork`,
-    on one usable CPU, or while other threads are alive (a fork is unsafe
-    then) every check runs here, one after another."""
+    A model that reinterprets the symbols S is checked by difference: a
+    check whose stored footprint misses S takes its canonical result from
+    `_CANONICAL`, and every other check runs. A model that reinterprets
+    nothing runs every check. A run whose footprint misses S read the model
+    only where it is canonical, so its result is the canonical one; it is
+    stored unless it carries a witness, whose dict every later caller would
+    share. Only a plain `FragmentModel` (`_overridden`), with no other
+    thread alive, reads or writes the store.
+
+    The checks share no state, so the ones to run run in the parent and in
+    forked children, which pull check indices from one pipe in index order
+    and send back each result with its footprint. A check whose result does
+    not come back (it raised, its result would not pickle, or its child
+    died) is run again here, in check order, so the first check that raises
+    raises in the caller as it would serially, and the run stores nothing.
+    Without `os.fork`, on one usable CPU, with one check to run, or while
+    other threads are alive (a fork is unsafe then) every check runs here,
+    one after another."""
     checks = list(AXIOM_CHECKS)
-    workers = min(_usable_cpus(), len(checks))
-    done: dict[int, AxiomResult] = {}
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        done = _run_forked(model, checks, workers - 1)
-    return tuple(
-        done[i] if i in done else chk(model) for i, chk in enumerate(checks)
-    )
+    alone = threading.active_count() == 1
+    overridden = _overridden(model) if alone else None
+    stored: dict[int, tuple] = {}
+    if overridden is not None:
+        stored = _CANONICAL.setdefault((model.field, model.group, model.bound), {})
+    done = {
+        i: result
+        for i, (result, footprint) in stored.items()
+        if overridden and not footprint & overridden
+    }
+    todo = {i: chk for i, chk in enumerate(checks) if i not in done}
+    ran: dict[int, tuple] = {}
+    workers = min(_usable_cpus(), len(todo))
+    if workers > 1 and hasattr(os, "fork") and alone:
+        ran = _run_forked(model, todo, workers - 1)
+    for i, chk in todo.items():
+        if i not in ran:
+            ran[i] = _footprinted(chk, model)
+    for i, (result, footprint) in ran.items():
+        done[i] = result
+        if overridden is not None and result.witness is None and not footprint & overridden:
+            stored[i] = (result, footprint)
+    return tuple(done[i] for i in range(len(checks)))
 
 
-def _run_forked(model, checks, children: int) -> dict[int, AxiomResult]:
+def _footprinted(chk, model) -> tuple[AxiomResult, frozenset[str]]:
+    """`chk(model)` and the symbols it read through the model's hooks."""
+    _READ.clear()
+    result = chk(model)
+    return result, frozenset(_READ)
+
+
+def _run_forked(model, checks: dict[int, Callable], children: int) -> dict[int, tuple]:
     """Fork up to `children` workers; run checks here too until the queue is
-    empty; return every result that came back, by check index."""
+    empty; return every (result, footprint) that came back, by check index."""
     import pickle
 
     queue, handout = os.pipe()
-    os.write(handout, bytes(range(len(checks))))
+    os.write(handout, bytes(checks))
     os.close(handout)
     forked: list = []  # (pid, reader of that child's results)
     try:
@@ -1158,14 +1245,15 @@ def _run_forked(model, checks, children: int) -> dict[int, AxiomResult]:
                 os.waitpid(pid, 0)
 
 
-def _pull(queue: int, model, checks) -> dict[int, AxiomResult]:
+def _pull(queue: int, model, checks) -> dict[int, tuple]:
     """Run the checks whose indices this process reads from `queue`, one
-    byte at a time until EOF; a check that raises is left out."""
+    byte at a time until EOF, each with its footprint; a check that raises
+    is left out."""
     done = {}
     while index := os.read(queue, 1):
         i = index[0]
         try:
-            done[i] = checks[i](model)
+            done[i] = _footprinted(checks[i], model)
         except Exception:
             continue
     return done
@@ -1178,12 +1266,12 @@ def _child(queue: int, out: int, model, checks):
         import pickle
 
         sent = {}
-        for i, result in _pull(queue, model, checks).items():
+        for i, ran in _pull(queue, model, checks).items():
             try:
-                pickle.dumps(result)
+                pickle.dumps(ran)
             except Exception:
                 continue
-            sent[i] = result
+            sent[i] = ran
         with open(out, "wb") as fh:
             fh.write(pickle.dumps(sent))
     finally:

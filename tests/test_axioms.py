@@ -240,16 +240,21 @@ def test_unmutated_axioms_can_fail(hook, corrupt, failed):
 
 
 def _corrupted_model(field, group, corruption):
-    """The canonical model at N = M = 2, a registered mutation of it, or one
-    of HOOK_CORRUPTIONS."""
-    bound = ax.bounds(2, 2)
-    if corruption in ax.MUTATIONS:
-        return ax.mutated_model(field, group, bound, corruption)
-    model = ax.FragmentModel(field, group, bound)
-    if corruption is not None:
-        hook, corrupt, _ = HOOK_CORRUPTIONS[corruption]
-        model.override(hook, corrupt)
+    """The canonical model at N = M = 2 (`corruption` None), or that model
+    under each registered mutation or HOOK_CORRUPTIONS entry named in
+    `corruption`, names joined by '+'."""
+    model = ax.FragmentModel(field, group, ax.bounds(2, 2))
+    for name in corruption.split("+") if corruption else ():
+        if name in ax.MUTATIONS:
+            ax.MUTATIONS[name].apply(model)
+        else:
+            hook, corrupt, _ = HOOK_CORRUPTIONS[name]
+            model.override(hook, corrupt)
     return model
+
+
+def _overridden(model):
+    return {s for s, fn in model.interpretation.items() if fn is not ax.SIGNATURE[s]}
 
 
 def _run_recording_hooks(model, check):
@@ -286,9 +291,7 @@ def test_checks_match_reference(field, group):
     failed = set()
     for corruption in [*ax.MUTATIONS, *HOOK_CORRUPTIONS]:
         model = _corrupted_model(field, group, corruption)
-        overridden = {
-            s for s, fn in model.interpretation.items() if fn is not ax.SIGNATURE[s]
-        }
+        overridden = _overridden(model)
         for index, reference in REFERENCE_CHECKS.items():
             if not reads[index] & overridden:
                 continue
@@ -433,6 +436,25 @@ def _assert_no_children():
 
 
 @pytest.fixture
+def empty_store(monkeypatch):
+    """An empty store of canonical results for the test, so that a model
+    runs every check; the process's own store comes back after it."""
+    store = {}
+    monkeypatch.setattr(ax, "_CANONICAL", store)
+    return store
+
+
+@functools.cache
+def _canonical_reads(field, group):
+    """Per check, the symbols it reads through `_call` on the canonical
+    model at N = M = 2."""
+    model = _corrupted_model(field, group, None)
+    return tuple(
+        frozenset(_run_recording_hooks(model, chk)[1]) for chk in ax.AXIOM_CHECKS
+    )
+
+
+@pytest.fixture
 def forks(monkeypatch):
     """The calls to `os.fork`, which still forks."""
     calls = []
@@ -450,7 +472,10 @@ def forks(monkeypatch):
 def test_each_check_alone_gives_its_result_in_the_run(field, group):
     """No state shared across checks changes a result: each check, run alone
     on a fresh model, gives the result it gives after all the checks before
-    it in one serial run, on the canonical model and under every mutation."""
+    it in one serial run, on the canonical model and under every mutation.
+    The serial run of a mutation takes from the store of canonical results
+    each check that does not read the mutated symbol, so this also compares
+    those stored results with fresh runs."""
     for corruption in [None, *ax.MUTATIONS]:
         alone = tuple(
             chk(_corrupted_model(field, group, corruption)) for chk in ax.AXIOM_CHECKS
@@ -465,7 +490,7 @@ def test_each_check_alone_gives_its_result_in_the_run(field, group):
     ids=[f"F5-Z4-{c}" for c in ["canonical", *ax.MUTATIONS]]
     + [f"F3-Z2-{c}" for c in HOOK_CORRUPTIONS],
 )
-def test_parallel_report_is_the_serial_report(field, group, corruption, forks):
+def test_parallel_report_is_the_serial_report(field, group, corruption, forks, empty_store):
     model = _corrupted_model(field, group, corruption)
     report = _report(field, group, model, 3)
     assert len(forks) == 2
@@ -495,14 +520,18 @@ def _in_children_only(how):
 
 
 @pytest.mark.parametrize("how", ["dies", "raises", "unpicklable"])
-def test_results_lost_in_children_are_recomputed(monkeypatch, forks, how):
+def test_results_lost_in_children_are_recomputed(monkeypatch, forks, empty_store, how):
     """A check whose result does not come back from a child runs again in
-    the caller, so the report is the serial one."""
+    the caller, so the report is the serial one, and the caller records the
+    footprint of that run."""
     monkeypatch.setattr(ax, "AXIOM_CHECKS", _in_children_only(how))
     report = _report(F3, Z2, ax.FragmentModel(F3, Z2, ax.bounds(2, 2)), 3)
     assert len(forks) == 2
     assert report.to_json() == _serial_report(F3, Z2, None).to_json()
     _assert_no_children()
+    (stored,) = empty_store.values()
+    assert sorted(stored) == list(range(27))
+    assert tuple(stored[i][1] for i in range(27)) == _canonical_reads(F3, Z2)
 
 
 def _raising(message):
@@ -513,7 +542,7 @@ def _raising(message):
 
 
 @pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "parallel"])
-def test_first_raising_check_raises_in_the_caller(forks, cpus):
+def test_first_raising_check_raises_in_the_caller(forks, empty_store, cpus):
     """With checks 18 and 25 both raising, check 18's exception reaches the
     caller, whichever worker ran either check."""
     model = ax.FragmentModel(F3, Z2, ax.bounds(2, 2))
@@ -568,10 +597,142 @@ def test_no_fork_runs_every_check_in_process(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus, children", [(1, []), (2, [1]), (4, [3]), (64, [26])])
-def test_workers_are_capped_by_cpus_and_checks(monkeypatch, cpus, children):
+def test_workers_are_capped_by_cpus_and_checks(monkeypatch, empty_store, cpus, children):
     """The parent and one child per further usable CPU, 27 workers at most."""
     asked = []
     monkeypatch.setattr(ax, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(ax, "_run_forked", lambda model, checks, n: asked.append(n) or {})
     assert ax.check_axioms(F3, Z2, ax.bounds(1, 1)).all_pass
     assert asked == children
+
+
+# ---------------------------------------------------------------------------
+# Checking by difference: the store of canonical results
+
+
+def _counted(monkeypatch):
+    """Wrap AXIOM_CHECKS so that each call appends its check index to the
+    returned list, with one usable CPU, so that every check runs in this
+    process."""
+    calls = []
+
+    def counting(i, chk):
+        def run(model):
+            calls.append(i)
+            return chk(model)
+
+        return run
+
+    checks = [counting(i, chk) for i, chk in enumerate(ax.AXIOM_CHECKS)]
+    monkeypatch.setattr(ax, "AXIOM_CHECKS", checks)
+    monkeypatch.setattr(ax, "_usable_cpus", lambda: 1)
+    return calls
+
+
+@pytest.mark.parametrize("field, group", [(F5, Z4), (F3, Z2)], ids=["F5-Z4", "F3-Z2"])
+def test_reuse_from_the_store_is_exact(monkeypatch, empty_store, field, group):
+    """Under every corruption, and two at once, the report read partly from
+    a warm store is the report of a run from an empty one, whether the
+    canonical model or another mutation warmed the store. A run stores
+    exactly the canonical results of the checks that do not read what it
+    overrides. A check that reads an overridden symbol still runs, each
+    check at most once, and the canonical model still runs all 27."""
+    reads = _canonical_reads(field, group)
+    bound = ax.bounds(2, 2)
+    cold = {}
+    corruptions = [*ax.MUTATIONS, *HOOK_CORRUPTIONS, "tensor-collapses-to-zero+kernel-truncated"]
+    for corruption in corruptions:
+        empty_store.clear()
+        model = _corrupted_model(field, group, corruption)
+        cold[corruption] = ax.check_axioms(field, group, bound, model).to_json()
+    warm_by = {}
+    for warmer in (None, "independence-tautology", "kernel-truncated", "duplicate-irreducible"):
+        empty_store.clear()
+        model = _corrupted_model(field, group, warmer)
+        ax.check_axioms(field, group, bound, model)
+        (warm_by[warmer],) = empty_store.values()
+        assert {i: fp for i, (_, fp) in warm_by[warmer].items()} == {
+            i: reads[i] for i in range(27) if not reads[i] & _overridden(model)
+        }
+    for warmer, stored in warm_by.items():
+        assert stored.items() <= warm_by[None].items(), warmer
+
+    calls = _counted(monkeypatch)
+    for corruption, want in cold.items():
+        another = "independence-tautology"
+        if corruption == another:
+            another = "kernel-truncated"
+        for warmer in (None, another):
+            empty_store.clear()
+            empty_store[(field, group, bound)] = dict(warm_by[warmer])
+            calls.clear()
+            model = _corrupted_model(field, group, corruption)
+            got = ax.check_axioms(field, group, bound, model).to_json()
+            assert got == want, (corruption, warmer)
+            overridden = _overridden(model)
+            assert len(calls) == len(set(calls)) < 27, (corruption, warmer)
+            assert {i for i in range(27) if reads[i] & overridden} <= set(calls)
+    calls.clear()
+    ax.check_axioms(field, group, bound)
+    assert calls == list(range(27))
+
+
+class _Subclass(ax.FragmentModel):
+    pass
+
+
+def _ineligible(kind):
+    """A model the store may not serve, reinterpreting `li_predicate`."""
+    bound = ax.bounds(2, 2)
+    mutation = ax.MUTATIONS["independence-tautology"]
+    if kind == "subclass":
+        return mutation.apply(_Subclass(F3, Z2, bound))
+    model = ax.mutated_model(F3, Z2, bound, mutation.name)
+    if kind == "shadowed-call":
+        call = model._call
+        model._call = lambda symbol, *args: call(symbol, *args)
+    elif kind == "shadowed-hook":
+        model.tensor_vec = functools.partial(ax.SIGNATURE["tensor_vec"], model)
+    elif kind == "replaced-hom-bases":
+        model.canonical_hom_basis = lambda b, c: []
+    return model
+
+
+@pytest.mark.parametrize(
+    "kind", ["subclass", "shadowed-call", "shadowed-hook", "replaced-hom-bases", "thread"]
+)
+def test_ineligible_models_bypass_the_store(monkeypatch, empty_store, kind):
+    """A subclass, an instance with a shadowed `_call` or hook (as
+    `_run_recording_hooks` makes) or its own canonical hom bases, and any
+    model checked while another thread is alive run every check and leave
+    the store as it was."""
+    ax.check_axioms(F3, Z2, ax.bounds(2, 2))
+    before = {key: dict(stored) for key, stored in empty_store.items()}
+    calls = _counted(monkeypatch)
+    model = _ineligible(kind)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if kind == "thread":
+        thread.start()
+    try:
+        report = ax.check_axioms(F3, Z2, model.bound, model)
+    finally:
+        stop.set()
+        if kind == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert sorted(calls) == list(range(27))
+    assert [r.index for r in report.failed] == [27]
+    assert empty_store == before
+
+
+def test_results_with_a_witness_are_not_stored(monkeypatch, empty_store):
+    """A canonical result with a witness is not stored, so no caller shares
+    its witness dict with another."""
+    def with_witness(model):
+        return dataclasses.replace(ax.check_linear_independence(model), witness={"b": "1"})
+
+    monkeypatch.setattr(ax, "AXIOM_CHECKS", [*ax.AXIOM_CHECKS[:26], with_witness])
+    ax.check_axioms(F3, Z2, ax.bounds(1, 1))
+    (stored,) = empty_store.values()
+    assert sorted(stored) == list(range(26))
