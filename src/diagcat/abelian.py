@@ -3,14 +3,27 @@
 A group is presented as Z^rank + Z/d1 + ... + Z/dt with 2 <= d1 | d2 | ... | dt.
 This presentation is unique, so equality of groups is equality of presentations.
 Elements are coordinate vectors with torsion coordinates stored reduced.
+
+All integer row reduction is one private core, `_hermite(rows) -> (H, U)`:
+the Hermite normal form H of the rows, zero rows last, with the unimodular U
+that has U * rows = H. The Hermite basis of a lattice is H without its zero
+rows; the relation lattice of weights comes from the rows of U whose H row is
+zero; the Smith form alternates row and column Hermite forms; and the
+invariant factors of a parsed group are the Smith diagonal of its cyclic
+factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
+from .field import PolyRing, mat_mul, transpose
 from .hashcons import Interned
+
+# ints carry their own + and *, so the shared matrix product takes them as is
+_ZZ = PolyRing(0, 1)
 
 
 @dataclass(frozen=True)
@@ -54,16 +67,7 @@ class FgAbelianGroup:
         """All elements; only for finite groups (rank 0)."""
         if self.rank != 0:
             raise ValueError("cannot enumerate an infinite group")
-        out = [self.zero()]
-        for i, d in enumerate(self.torsion):
-            new = []
-            for e in out:
-                for r in range(d):
-                    c = list(e.coords)
-                    c[self.rank + i] = r
-                    new.append(self.element(c))
-            out = new
-        return out
+        return [self.element(c) for c in itertools.product(*map(range, self.torsion))]
 
     @property
     def is_finite(self) -> bool:
@@ -127,6 +131,8 @@ def parse_group(text: str) -> FgAbelianGroup:
         part = part.strip()
         if part.startswith("Z/"):
             d = int(part[2:])
+            if d == 0:
+                raise ValueError(f"group summand {part!r} is Z/0; write Z for it")
             if d == 1:
                 continue
             torsion.append(d)
@@ -158,23 +164,12 @@ def parse_element(group: FgAbelianGroup, text: str) -> GroupElement:
 
 
 def normalize_torsion(ds: list[int]) -> list[int]:
-    """Rewrite arbitrary cyclic factors into divisibility-normalized form."""
-    import math
-
-    ds = [d for d in ds if d >= 2]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i] != 0:
-                    g = math.gcd(ds[i], ds[j])
-                    l = ds[i] * ds[j] // g
-                    ds[i], ds[j] = g, l
-                    changed = True
-        ds = [d for d in ds if d >= 2]
-    ds.sort()
-    return ds
+    """The invariant factors >= 2 of Z/d1 + ... + Z/dk, for d >= 1: the
+    diagonal entries >= 2 of the Smith form of diag(ds)."""
+    n = len(ds)
+    diag = [[ds[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    _u, s, _v = smith_normal_form(diag)
+    return [s[i][i] for i in range(n) if s[i][i] >= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -185,153 +180,85 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(m):
-    """Return (U, D, V) with U*m*V = D, U and V unimodular, and the diagonal
-    of D nonnegative with d1 | d2 | ...
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(map(int, row)) for row in m]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-    _clear_corner(a, u, v, 0, rows, cols)
-
-    # enforce divisibility chain
-    t = min(rows, cols)
-    dirty = True
-    while dirty:
-        dirty = False
-        for i in range(t - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if y % (x if x else 1) != 0 or (x == 0 and y != 0):
-                # fold entry (i+1,i+1) into row i and redo the corner
-                for c in range(cols):
-                    a[i][c] += a[i + 1][c]
-                for c in range(rows):
-                    u[i][c] += u[i + 1][c]
-                _clear_corner(a, u, v, i, rows, cols)
-                dirty = True
-
-    # make diagonal nonnegative
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for c in range(cols):
-                a[i][c] = -a[i][c]
-            for c in range(rows):
-                u[i][c] = -u[i][c]
-    return u, a, v
-
-
-def _clear_corner(a, u, v, t, rows, cols):
-    """Diagonalize the block from position t on, in place: move the smallest
-    nonzero entry to the corner, reduce its row and column by it, and repeat
-    until both are clear, then step to t + 1. Row operations also act on u,
-    column operations on v."""
-    while True:
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            return
-        if piv != (t, t):
-            i, j = piv
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-                u[t], u[i] = u[i], u[t]
-            if j != t:
-                for r in range(rows):
-                    a[r][t], a[r][j] = a[r][j], a[r][t]
-                for r in range(cols):
-                    v[r][t], v[r][j] = v[r][j], v[r][t]
-        done = True
-        for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                for c in range(cols):
-                    a[i][c] -= q * a[t][c]
-                for c in range(rows):
-                    u[i][c] -= q * u[t][c]
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    u[t], u[i] = u[i], u[t]
-                done = False
-        for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                for r in range(rows):
-                    a[r][j] -= q * a[r][t]
-                for r in range(cols):
-                    v[r][j] -= q * v[r][t]
-                if a[t][j] != 0:
-                    for r in range(rows):
-                        a[r][t], a[r][j] = a[r][j], a[r][t]
-                    for r in range(cols):
-                        v[r][t], v[r][j] = v[r][j], v[r][t]
-                done = False
-        if done:
-            t += 1
-            if t >= min(rows, cols):
-                return
+def _hermite(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, U) with U unimodular, U * rows = H, and H the Hermite normal form
+    of the rows: echelon with positive pivots, every entry above a pivot in
+    [0, pivot), and its zero rows last. It reduces the rows with an identity
+    block attached, so that block ends as U."""
+    n = len(rows)
+    cols = len(rows[0]) if n else 0
+    a = [list(map(int, r)) + e for r, e in zip(rows, identity_matrix(n))]
+    r = 0
+    for c in range(cols):
+        # gcd-reduce column c among rows r..: swap the least nonzero entry up
+        # and reduce the rows below by it, until it is the only one
+        while True:
+            nz = [i for i in range(r, n) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            a[r], a[i0] = a[i0], a[r]
+            if len(nz) == 1:
+                break
+            for i in range(r + 1, n):
+                q = a[i][c] // a[r][c]
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        if r < n and a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            # reduce the entries above the pivot into [0, pivot); rows above
+            # are zero left of their pivots, so earlier columns stay reduced
+            for j in range(r):
+                q = a[j][c] // a[r][c]
+                if q:
+                    a[j] = [x - q * y for x, y in zip(a[j], a[r])]
+            r += 1
+    return [row[:cols] for row in a], [row[cols:] for row in a]
 
 
 def row_hermite_basis(rows: list[list[int]]) -> list[list[int]]:
     """The Hermite normal form of the lattice generated by the rows: its
     unique echelon basis with positive pivots and every entry above a pivot
     in [0, pivot)."""
-    if not rows:
-        return []
-    a = [list(map(int, r)) for r in rows]
-    cols = len(a[0])
-    basis: list[list[int]] = []
-    r = 0
-    for c in range(cols):
-        # gcd-reduce column c among rows r..
-        while True:
-            nz = [i for i in range(r, len(a)) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            a[r], a[i0] = a[i0], a[r]
-            done = True
-            for i in range(r + 1, len(a)):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    for j in range(cols):
-                        a[i][j] -= q * a[r][j]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(a) and a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            r += 1
-    basis = [row for row in a[:r]]
-    # reduce the entries above each pivot into [0, pivot), top-down: row i
-    # is zero left of its pivot, so later steps leave earlier columns alone
-    pivots = []
-    for row in basis:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.append(c)
-                break
-    for i in range(len(basis)):
-        c = pivots[i]
-        for j in range(i):
-            q = basis[j][c] // basis[i][c]
-            if q:
-                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
-    return basis
+    h, _u = _hermite(rows)
+    return [row for row in h if any(row)]
+
+
+def smith_normal_form(m):
+    """Return (U, D, V) with U*m*V = D, U and V unimodular, and the diagonal
+    of D nonnegative with d1 | d2 | ...
+
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan and Bachem): each round either divides the first uncleared
+    diagonal entry properly or clears its row and column, and zero rows and
+    columns sink to the end. Where a diagonal entry does not divide the next,
+    adding the next row to its row makes the next rounds take their gcd.
+    """
+    a = [list(map(int, row)) for row in m]
+    u = identity_matrix(len(a))
+    v = identity_matrix(len(a[0]) if a else 0)
+    while True:
+        a, t = _hermite(a)
+        u = mat_mul(_ZZ, t, u)
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            d = [a[i][i] for i in range(min(len(a), len(v)))]
+            i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+            if i is None:
+                return u, a, v
+            a[i] = [x + y for x, y in zip(a[i], a[i + 1])]
+            u[i] = [x + y for x, y in zip(u[i], u[i + 1])]
+        h, t = _hermite(transpose(a))
+        a = transpose(h)
+        v = mat_mul(_ZZ, v, transpose(t))
 
 
 def relation_lattice(weights) -> list[list[int]]:
     """Basis of {u in Z^m : sum u_i * a_i = 0 in A}, as rows.
 
-    Computed from the Smith normal form of the weight matrix extended by the
-    torsion relations, then projected back to the u-coordinates.
+    The weight matrix, extended by one row d * e_i per torsion coordinate, has
+    Hermite transform U; the rows of U whose Hermite row is zero span its left
+    kernel, and their first m coordinates span the relations.
     """
     weights = list(weights)
     if not weights:
@@ -340,19 +267,11 @@ def relation_lattice(weights) -> list[list[int]]:
     for w in weights:
         if w.group != group:
             raise ValueError("weights of different groups")
-    m = len(weights)
-    t = len(group.torsion)
-    ncols = group.ncoords
     mat = [list(w.coords) for w in weights]
     for i, d in enumerate(group.torsion):
-        row = [0] * ncols
+        row = [0] * group.ncoords
         row[group.rank + i] = d
         mat.append(row)
-    u, dmat, _v = smith_normal_form(mat)
-    nrows = m + t
-    rank = 0
-    for i in range(min(nrows, ncols)):
-        if dmat[i][i] != 0:
-            rank += 1
-    gens = [u[i][:m] for i in range(rank, nrows)]
-    return row_hermite_basis(gens)
+    h, u = _hermite(mat)
+    m = len(weights)
+    return row_hermite_basis([uu[:m] for hh, uu in zip(h, u) if not any(hh)])

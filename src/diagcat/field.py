@@ -195,9 +195,9 @@ def kron(ring, mats):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Matrix-entry ring of the `SparsePoly`s of one polynomial ring (for
-    `stab`, the coordinate ring k[Z, W]): the entries carry their own + and
-    *, this supplies the constants."""
+    """Matrix-entry ring whose entries carry their own + and *, this
+    supplying the constants: the `SparsePoly`s of one polynomial ring (for
+    `stab`, the coordinate ring k[Z, W]), or the ints of `abelian`."""
 
     zero_element: object
     one_element: object

@@ -9,8 +9,11 @@ tuple. That is the value the dataclass hash would give, and it derives from
 values only, never from `id()`, so dict and set orders do not change.
 
 Each class has one table, which holds its instances weakly: an object lives
-as long as something else refers to it, and a dropped product leaves no
-entry behind.
+as long as something else refers to it. The memos of `diagrep.basis_weights`
+and `diagrep.weight_slots` (`lru_cache(maxsize=None)`) are such referrers, so
+every object passed to them stays in the table for the life of the process.
+They are kept on purpose: per-object `cached_property` caches instead made
+the serial canonical axiom check over F5, Z/4 at N=3 about 25% slower.
 """
 
 from __future__ import annotations

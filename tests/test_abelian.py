@@ -1,4 +1,10 @@
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,8 @@ from hypothesis import strategies as st
 from diagcat import abelian as ab
 from diagcat import field as fm
 from diagcat.field import QQ
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_add_examples():
@@ -72,6 +80,91 @@ def test_bad_groups_rejected():
         ab.FgAbelianGroup(-1)
 
 
+@pytest.mark.parametrize("text", ["Z/0", "Z^2 + Z/0", "Z/4 + Z/00"])
+def test_zero_cyclic_summand_refused(text):
+    # Z/0 is Z, not the trivial group; Z/1 stays trivial
+    with pytest.raises(ValueError, match="Z/0"):
+        ab.parse_group(text)
+    assert ab.parse_group("Z/1") == ab.parse_group("0")
+    assert ab.parse_group("Z^2 + Z/1") == ab.parse_group("Z^2")
+
+
+def test_elements_are_lexicographic():
+    G = ab.parse_group("Z/2 + Z/6")
+    coords = [e.coords for e in G.elements()]
+    assert coords == sorted(coords) and len(set(coords)) == 12
+    assert ab.parse_group("0").elements() == [ab.parse_group("0").zero()]
+
+
+# ---------------------------------------------------------------------------
+# Invariant factors
+
+
+def _invariant_factors_oracle(ds):
+    """Elementary divisors: split each d into prime powers, then rebuild the
+    k-th largest invariant factor from each prime's k-th largest exponent."""
+    exponents: dict[int, list[int]] = {}
+    for d in ds:
+        p = 2
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    n = max((len(es) for es in exponents.values()), default=0)
+    factors = [1] * n
+    for p, es in exponents.items():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            factors[k] *= p**e
+    return sorted(factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=5))
+def test_normalize_torsion_matches_elementary_divisors(ds):
+    assert ab.normalize_torsion(ds) == _invariant_factors_oracle(ds)
+
+
+def test_normalize_torsion_examples():
+    assert ab.normalize_torsion([]) == []
+    assert ab.normalize_torsion([1, 1]) == []
+    assert ab.normalize_torsion([4, 6]) == [2, 12]
+    assert ab.parse_group("Z/4 + Z/6") == ab.parse_group("Z/2 + Z/12")
+    assert ab.parse_group("Z/2 + Z/3") == ab.parse_group("Z/6")
+
+
+# ---------------------------------------------------------------------------
+# The Hermite core
+
+
+@st.composite
+def int_matrices(draw, max_side=6, bound=1000):
+    """Up to max_side x max_side, with many zero entries and zero rows."""
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    row = st.one_of(
+        st.builds(lambda: [0] * cols),
+        st.lists(entry, min_size=cols, max_size=cols),
+    )
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices())
+def test_hermite_transform(rows):
+    h, u = ab._hermite(rows)
+    assert fm.mat_mul(QQ, u, rows) == h
+    assert abs(fm.det(QQ, u)) == 1
+    rank = sum(1 for row in h if any(row))
+    assert not any(any(row) for row in h[rank:])  # zero rows last
+    assert _is_hermite(h[:rank])
+    assert ab.row_hermite_basis(rows) == h[:rank]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -104,15 +197,9 @@ def test_snf_examples():
     assert _snf_invariants([[2, 4]]) == [2]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(0, 10**6),
-)
-def test_snf_random(rows, cols, seed):
-    rng = random.Random(seed)
-    m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+@settings(max_examples=100, deadline=None)
+@given(int_matrices())
+def test_snf_random(m):
     _snf_invariants(m)
 
 
@@ -203,6 +290,43 @@ def test_relation_lattice_hermite_examples():
 
 def test_relation_lattice_empty():
     assert ab.relation_lattice([]) == []
+
+
+FIVE_WEIGHTS_Z4 = [
+    [483, 151, -791, -937],
+    [-517, 116, 507, -268],
+    [-828, -268, 773, -428],
+    [-190, 210, -707, 862],
+    [-725, -855, -937, -573],
+]
+
+
+def test_relation_lattice_of_five_weights_in_z4_returns():
+    """A case on which the former Smith loop never returned. It runs in a
+    child process, so that a hang fails the test instead of stalling it."""
+    code = (
+        "import json, sys\n"
+        "from diagcat import abelian as ab\n"
+        "G = ab.parse_group('Z^4')\n"
+        "ws = [G.element(w) for w in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(ab.relation_lattice(ws)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(FIVE_WEIGHTS_Z4)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    basis = json.loads(proc.stdout)
+    # five weights of rank 4 have a rank-1 relation lattice: one primitive row
+    assert len(basis) == 1
+    (u,) = basis
+    assert math.gcd(*u) == 1
+    for c in range(4):
+        assert sum(x * w[c] for x, w in zip(u, FIVE_WEIGHTS_Z4)) == 0
 
 
 @settings(max_examples=40, deadline=None)

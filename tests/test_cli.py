@@ -119,6 +119,25 @@ def test_char_group(capsys):
     assert payload["isomorphism_verified"] is True
     code, out, _ = run_cli(capsys, "char-group", "--group", "Z/1", "--json")
     assert code == 0 and json.loads(out)["elements_checked"] == 1
+    code, out, _ = run_cli(capsys, "char-group", "--group", "Z/4 + Z/6", "--json")
+    assert code == 0 and json.loads(out)["group"] == "Z/2 + Z/12"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char-group", "--group", "Z/0"],
+        ["axioms", "check", "--field", "F3", "--group", "Z/0",
+         "--max-dim", "1", "--max-len", "1"],
+        ["axioms", "check", "--field", "F3", "--group", "Z^2 + Z/0",
+         "--max-dim", "1", "--max-len", "1"],
+    ],
+)
+def test_zero_cyclic_summand_exits_2(capsys, argv):
+    # Z/0 is Z, not the trivial group; reading it as 0 checked the wrong group
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Z/0" in err
 
 
 def test_axioms_check_json_deterministic(capsys):
