@@ -30,6 +30,13 @@ CATALOG = (
 # catalog groups with their weights stripped, in tests/data/groups
 WEIGHT_FREE = ("diagonal-torus-gl2", "torus-t-t2-gl2")
 
+# GL_3 and GL_4 diagonal images with their weights, in tests/data/groups
+WEIGHTS_FILES = (
+    "weights-gl3-Z-1-3-5-F101", "weights-gl3-Z7-1-2-4-F101",
+    "weights-gl3-Z-2-3-5-F101", "weights-gl4-Z-1-2-3-4-F101",
+    "weights-gl4-Z5-1-2-3-4-F101", "weights-gl3-Z-1-3-5-Q",
+)
+
 CASES = [
     ["model", "inspect", "--field", "F5", "--group", "Z/4", "--json"],
     ["model", "inspect", "--field", "F5", "--group", "Z^2", "--json"],
@@ -48,6 +55,9 @@ CASES = [
     *(["stab", "degrees-equal", "--group-file", f"groups/{g}-{k}.json",
        "--d", "1", "--dprime", "2", "--json"]
       for k in ("Q", "F101") for g in WEIGHT_FREE),
+    *(["stab", "defining-degree", "--group-file", f"groups/{g}.json",
+       "--dmax", "3", "--cap", "4", "--json"]
+      for g in WEIGHTS_FILES),
     ["paren", "encode", "--pattern", "((( _ _ _ )( _ ))( _ _ ))", "--json"],
     ["paren", "decode", "--bits", "10 10 10 00 00 00 01 10 00 01 01 10 00 00 01 01",
      "--json"],
