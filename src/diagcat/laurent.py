@@ -17,21 +17,23 @@ and the slice alike. A membership question takes one path. `all_members`
 asks "is every f of fs in I?" with one ladder for all of them: at each cap
 0..max_cap one elimination (`_capped_solves`) looks for cofactors of degree
 <= cap in the other variables for every f not yet decided, each with its
-own right-hand side and its own work-budget test, and after cap 0 the
-non-members are scanned in order for a refutation point, a point of GL_n
-where the ideal vanishes and f does not, through one shared `PointScan`.
-A refuted f or one over the budget ends the ladder for every f after it.
+own right-hand side, under one work-budget test per solve, and after cap 0
+the non-members are scanned in order for a refutation point, a point of
+GL_n where the ideal vanishes and f does not, through one shared
+`PointScan`. A refuted f, or the first f left when a solve is over the
+budget, ends the ladder for every f after it.
 `ideal_membership_ascending` is that ladder for one f, and
-`ideal_membership` is one solve at one cap plus one scan. The scan tests a
-fixed stream of points in windows of 1, 2, 4, ... points, evaluating each
-polynomial at a whole window at once from per-coordinate columns
-(`SparsePoly.evaluate_columns`); a refutation point is the first point of
-the stream where I vanishes and f does not, whatever the order of the
-generators. `member` carries expandable cofactor witnesses, lifted back to
-k[Z, W] only for the answers returned; `not_member_up_to(D)` means no
-representation with cofactors of degree <= D for the generators that are
-not single variables (definitive only beyond the Hermann bound, so the cap
-is always reported), unless a refutation point makes it definitive.
+`ideal_membership` is one solve at one cap plus one scan. The scan tests
+the fixed stream of points `_point_list` in windows of 1, 2, 4, ...
+points, evaluating each polynomial at a whole window at once from
+per-coordinate columns (`SparsePoly.evaluate_columns`); a refutation
+point is the first point of the stream where I vanishes and f does not,
+whatever the order of the generators. `member` carries expandable cofactor
+witnesses, lifted back to k[Z, W] only for the answers returned;
+`not_member_up_to(D)` means no representation with cofactors of degree
+<= D for the generators that are not single variables (definitive only
+beyond the Hermann bound, so the cap is always reported), unless a
+refutation point makes it definitive.
 
 The degree <= d slices of an ideal at one cap come from one graded
 elimination (`graded_truncation`): the multiples m*g are echeloned once with
@@ -47,6 +49,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, lru_cache
 from operator import add
 
@@ -125,8 +128,6 @@ def parse_element(field: ExactField, n: int, text: str) -> SparsePoly:
     """A sum of signed products of factors (numbers and Z/W entries with
     optional powers). Consecutive signs multiply, adjacent factors multiply,
     and a `*` must stand between two factors."""
-    from fractions import Fraction
-
     pos = 0
     result = lau_zero(field, n)
     sign = 1
@@ -473,13 +474,14 @@ def _work_budget(field: ExactField) -> int:
 
 def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
     """One cofactor solve of f = sum h_i g_i, deg h_i <= cap, over the
-    generators of I and the relation ideal, for each f of the longest prefix
-    of fs within the work budget, in order: f's cofactors in the kept
-    variables (`_lift_witness` lifts them), or None when it has none. A zero
-    f gets () and no solve; every other f has its own work-budget test, and
-    the first f over it ends the prefix. One elimination serves the whole
-    prefix, one right-hand side per f, and none is built when the prefix
-    holds no nonzero f. Every f's ring is checked first.
+    generators of I and the relation ideal, for the fs in order: f's
+    cofactors in the kept variables (`_lift_witness` lifts them), or None
+    when it has none. A zero f gets () and no solve. The solve has one
+    work-budget test, from the top degree of the generators (a target adds
+    only right-hand-side rows); over the budget the list stops at the first
+    nonzero f. One elimination serves every nonzero f, one right-hand side
+    each, and none is built when no nonzero f is answered. Every f's ring
+    is checked first.
 
     The generators come reduced into the variables that I's single-variable
     generators leave (`_reduction`), and repeated reductions are dropped."""
@@ -490,16 +492,12 @@ def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
         raise ValueError("cofactor degree cap must be >= 0")
     _, kept, _, distinct = _reduction(I)
     reduced = [r for _, r in distinct]
-    top = max((r.degree() for r in reduced), default=-1)
-    size, budget = (len(kept), len(reduced), cap), _work_budget(field)
-    prefix = []
-    for f in fs:
-        if not f.is_zero() and _solve_work_estimate(*size, max(top, f.degree())) > budget:
-            break
-        prefix.append(f)
-    targets = [_eliminate(f, kept) for f in prefix if not f.is_zero()]
+    top = max(r.degree() for r in reduced)  # a diagonal relation keeps its -1
+    if _solve_work_estimate(len(kept), len(reduced), cap, top) > _work_budget(field):
+        fs = list(itertools.takewhile(SparsePoly.is_zero, fs))
+    targets = [_eliminate(f, kept) for f in fs if not f.is_zero()]
     solved = iter(_solve_cofactors(field, reduced, targets, cap) if targets else ())
-    return [() if f.is_zero() else next(solved) for f in prefix]
+    return [() if f.is_zero() else next(solved) for f in fs]
 
 
 def _lift_witness(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
@@ -579,13 +577,13 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
     One ladder climbs caps 0..max_cap with every undecided f at once: one
     `_capped_solves` elimination per cap, and after cap 0 one refutation
     scan per non-member, in order, through one shared `PointScan` of I, up
-    to the first point found. A refuted f, or one over the work budget
-    (which `_solve_work_estimate` keeps it over at every larger cap), is no
-    member, so no f after it is solved again. Each f gets the answer of its
-    own ladder: a member at its least cap with the cofactors of that solve,
-    a definitive negative at cap 0 with the first point of the stream, or
-    its answer at max_cap (`unknown` over the budget). Only the witnesses
-    returned are lifted, once, at the end."""
+    to the first point found. A refuted f, or the first f left undecided
+    by a solve over the work budget (every larger cap is over it too), is
+    no member, so no f after it is solved again. Each f gets the answer of
+    its own ladder: a member at its least cap with the cofactors of that
+    solve, a definitive negative at cap 0 with the first point of the
+    stream, or its answer at max_cap (`unknown` over the budget). Only the
+    witnesses returned are lifted, once, at the end."""
     fs = tuple(fs)
     if max_cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
@@ -624,13 +622,6 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
 # Points and refutation certificates
 
 
-def matrix_inverse_exact(field, m):
-    try:
-        return fieldmod.inverse(field, m)
-    except ValueError:
-        return None
-
-
 def _diagonal_point(field: ExactField, entries):
     """The pair (g, g^{-1}) for g the diagonal matrix of the given units."""
     n = len(entries)
@@ -643,73 +634,48 @@ def _diagonal_point(field: ExactField, entries):
     return g, ginv
 
 
-def _transvections_and_permutations(field: ExactField, n: int):
-    """The elementary transvections I + E_ij (i != j), then the permutation
-    matrices, the identity first, as (g, g^{-1}) pairs: they reach
-    coordinates a diagonal grid cannot refute."""
-    one, zero = field.one(), field.zero()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            g = [[one if a == b else zero for b in range(n)] for a in range(n)]
-            g[i][j] = one
-            yield g, matrix_inverse_exact(field, g)
-    for perm in itertools.permutations(range(n)):
-        g = [[one if perm[a] == b else zero for b in range(n)] for a in range(n)]
-        yield g, matrix_inverse_exact(field, g)
-
-
-def candidate_points(field: ExactField, n: int):
-    """Deterministic stream of invertible matrices (as (g, g^{-1}) pairs):
-    diagonal grids first, then the transvections and permutation matrices,
-    then, over small finite fields, all of GL_n."""
-    if field.is_finite:
-        diag_entries = field.units()
-    else:
-        from fractions import Fraction
-
-        diag_entries = [
-            Fraction(1),
-            Fraction(-1),
-            Fraction(2),
-            Fraction(-2),
-            Fraction(3),
-            Fraction(1, 2),
-            Fraction(5),
-        ]
-    for diag in itertools.product(diag_entries, repeat=n):
-        yield _diagonal_point(field, diag)
-    yield from _transvections_and_permutations(field, n)
-    if field.is_finite and n <= 2 and field.p <= 7:
-        elems = field.elements()
-        for entries in itertools.product(elems, repeat=n * n):
-            g = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-            ginv = matrix_inverse_exact(field, g)
-            if ginv is not None:
-                yield g, ginv
-
-
-def _scanned_points(field: ExactField, n: int):
-    """The first 3000 points of `candidate_points(field, n)`, then, when the
-    stream runs past them, its transvections and its permutation matrices
-    other than the identity. Over a large field the diagonal grid fills the
-    prefix for n >= 2; the tail gives the scan the points off the diagonal
-    that the stream holds further on."""
-    stream = candidate_points(field, n)
-    yield from itertools.islice(stream, 3000)
-    if next(stream, None) is not None:
-        for g, ginv in _transvections_and_permutations(field, n):
-            if any(g[i][j] for i in range(n) for j in range(n) if i != j):
-                yield g, ginv
-
-
 @lru_cache(maxsize=32)
-def _point_list(field: ExactField, n: int):
-    """`_scanned_points(field, n)` as tuples."""
+def _point_list(field: ExactField, n: int) -> tuple:
+    """The fixed stream of points of GL_n that a refutation scan tests, as
+    (g, g^{-1}) pairs of row tuples, in this order:
+
+    - the grid of diagonal matrices over the units of F_p, or over 1, -1,
+      2, -2, 3, 1/2, 5 for Q, cut at its first 3000 points;
+    - the transvections I + E_ij (i != j), with inverses I - E_ij;
+    - the permutation matrices other than the identity, with their
+      transposes as inverses;
+    - all of GL_n, when p <= 7 and n <= 2.
+
+    The transvections and permutations reach coordinates that the diagonal
+    grid cannot refute. The pairs come from one generator, so the grid past
+    its cut is never built."""
+    one, zero = field.one(), field.zero()
+    eye = {(a, a): one for a in range(n)}
+
+    def matrix(entries: dict):
+        return [[entries.get((a, b), zero) for b in range(n)] for a in range(n)]
+
+    def stream():
+        units = field.units() if field.is_finite else [
+            Fraction(x) for x in "1 -1 2 -2 3 1/2 5".split()
+        ]
+        for diag in itertools.islice(itertools.product(units, repeat=n), 3000):
+            yield _diagonal_point(field, diag)
+        for i, j in itertools.permutations(range(n), 2):
+            yield matrix({**eye, (i, j): one}), matrix({**eye, (i, j): field.neg(one)})
+        for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+            yield (
+                matrix({(a, b): one for a, b in enumerate(perm)}),
+                matrix({(b, a): one for a, b in enumerate(perm)}),
+            )
+        if field.is_finite and n <= 2 and field.p <= 7:
+            for entries in itertools.product(field.elements(), repeat=n * n):
+                g = [entries[a * n : (a + 1) * n] for a in range(n)]
+                if fieldmod.det(field, g) != zero:
+                    yield g, fieldmod.inverse(field, g)
+
     return tuple(
-        (tuple(map(tuple, g)), tuple(map(tuple, ginv)))
-        for g, ginv in _scanned_points(field, n)
+        (tuple(map(tuple, g)), tuple(map(tuple, ginv))) for g, ginv in stream()
     )
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -562,15 +563,6 @@ def test_truncation_matches_dense_reference(monkeypatch, p, caps):
     assert [repr(la.truncated_ideal_part(*case)) for case in cases] == sparse
 
 
-def _prefix_point_list(field, n):
-    """`_point_list` as it was before the stream got its tail: the first
-    3000 points of `candidate_points(field, n)`, as tuples."""
-    return tuple(
-        (tuple(map(tuple, g)), tuple(map(tuple, ginv)))
-        for g, ginv in itertools.islice(la.candidate_points(field, n), 3000)
-    )
-
-
 def _reference_refutation_point(f, I, points=None):
     """The point scan as one loop: the first stream point (of `points`, by
     default `_point_list`) where f is nonzero and every generator of I
@@ -616,21 +608,63 @@ def test_point_scan_matches_reference_loop(field):
         la.find_refutation_point(fs[0], cat["mu2"].ideal, other_scan)
 
 
+def _diagonal_entries(field):
+    """The diagonal entries the stream's grid runs over, in order."""
+    if field.is_finite:
+        return field.units()
+    return [Fraction(x) for x in (1, -1, 2, -2, 3, Fraction(1, 2), 5)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_point_list_is_the_stream_prefix_then_its_tail(n):
-    """Over F_101 the first 3000 points are the stream's, and only a stream
-    that runs past them gets a tail; over Q, F_5 and F_7 the stream is
-    shorter and `_point_list` is all of it."""
-    F101 = ExactField(101)
-    points = la._point_list(F101, n)
-    assert points[:3000] == _prefix_point_list(F101, n)
-    tail = points[3000:]
-    assert len(tail) == (0 if n == 1 else n * (n - 1) + math.factorial(n) - 1)
-    for field in (QQ, F5, ExactField(7)):
-        stream = _prefix_point_list(field, n)
-        assert len(stream) < 3000
-        assert la._point_list(field, n) == stream
-        assert sum(1 for _ in la.candidate_points(field, n)) == len(stream)
+    """The stream is the diagonal grid cut at 3000 points, then the n(n-1)
+    transvections I + E_ij, then the n! - 1 permutation matrices other
+    than the identity, then, for p <= 7 and n <= 2, all of GL_n(F_p) in
+    row-major order of its entries."""
+    cells = list(itertools.product(range(n), repeat=2))
+    for field in (QQ, F5, ExactField(7), ExactField(101)):
+        one = field.one()
+        points = list(la._point_list(field, n))
+        diagonals = itertools.product(_diagonal_entries(field), repeat=n)
+        grid = list(itertools.islice(diagonals, 3000))
+        for (g, _), diag in zip(points, grid):
+            assert g == tuple(
+                tuple(diag[a] if a == b else 0 for b in range(n)) for a in range(n)
+            )
+        rest = points[len(grid) :]
+        for i, j in itertools.permutations(range(n), 2):
+            g, ginv = rest.pop(0)
+            assert {c for c in cells if g[c[0]][c[1]]} == {(a, a) for a in range(n)} | {(i, j)}
+            assert g[i][j] == one and ginv[i][j] == field.neg(one)
+        for perm in list(itertools.permutations(range(n)))[1:]:
+            g, ginv = rest.pop(0)
+            assert {c for c in cells if g[c[0]][c[1]]} == set(enumerate(perm))
+            assert ginv == tuple(zip(*g))
+        if field.is_finite and field.p <= 7 and n <= 2:
+            rows = (
+                tuple(entries[a * n : (a + 1) * n] for a in range(n))
+                for entries in itertools.product(range(field.p), repeat=n * n)
+            )
+            gl = [g for g in rows if fm.rank(field, g) == n]
+            assert [g for g, _ in rest] == gl
+            assert len(gl) == math.prod(field.p**n - field.p**k for k in range(n))
+        else:
+            assert rest == []
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, ExactField(2), ExactField(3), F5, ExactField(7), ExactField(101)],
+    ids=str,
+)
+def test_every_stream_point_is_a_matrix_and_its_inverse(field):
+    """g g^{-1} = I at every point of the stream, for n <= 4; the inverses
+    of the grid, the transvections and the permutations are written down,
+    not solved for."""
+    for n in range(1, 5):
+        eye = fm.identity(field, n)
+        for g, ginv in la._point_list(field, n):
+            assert fm.mat_mul(field, g, ginv) == eye
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -654,10 +688,9 @@ def test_tail_points_are_off_the_diagonal_and_invertible(n):
 def test_tail_keeps_every_prefix_refutation(field):
     """Wherever the prefix-only stream refutes f, the scan returns that same
     point; over F_101 the tail refutes some f that the prefix could not."""
-    prefixes = {}
     new = 0
     for name, I, fs in _scan_cases(field):
-        prefix = prefixes.setdefault(I.n, _prefix_point_list(field, I.n))
+        prefix = la._point_list(field, I.n)[:3000]
         scan = la.PointScan(I)
         for f in fs:
             want = _reference_refutation_point(f, I, prefix)
@@ -793,15 +826,48 @@ def test_cap0_refutation_ends_the_ladder(monkeypatch, field):
     assert res.status == "not_member_up_to" and res.definitive and res.cap == 0
 
 
-def test_refutation_covers_an_answer_over_budget():
+_WORK_BUDGET = la._work_budget
+
+
+def _over_budget_from(monkeypatch, I, cap):
+    """Lower the work budget so that a solve against I is within it at
+    caps below `cap` and over it from `cap` on; None keeps the real one."""
+    if cap is None:
+        monkeypatch.setattr(la, "_work_budget", _WORK_BUDGET)
+        return
+    _, kept, _, distinct = la._reduction(I)
+    top = max(r.degree() for _, r in distinct)
+    budget = la._solve_work_estimate(len(kept), len(distinct), cap, top) - 1
+    monkeypatch.setattr(la, "_work_budget", lambda field: budget)
+
+
+def test_refutation_covers_an_answer_over_budget(monkeypatch):
     I = la.catalog(QQ)["diagonal-torus-gl2"].ideal
     f = la.parse_element(QQ, 2, "Z[1,1]^130 - Z[2,2]")
+    _over_budget_from(monkeypatch, I, 0)
     assert la._capped_solves([f], I, 0) == []  # over the work budget
     res = la.ideal_membership(f, I, 0)
     assert res.status == "not_member_up_to" and res.definitive
     g, ginv = res.refutation_point
     assert la.evaluate_at_point(f, g, ginv) != QQ.zero()
     assert all(la.evaluate_at_point(h, g, ginv) == QQ.zero() for h in I.generators)
+
+
+def test_budget_ignores_the_target_degree():
+    """The budget test counts the solve, not the target: a target of degree
+    above cap + the generators' top degree adds only right-hand-side rows.
+    Z[1,1]^60 - Z[1,1]^58*Z[2,2] against torus-t-t2-gl2 over Q was
+    estimated at 152,334,000 at cap 1 when its own degree counted, over the
+    budget of 40,000,000; it is solved, and its ladder ends at the cap, not
+    in `unknown`."""
+    I = la.catalog(QQ)["torus-t-t2-gl2"].ideal
+    f = la.parse_element(QQ, 2, "Z[1,1]^60 - Z[1,1]^58*Z[2,2]")
+    _, kept, _, distinct = la._reduction(I)
+    per_target = la._solve_work_estimate(len(kept), len(distinct), 1, f.degree())
+    assert per_target == 152_334_000 > la._work_budget(QQ)
+    assert la._capped_solves([f], I, 1) == [None]
+    res = la.ideal_membership_ascending(f, I, 3)
+    assert (res.status, res.cap, res.definitive) == ("not_member_up_to", 3, False)
 
 
 @pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
@@ -1017,10 +1083,9 @@ def test_graded_truncation_matches_reference_at_every_degree(field):
 def _members_cases(field):
     """(ideal, targets) for `all_members`: the weight-stripped
     torus-t-t2-gl2 ideal with targets that are zero, members at caps 0, 1
-    and 2, refuted by a point (Z[1,1] - 1), over the work budget at every
-    cap (a member of degree 200), and over it from cap 1 on over Q and
-    from cap 2 on over F_101 (a member of degree 60), in lists that fail
-    first, in the middle and not at all."""
+    and 2, refuted by a point (Z[1,1] - 1), and members of degree 200 and
+    60 that need a cap far above 3, in lists that fail first, in the middle
+    and not at all."""
     I = la.catalog(field)["torus-t-t2-gl2"].ideal
 
     def el(text):
@@ -1045,76 +1110,74 @@ def _members_cases(field):
 
 
 @pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
-def test_all_members_matches_separate_ladders(field):
+def test_all_members_matches_separate_ladders(monkeypatch, field):
     """The shared solves of `all_members` give each target the answer of
     its own ladder, cofactor for cofactor: the same as one
     `ideal_membership_ascending` per target, which is the one-target
     `all_members` call, and, but for the cap of a definitive negative, as
-    the reference ladder."""
+    the reference ladder. So they do with the real work budget and with a
+    budget that the solves go over from cap 0, 1 or 2 on."""
     I, lists = _members_cases(field)
     outcomes = set()
-    for fs in lists:
-        for max_cap in range(4):
-            witnesses, failure = la.all_members(fs, I, max_cap)
-            got = [res for _, res in witnesses] + ([failure[1]] if failure else [])
-            ref_scan = la.PointScan(I)
-            for f, res in zip(fs, got):
-                want = la.ideal_membership_ascending(f, I, max_cap)
-                ref = reference_ascending(f, I, max_cap, ref_scan)
-                case = (max_cap, la.format_element(f))
-                alone, failed = la.all_members([f], I, max_cap)
-                assert want == (failed[1] if failed else alone[0][1]), case
-                assert res == want, case
-                assert (res.status, res.definitive, res.cofactors, res.refutation_point) == (
-                    ref.status, ref.definitive, ref.cofactors, ref.refutation_point
-                ), case
-                if res.is_member:
-                    assert la.verify_membership_witness(f, res)
-                outcomes.add((res.status, res.cap if res.is_member else res.definitive))
-            if failure is None:
-                assert len(got) == len(fs)
-            else:
-                assert failure[0] is fs[len(got) - 1]
+    for over_from in (None, 0, 1, 2):
+        _over_budget_from(monkeypatch, I, over_from)
+        for fs in lists:
+            for max_cap in range(4):
+                witnesses, failure = la.all_members(fs, I, max_cap)
+                got = [res for _, res in witnesses] + ([failure[1]] if failure else [])
+                ref_scan = la.PointScan(I)
+                for f, res in zip(fs, got):
+                    want = la.ideal_membership_ascending(f, I, max_cap)
+                    ref = reference_ascending(f, I, max_cap, ref_scan)
+                    case = (over_from, max_cap, la.format_element(f))
+                    alone, failed = la.all_members([f], I, max_cap)
+                    assert want == (failed[1] if failed else alone[0][1]), case
+                    assert res == want, case
+                    fields = ("status", "definitive", "cofactors", "refutation_point")
+                    for name in fields:
+                        assert getattr(res, name) == getattr(ref, name), (name, case)
+                    if res.is_member:
+                        assert la.verify_membership_witness(f, res)
+                    outcomes.add((res.status, res.cap if res.is_member else res.definitive))
+                if failure is None:
+                    assert len(got) == len(fs)
+                else:
+                    assert failure[0] is fs[len(got) - 1]
     assert {("member", 0), ("member", 1), ("member", 2)} <= outcomes
-    assert {("not_member_up_to", True), ("unknown", False)} <= outcomes
+    assert {("not_member_up_to", True), ("not_member_up_to", False)} <= outcomes
+    assert ("unknown", False) in outcomes
 
 
 @pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
 def test_all_members_solves_nothing_behind_a_target_over_budget(monkeypatch, field):
-    """From the cap at which a target goes over the work budget, no target
-    after it reaches `_solve_cofactors`: that target is no member, so the
-    ladder ends with it."""
+    """From the cap at which the solve goes over the work budget, no target
+    reaches `_solve_cofactors`: the first target left undecided there is no
+    member, so the ladder ends with it, `unknown` at the ladder's cap unless
+    a point refuted it."""
     solves = []
     solve = la._solve_cofactors
 
     def recording(field, gens, targets, cap):
-        solves.append((cap, targets))
+        solves.append(cap)
         return solve(field, gens, targets, cap)
 
     I, lists = _members_cases(field)
-    kept = la._reduction(I)[1]
-    over_caps = set()
+    one = la.lau_const(field, 2, 1)
     monkeypatch.setattr(la, "_solve_cofactors", recording)
-    for fs in lists:
-        for max_cap in range(4):
-            first_over = {}
-            for k, f in enumerate(fs):
-                for c in range(max_cap + 1):
-                    if not la._capped_solves([f], I, c):  # over the budget
-                        first_over[k] = c
-                        break
-            del solves[:]
-            la.all_members(fs, I, max_cap)
-            for k, c in first_over.items():
-                ahead = {la._eliminate(f, kept).terms for f in fs[: k + 1]}
-                behind = {la._eliminate(f, kept).terms for f in fs[k + 1 :]} - ahead
-                for cap, targets in solves:
-                    if cap >= c:
-                        assert not behind & {t.terms for t in targets}, (k, c, cap)
-                over_caps.add(c)
-    assert {0, 1 if field.p is None else 2} <= over_caps
-
-
+    for over_from in (0, 1, 2):
+        _over_budget_from(monkeypatch, I, over_from)
+        assert [bool(la._capped_solves([one], I, c)) for c in range(4)] == [
+            c < over_from for c in range(4)
+        ]
+        for fs in lists:
+            for max_cap in range(4):
+                del solves[:]
+                witnesses, failure = la.all_members(fs, I, max_cap)
+                assert all(cap < over_from for cap in solves), (over_from, max_cap)
+                assert all(res.cap < over_from for f, res in witnesses if not f.is_zero())
+                if failure is not None and not failure[1].definitive:
+                    assert failure[1].cap == max_cap
+                    assert (failure[1].status == "unknown") == (max_cap >= over_from)
 def test_all_members_checks_every_ring_before_any_solve(monkeypatch):
     """A target outside the ideal's ring raises ValueError wherever it
     stands, even behind a refuted target, before any solve."""
@@ -1154,9 +1217,8 @@ def test_all_members_lifts_only_the_witnesses_it_returns(monkeypatch, field):
 
 
 def test_all_members_builds_nothing_over_budget(monkeypatch):
-    """A cap at which every target is over the work budget builds no
-    matrix, and neither does one at which the target whose turn it is is
-    over it, though a later target is within it."""
+    """A cap at which the solve is over the work budget builds no matrix,
+    whatever the targets; the caps below it build one each."""
     calls = []
 
     def counted(name, fn):
@@ -1175,10 +1237,30 @@ def test_all_members_builds_nothing_over_budget(monkeypatch):
         la.parse_element(QQ, 2, "Z[1,1]^201 - Z[1,1]^199*Z[2,2]"),
     ]
     small = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
-    for fs in (big, [big[0], small]):
+    _over_budget_from(monkeypatch, I, 0)
+    for fs in (big, [big[0], small], [small, *big]):
         witnesses, (f, res) = la.all_members(fs, I, 2)
-        assert witnesses == () and f is big[0] and res.status == "unknown"
+        assert witnesses == () and f is fs[0] and res.status == "unknown"
     assert calls == []
-    witnesses, failure = la.all_members([small, *big], I, 0)
+    _over_budget_from(monkeypatch, I, 1)
+    witnesses, failure = la.all_members([small, *big], I, 2)
     assert failure[0] is big[0] and failure[1].status == "unknown"
     assert calls == ["solve", "echelon"]
+
+
+def test_zero_target_is_a_member_whatever_the_budget(monkeypatch):
+    """A zero target is a member at cap 0 without a solve, before a target
+    whose solve is over the work budget and alone."""
+    calls = []
+    monkeypatch.setattr(la, "_solve_cofactors", lambda *args: calls.append(args))
+    I = la.catalog(QQ)["torus-t-t2-gl2"].ideal
+    zero = la.lau_zero(QQ, 2)
+    f = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
+    _over_budget_from(monkeypatch, I, 0)
+    member = la.MembershipResult("member", 0, ())
+    assert la._capped_solves([zero, zero, f, zero], I, 0) == [(), ()]
+    witnesses, (g, res) = la.all_members([zero, f], I, 2)
+    assert witnesses == ((zero, member),) and g is f and res.status == "unknown"
+    assert la.all_members([zero], I, 2) == (((zero, member),), None)
+    assert la.ideal_membership(zero, I, 2) == la.MembershipResult("member", 2, ())
+    assert calls == []

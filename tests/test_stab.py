@@ -177,9 +177,8 @@ def _gl2_f5_points():
     pts = []
     for entries in itertools.product(range(5), repeat=4):
         g = [[entries[0], entries[1]], [entries[2], entries[3]]]
-        ginv = la.matrix_inverse_exact(F5, g)
-        if ginv is not None:
-            pts.append((g, ginv))
+        if fm.rank(F5, g) == 2:
+            pts.append((g, fm.inverse(F5, g)))
     return pts
 
 
