@@ -10,7 +10,8 @@ that has U * rows = H. The Hermite basis of a lattice is H without its zero
 rows; the relation lattice of weights comes from the rows of U whose H row is
 zero; the Smith form alternates row and column Hermite forms; and the
 invariant factors of a parsed group are the Smith diagonal of its cyclic
-factors.
+factors. A `PartialCharacter` is a Hermite basis with the values of a
+character on its rows: the data of a lattice ideal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .field import PolyRing, mat_mul, transpose
+from .field import ExactField, PolyRing, mat_mul, transpose
 from .hashcons import Interned
 
 # ints carry their own + and *, so the shared matrix product takes them as is
@@ -275,3 +276,52 @@ def relation_lattice(weights) -> list[list[int]]:
     h, u = _hermite(mat)
     m = len(weights)
     return row_hermite_basis([uu[:m] for hh, uu in zip(h, u) if not any(hh)])
+
+
+@dataclass(frozen=True)
+class PartialCharacter:
+    """A lattice L in Z^n with a character rho: L -> k^x, the data of the
+    lattice ideal I(L, rho) = (z^l - rho(l) : l in L) of the Laurent ring
+    k[z_1^+-1, ..., z_n^+-1] (Eisenbud-Sturmfels 1996, Thm 2.1): the
+    Hermite basis of L as rows, rho on each row, and the field k that
+    holds the values."""
+
+    field: ExactField
+    basis: tuple[tuple[int, ...], ...]
+    values: tuple
+
+    def reduce(self, v) -> tuple[tuple[int, ...], object]:
+        """(r, rho(l)) for v = r + l with l in L and r the representative
+        of the coset v + L, whose entry at each pivot column of the basis
+        lies in [0, pivot); so z^v = rho(l) z^r modulo I(L, rho)."""
+        k = self.field
+        factor = k.one()
+        for row, x in zip(self.basis, self.values):
+            c = next(j for j, a in enumerate(row) if a)
+            q = v[c] // row[c]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+                factor = k.mul(factor, k.pow(x, q))
+        return tuple(v), factor
+
+
+def partial_character(field: ExactField, rho: dict) -> PartialCharacter | None:
+    """The character on the lattice spanned by the integer vectors that key
+    `rho` that takes the value rho[u] at each u, or None when there is none
+    (the ideal generated by the z^u - rho[u] is then the unit ideal). Its
+    value on a Hermite row is the product of the rho[u] to the powers in
+    that row of the transform; a zero Hermite row is a relation among the
+    u, and its product must be 1."""
+    h, t = _hermite(list(rho))
+    one = field.one()
+    basis, values = [], []
+    for row, powers in zip(h, t):
+        x = one
+        for y, e in zip(rho.values(), powers):
+            x = field.mul(x, field.pow(y, e))
+        if any(row):
+            basis.append(tuple(row))
+            values.append(x)
+        elif x != one:
+            return None
+    return PartialCharacter(field, tuple(basis), tuple(values))

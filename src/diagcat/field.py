@@ -45,7 +45,7 @@ class ExactField:
 
     def of(self, n) -> Fraction | int:
         if self.p is None:
-            return Fraction(n)
+            return n if type(n) is Fraction else Fraction(n)
         if isinstance(n, Fraction):
             num = n.numerator % self.p
             den = n.denominator % self.p

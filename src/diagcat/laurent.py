@@ -33,14 +33,18 @@ witnesses, lifted back to k[Z, W] only for the answers returned;
 `not_member_up_to(D)` means no representation with cofactors of degree
 <= D for the generators that are not single variables (definitive only
 beyond the Hermann bound, so the cap is always reported), unless a
-refutation point makes it definitive.
+refutation point makes it definitive. When I is a binomial presentation
+of a diagonal group, `_lattice` reads it as a lattice ideal of the Laurent
+ring of the diagonal, where f is a member exactly when its coset sums vanish;
+that verdict only skips work whose outcome it proves (the solves of a
+non-member and the scans of a member), so every answer is the ladder's.
 
 The degree <= d slices of an ideal at one cap come from one graded
 elimination (`graded_truncation`): the multiples m*g are echeloned once with
 the columns ordered by degree, and each slice re-echelons the rows whose
 pivot has degree <= d. What solves or slices share lives in the call that
 makes them, or in the `truncation_chain` its caller holds; nothing but
-`_reduction` is cached per ideal at module level.
+`_reduction` and `_lattice` is cached per ideal at module level.
 """
 
 from __future__ import annotations
@@ -52,9 +56,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import add
+from typing import Callable
 
 from . import sparsepoly as sp
-from .abelian import FgAbelianGroup, GroupElement, relation_lattice
+from .abelian import (
+    FgAbelianGroup,
+    GroupElement,
+    PartialCharacter,
+    partial_character,
+    relation_lattice,
+)
 from .field import ExactField
 from . import field as fieldmod
 from .sparsepoly import SparsePoly
@@ -418,6 +429,59 @@ def _reduction(I: LaurentIdeal):
     return eliminated, kept, reductions, list(distinct.values())
 
 
+def _laurent_terms(f: SparsePoly, n: int):
+    """The terms of f modulo the off-diagonal variables, each as (its
+    z-exponent minus its w-exponent on the diagonal, its coefficient): f's
+    image in the Laurent ring k[Z, W] / (off-diagonal variables, ZW - I).
+    Z[i,i] and then W[i,i] sit every n + 1 variables (`z_index`)."""
+    for e, c in f.terms:
+        z, w = e[: n * n : n + 1], e[n * n :: n + 1]
+        if sum(z) + sum(w) == sum(e):
+            yield [a - b for a, b in zip(z, w)], c
+
+
+@lru_cache(maxsize=32)
+def _lattice(I: LaurentIdeal) -> PartialCharacter | None:
+    """I as a lattice ideal I(L, rho) of the Laurent ring of the diagonal,
+    or None; built once per ideal, from I's generators.
+
+    I is one when its single-variable generators are exactly the
+    off-diagonal variables, so that `_reduction` keeps the diagonal ones
+    and the relations reduce to z_ii w_ii - 1, and every other generator,
+    modulo the off-diagonal variables, is zero or a binomial c1 x^a + c2 x^b.
+    That binomial is a unit times z^u - rho(u), for u the Laurent exponent
+    of x^a minus that of x^b and rho(u) = -c2/c1 (Eisenbud-Sturmfels 1996,
+    Thm 2.1). A monomial, or values of rho that no character of L takes,
+    make I the unit ideal, which gives None too."""
+    field, n = I.field, I.n
+    if {_is_single_variable(g) for g in I.generators} - {None} != set(_offdiag_indices(n)):
+        return None
+    rho = {}
+    for g in I.generators:
+        terms = list(_laurent_terms(g, n))
+        if not terms:
+            continue
+        if len(terms) != 2:
+            return None
+        (a, c1), (b, c2) = terms
+        value = field.neg(field.div(c2, c1))
+        if rho.setdefault(tuple(x - y for x, y in zip(a, b)), value) != value:
+            return None
+    return partial_character(field, rho)
+
+
+def _in_lattice_ideal(f: SparsePoly, n: int, lattice: PartialCharacter) -> bool:
+    """Is f in the lattice ideal? Its Laurent term c z^v is c rho(l) z^r
+    for v = r + l and r the coset representative, so f is in the ideal
+    exactly when the sum of these over each coset of L is zero."""
+    field = f.field
+    sums = {}
+    for v, c in _laurent_terms(f, n):
+        r, x = lattice.reduce(v)
+        sums[r] = field.add(sums.get(r, field.zero()), c if x == 1 else field.mul(c, x))
+    return not any(sums.values())
+
+
 def _solve_cofactors(field, gens: list[SparsePoly], fs, cap: int):
     """Solve f = sum h_i g_i with deg h_i <= cap in a small polynomial ring,
     for every f of `fs` from one elimination.
@@ -480,8 +544,9 @@ def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
     work-budget test, from the top degree of the generators (a target adds
     only right-hand-side rows); over the budget the list stops at the first
     nonzero f. One elimination serves every nonzero f, one right-hand side
-    each, and none is built when no nonzero f is answered. Every f's ring
-    is checked first.
+    each, but an f outside I's lattice ideal (`_lattice`) has no cofactors
+    at any cap and gets None unsolved; no elimination is built when no
+    nonzero f is left. Every f's ring is checked first.
 
     The generators come reduced into the variables that I's single-variable
     generators leave (`_reduction`), and repeated reductions are dropped."""
@@ -495,9 +560,15 @@ def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
     top = max(r.degree() for r in reduced)  # a diagonal relation keeps its -1
     if _solve_work_estimate(len(kept), len(reduced), cap, top) > _work_budget(field):
         fs = list(itertools.takewhile(SparsePoly.is_zero, fs))
-    targets = [_eliminate(f, kept) for f in fs if not f.is_zero()]
-    solved = iter(_solve_cofactors(field, reduced, targets, cap) if targets else ())
-    return [() if f.is_zero() else next(solved) for f in fs]
+    lattice = _lattice(I)
+    targets = {
+        k: _eliminate(f, kept)
+        for k, f in enumerate(fs)
+        if not f.is_zero() and (lattice is None or _in_lattice_ideal(f, n, lattice))
+    }
+    solved = _solve_cofactors(field, reduced, list(targets.values()), cap) if targets else ()
+    answers = dict(zip(targets, solved))
+    return [() if f.is_zero() else answers.get(k) for k, f in enumerate(fs)]
 
 
 def _lift_witness(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
@@ -577,7 +648,8 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
     One ladder climbs caps 0..max_cap with every undecided f at once: one
     `_capped_solves` elimination per cap, and after cap 0 one refutation
     scan per non-member, in order, through one shared `PointScan` of I, up
-    to the first point found. A refuted f, or the first f left undecided
+    to the first point found; an f in I's lattice ideal (`_lattice`) is a
+    member and is not scanned. A refuted f, or the first f left undecided
     by a solve over the work budget (every larger cap is over it too), is
     no member, so no f after it is solved again. Each f gets the answer of
     its own ladder: a member at its least cap with the cofactors of that
@@ -603,7 +675,10 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
                 found[k] = (cap, cofs)
         todo = [k for k, cofs in zip(todo, solved) if cofs is None]
         if cap == 0:
+            lattice = _lattice(I)
             for k in todo + over:
+                if lattice is not None and _in_lattice_ideal(fs[k], I.n, lattice):
+                    continue  # a member has no refutation point
                 pt = find_refutation_point(fs[k], I, scan)
                 if pt is not None:
                     failed[k] = MembershipResult("not_member_up_to", 0, None, pt, True)
@@ -775,11 +850,22 @@ def find_refutation_point(
 
 @dataclass(frozen=True)
 class TruncationResult:
-    basis: tuple[SparsePoly, ...]
+    """A degree <= d slice at one cap. `slice_basis` is its basis, or a
+    function that builds it (the weights path, where only
+    `stab.degrees_equal_check` reads a basis); `basis` calls that function
+    on the first read and keeps the basis it returns."""
+
+    slice_basis: tuple[SparsePoly, ...] | Callable[[], tuple[SparsePoly, ...]]
     complete: bool
     d: int
     cap: int
     generators: tuple[SparsePoly, ...] = ()  # pruned set, same ideal
+
+    @property
+    def basis(self) -> tuple[SparsePoly, ...]:
+        if callable(self.slice_basis):
+            object.__setattr__(self, "slice_basis", self.slice_basis())
+        return self.slice_basis
 
 
 def _prune_generators(gens) -> tuple[SparsePoly, ...]:
@@ -939,17 +1025,19 @@ def character_slice_generators(
 
 def truncation_chain(G: SubgroupPresentation, work_cap: int):
     """`read(d)`, the degree <= d slice of I(G) for each d: exact (complete)
-    when weight data is attached; otherwise the generator-multiple lower
-    bound, read from one `graded_truncation` of the ideal at `work_cap`.
-    Each d is read once for the life of the chain."""
+    when weight data is attached, with its basis built on the first read;
+    otherwise the generator-multiple lower bound, read from one
+    `graded_truncation` of the ideal at `work_cap`. Each d is read once for
+    the life of the chain."""
     if G.weights is None:
         return cache(graded_truncation(G.ideal, work_cap))
 
     @cache
     def read(d: int) -> TruncationResult:
-        basis = character_slice(G.field, G.weights, d)
         gens = character_slice_generators(G.field, G.weights, d)
-        return TruncationResult(basis, True, d, work_cap, gens)
+        return TruncationResult(
+            lambda: character_slice(G.field, G.weights, d), True, d, work_cap, gens
+        )
 
     return read
 

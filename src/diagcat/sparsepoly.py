@@ -39,6 +39,10 @@ class SparsePoly:
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = dict(self.terms)
         z = self.field.zero()
         for e, c in other.terms:
@@ -61,14 +65,20 @@ class SparsePoly:
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         f = self.field
         return from_dict(f, self.nvars, _product(f, self.terms, other.terms))
 
     def scale(self, lam) -> SparsePoly:
         f = self.field
         lam = f.of(lam)
-        if lam == f.zero():
+        if not lam:
             return SparsePoly(f, self.nvars, ())
+        if lam == 1 or not self.terms:
+            return self
         return SparsePoly(
             f, self.nvars, tuple((e, f.mul(lam, c)) for e, c in self.terms)
         )

@@ -22,6 +22,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import field as fieldmod
 from . import laurent as la
@@ -202,12 +203,14 @@ def _block_diagonal(ring, P: ShapePolynomial, v, vdual):
     return out
 
 
+@lru_cache(maxsize=32)
 def action_matrix(field: ExactField, P: ShapePolynomial, n: int):
     """s x s matrix over the coordinate ring: block diagonal over terms and
-    copies; on V the block is Z, on V* it is W^T, tensor factors Kronecker."""
+    copies; on V the block is Z, on V* it is W^T, tensor factors Kronecker.
+    Built once per (field, P, n), with tuple rows."""
     zm = [[la.z_var(field, n, i, j) for j in range(n)] for i in range(n)]
     wt = [[la.w_var(field, n, j, i) for j in range(n)] for i in range(n)]
-    return _block_diagonal(_laurent_ring(field, n), P, zm, wt)
+    return tuple(map(tuple, _block_diagonal(_laurent_ring(field, n), P, zm, wt)))
 
 
 def point_action_matrix(field: ExactField, P: ShapePolynomial, n: int, g, ginv):
@@ -256,23 +259,29 @@ def _extend_matrix(ring, A, pivot_rows_1based):
     return t
 
 
+class _ScalingRing(fieldmod.PolyRing):
+    """`mat_mul` of a matrix of polynomials by one of field constants: each
+    product scales a polynomial, and a zero polynomial is skipped."""
+
+    @staticmethod
+    def mul(q: SparsePoly, c) -> SparsePoly:
+        return q.scale(c)
+
+
 def stabilizer_polys(prob: StabilizerProblem) -> list[SparsePoly]:
     """The (s-r)*r entries whose common vanishing is exactly the stabilizer
     of the subspace, each of degree <= deg(shape)."""
     field, n = prob.field, prob.n
     A = [list(row) for row in prob.matrix]
     r = len(A[0])
-    tmat = _extend_matrix(field, A, prob.pivot_rows)
-    tinv = fieldmod.inverse(field, tmat)
-    ring = _laurent_ring(field, n)
-
-    def lift(rows):
-        return [[la.lau_const(field, n, x) for x in row] for row in rows]
-
-    # the lower-left (s-r) x r block of tinv * B * tmat over the ring
+    tinv = fieldmod.inverse(field, _extend_matrix(field, A, prob.pivot_rows))
+    ring = _ScalingRing(la.lau_zero(field, n), la.lau_const(field, n, 1))
+    # the lower-left (s-r) x r block of tinv * B * [A | E], whose first r
+    # columns are A, with the polynomials on the left of each product:
+    # (tinv[r:] * B)^T = B^T * tinv[r:]^T
     B = action_matrix(field, prob.shape, n)
-    left = fieldmod.mat_mul(ring, lift(tinv[r:]), B)
-    block = fieldmod.mat_mul(ring, left, lift(row[:r] for row in tmat))
+    left_t = fieldmod.mat_mul(ring, fieldmod.transpose(B), fieldmod.transpose(tinv[r:]))
+    block = fieldmod.mat_mul(ring, fieldmod.transpose(left_t), A)
     return [q for row in block for q in row]
 
 

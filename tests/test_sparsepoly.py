@@ -91,6 +91,23 @@ def test_operands_must_share_a_ring(op):
     assert apply(x0, sp.variable(Q, 2, 1)).nvars == 2
 
 
+@pytest.mark.parametrize("p", [None, 7])
+def test_zero_operands_and_unit_scales_return_at_once(p):
+    """A zero operand of + or * and a scale by 0 or 1 give the expected
+    polynomial without a term loop; the rings are still checked."""
+    field = ExactField(p)
+    f = sp.from_dict(field, 2, {(1, 0): field.of(3), (0, 2): field.one()})
+    zero = sp.zero(field, 2)
+    assert f + zero is f and zero + f is f
+    assert (f * zero).is_zero() and (zero * f).is_zero()
+    assert f.scale(1) is f and f.scale(0) == zero and zero.scale(5) == zero
+    assert f.scale(2) == f + f
+    with pytest.raises(ValueError):
+        f + sp.zero(field, 3)
+    with pytest.raises(ValueError):
+        sp.zero(ExactField(5), 2) * f
+
+
 def test_monomial_count_is_binomial():
     for v in range(19):
         for d in range(5):

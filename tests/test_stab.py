@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from diagcat import laurent as la
 from diagcat import stab
 from diagcat.field import ExactField, QQ
 from dense_reference import dense_echelon
+from stab_reference import reference_stabilizer_polys
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -385,3 +388,56 @@ def test_general_path_eliminates_once_per_call(monkeypatch):
     assert len(built) == 6
     monkeypatch.setattr(fm, "echelon", None)  # a further elimination raises
     assert [chain(d) for d in range(res.degree + 1)] == want
+
+
+def test_stabilizer_polys_match_the_constant_polynomial_products(monkeypatch):
+    """Scaling by field constants gives the polynomials of the lifted
+    constant-polynomial products on every stability job of the
+    `exact-queries` benchmark, seeds 1-3."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import jobs
+    finally:
+        sys.path.remove(perfbench)
+    compared = []
+    polys = stab.stabilizer_polys
+
+    def checked(prob):
+        got = polys(prob)
+        assert got == reference_stabilizer_polys(prob), prob
+        compared.append(prob)
+        return got
+
+    monkeypatch.setattr(stab, "stabilizer_polys", checked)
+    for seed in (1, 2, 3):
+        for job in jobs.exact_queries(random.Random(seed)):
+            if job.id.startswith("stable:"):
+                job.run()
+    assert len(compared) == 192
+
+
+def test_weights_path_builds_a_slice_basis_only_when_read(monkeypatch):
+    """A weights-path chain reads its slices' generators without a basis;
+    `basis` builds it on the first read, once, and it is the character
+    slice."""
+    built = []
+    character_slice = la.character_slice
+
+    def counted(*args):
+        built.append(args)
+        return character_slice(*args)
+
+    monkeypatch.setattr(la, "character_slice", counted)
+    G = la.catalog(QQ)["torus-t-t2-gl2"]
+    assert stab.defining_degree(G, 3, 4).degree == 2
+    chain = la.truncation_chain(G, 4)
+    trunc = chain(2)
+    assert built == []
+    basis = trunc.basis
+    assert built == [(QQ, G.weights, 2)]
+    assert chain(2).basis is basis and basis == character_slice(QQ, G.weights, 2)
+    assert len(built) == 1
+    del built[:]
+    assert stab.degrees_equal_check(G, 2, 3, 4).status == "equal"
+    assert built == [(QQ, G.weights, 3)]
