@@ -11,40 +11,41 @@ some representative, decided against the relation ideal with a cofactor
 degree cap. A `LaurentIdeal` carries its field and n, since an ideal with
 no generators still has a ring, and checks that its generators lie in it.
 
-Ideals always implicitly contain the relation ideal. A generator that is a
-single variable eliminates it, once per ideal (`_reduction`), for the solve
-and the slice alike. A membership question takes one path. `all_members`
-asks "is every f of fs in I?" with one ladder for all of them: at each cap
-0..max_cap one elimination (`_capped_solves`) looks for cofactors of degree
-<= cap in the other variables for every f not yet decided, each with its
-own right-hand side, under one work-budget test per solve, and after cap 0
-the non-members are scanned in order for a refutation point, a point of
-GL_n where the ideal vanishes and f does not, through one shared
-`PointScan`. A refuted f, or the first f left when a solve is over the
-budget, ends the ladder for every f after it.
+Ideals always implicitly contain the relation ideal. A `LaurentIdeal`
+holds what is computed once per ideal: `reduction` eliminates each
+generator that is a single variable, for the solve and the slice alike,
+`lattice` reads a binomial presentation of a diagonal group as a lattice
+ideal, and `scan` is its `PointScan`. A membership question takes one
+path. `all_members` asks "is every f of fs in I?" with one ladder for all of
+them: at each cap 0..max_cap one elimination (`_capped_solves`) looks for
+cofactors of degree <= cap in the other variables for every f not yet
+decided, each with its own right-hand side, under one work-budget test
+per solve, and after cap 0 the non-members are scanned in order for a
+refutation point, a point of GL_n where the ideal vanishes and f does not,
+through `I.scan`. A refuted f, or the first f left when a solve is over
+the budget, ends the ladder for every f after it.
 `ideal_membership_ascending` is that ladder for one f, and
 `ideal_membership` is one solve at one cap plus one scan. The scan tests
 the fixed stream of points `_point_list` in windows of 1, 2, 4, ...
 points, evaluating each polynomial at a whole window at once from
 per-coordinate columns (`SparsePoly.evaluate_columns`); a refutation
 point is the first point of the stream where I vanishes and f does not,
-whatever the order of the generators. `member` carries expandable cofactor
-witnesses, lifted back to k[Z, W] only for the answers returned;
-`not_member_up_to(D)` means no representation with cofactors of degree
-<= D for the generators that are not single variables (definitive only
-beyond the Hermann bound, so the cap is always reported), unless a
-refutation point makes it definitive. When I is a binomial presentation
-of a diagonal group, `_lattice` reads it as a lattice ideal of the Laurent
-ring of the diagonal, where f is a member exactly when its coset sums vanish;
-that verdict only skips work whose outcome it proves (the solves of a
-non-member and the scans of a member), so every answer is the ladder's.
+whatever the order of the generators and whatever was scanned before.
+`member` carries expandable cofactor witnesses, lifted back to k[Z, W]
+only for the answers returned; `not_member_up_to(D)` means no
+representation with cofactors of degree <= D for the generators that are
+not single variables (definitive only beyond the Hermann bound, so the
+cap is always reported), unless a refutation point makes it definitive.
+On a lattice ideal f is a member exactly when its coset sums vanish;
+`all_members` reads that verdict once per f, and it skips only work whose
+outcome it proves, so every answer is the ladder's.
 
 The degree <= d slices of an ideal at one cap come from one graded
 elimination (`graded_truncation`): the multiples m*g are echeloned once with
 the columns ordered by degree, and each slice re-echelons the rows whose
-pivot has degree <= d. What solves or slices share lives in the call that
-makes them, or in the `truncation_chain` its caller holds; nothing but
-`_reduction` and `_lattice` is cached per ideal at module level.
+pivot has degree <= d. What solves or slices share lives on the ideal, in
+the call that makes them, or in the `truncation_chain` its caller holds;
+a module-level cache is keyed by the ring (field, n) alone.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import add
 from typing import Callable
 
@@ -253,6 +254,10 @@ def comultiply(f: SparsePoly) -> SparsePoly:
 
 @dataclass(frozen=True)
 class LaurentIdeal:
+    """An ideal of k[Z, W], the relation ideal implied. `reduction`,
+    `lattice` and `scan` are built on the first read and kept in the
+    instance dict, so `==`, `hash` and `repr` read the fields alone."""
+
     field: ExactField
     n: int
     generators: tuple[SparsePoly, ...]
@@ -262,6 +267,64 @@ class LaurentIdeal:
         ring = (self.field, 2 * self.n * self.n)
         if any((g.field, g.nvars) != ring for g in self.generators):
             raise ValueError("every generator must lie in k[Z, W] of the ideal")
+
+    @cached_property
+    def reduction(self):
+        """The elimination of the single-variable generators, shared by the
+        solves and the slices (k[x]/(x_k : k in E) = k[x_j : j not in E],
+        Cox-Little-O'Shea): {k in E: the first generator x_k}, the kept
+        variables, (g, r) for each g of the ideal then of the relations with
+        a nonzero reduction r into them, repeats too, and those pairs again
+        with each repeated r dropped after its first."""
+        eliminated: dict[int, SparsePoly] = {}
+        for g in self.generators:
+            idx = _is_single_variable(g)
+            if idx is not None:
+                eliminated.setdefault(idx, g)
+        kept = [k for k in range(2 * self.n * self.n) if k not in eliminated]
+        gens = (*self.generators, *relation_generators(self.field, self.n))
+        pairs = [(g, _eliminate(g, kept)) for g in gens]
+        reductions = [(g, r) for g, r in pairs if not r.is_zero()]
+        distinct: dict[tuple, tuple] = {}
+        for g, r in reductions:
+            distinct.setdefault(r.terms, (g, r))
+        return eliminated, kept, reductions, list(distinct.values())
+
+    @cached_property
+    def lattice(self) -> PartialCharacter | None:
+        """The ideal as a lattice ideal I(L, rho) of the Laurent ring of the
+        diagonal, or None; read from the generators alone.
+
+        It is one when its single-variable generators are exactly the
+        off-diagonal variables, so that `reduction` keeps the diagonal ones
+        and the relations reduce to z_ii w_ii - 1, and every other
+        generator, modulo the off-diagonal variables, is zero or a binomial
+        c1 x^a + c2 x^b. That binomial is a unit times z^u - rho(u), for u
+        the Laurent exponent of x^a minus that of x^b and rho(u) = -c2/c1
+        (Eisenbud-Sturmfels 1996, Thm 2.1). A monomial, or values of rho
+        that no character of L takes, make the ideal the unit ideal, which
+        gives None too."""
+        field, n = self.field, self.n
+        singles = {_is_single_variable(g) for g in self.generators} - {None}
+        if singles != set(_offdiag_indices(n)):
+            return None
+        rho = {}
+        for g in self.generators:
+            terms = list(_laurent_terms(g, n))
+            if not terms:
+                continue
+            if len(terms) != 2:
+                return None
+            (a, c1), (b, c2) = terms
+            value = field.neg(field.div(c2, c1))
+            if rho.setdefault(tuple(x - y for x, y in zip(a, b)), value) != value:
+                return None
+        return partial_character(field, rho)
+
+    @cached_property
+    def scan(self) -> PointScan:
+        """The one `PointScan` of the ideal (`find_refutation_point`)."""
+        return PointScan(self)
 
 
 def _relation_entry(field: ExactField, n: int, i: int, j: int, left, right):
@@ -407,28 +470,6 @@ def _embed(p: SparsePoly, kept: list[int], nvars: int) -> SparsePoly:
     return sp.from_dict(p.field, nvars, terms)
 
 
-@lru_cache(maxsize=32)
-def _reduction(I: LaurentIdeal):
-    """The elimination of I's single-variable generators, cached and shared
-    (k[x]/(x_k : k in E) = k[x_j : j not in E], Cox-Little-O'Shea): {k in E:
-    the first generator x_k}, the kept variables, (g, r) for each g of I
-    then of the relations with a nonzero reduction r into them, repeats too,
-    and those pairs again with each repeated r dropped after its first."""
-    eliminated: dict[int, SparsePoly] = {}
-    for g in I.generators:
-        idx = _is_single_variable(g)
-        if idx is not None:
-            eliminated.setdefault(idx, g)
-    kept = [k for k in range(2 * I.n * I.n) if k not in eliminated]
-    gens = (*I.generators, *relation_generators(I.field, I.n))
-    pairs = [(g, _eliminate(g, kept)) for g in gens]
-    reductions = [(g, r) for g, r in pairs if not r.is_zero()]
-    distinct: dict[tuple, tuple] = {}
-    for g, r in reductions:
-        distinct.setdefault(r.terms, (g, r))
-    return eliminated, kept, reductions, list(distinct.values())
-
-
 def _laurent_terms(f: SparsePoly, n: int):
     """The terms of f modulo the off-diagonal variables, each as (its
     z-exponent minus its w-exponent on the diagonal, its coefficient): f's
@@ -438,36 +479,6 @@ def _laurent_terms(f: SparsePoly, n: int):
         z, w = e[: n * n : n + 1], e[n * n :: n + 1]
         if sum(z) + sum(w) == sum(e):
             yield [a - b for a, b in zip(z, w)], c
-
-
-@lru_cache(maxsize=32)
-def _lattice(I: LaurentIdeal) -> PartialCharacter | None:
-    """I as a lattice ideal I(L, rho) of the Laurent ring of the diagonal,
-    or None; built once per ideal, from I's generators.
-
-    I is one when its single-variable generators are exactly the
-    off-diagonal variables, so that `_reduction` keeps the diagonal ones
-    and the relations reduce to z_ii w_ii - 1, and every other generator,
-    modulo the off-diagonal variables, is zero or a binomial c1 x^a + c2 x^b.
-    That binomial is a unit times z^u - rho(u), for u the Laurent exponent
-    of x^a minus that of x^b and rho(u) = -c2/c1 (Eisenbud-Sturmfels 1996,
-    Thm 2.1). A monomial, or values of rho that no character of L takes,
-    make I the unit ideal, which gives None too."""
-    field, n = I.field, I.n
-    if {_is_single_variable(g) for g in I.generators} - {None} != set(_offdiag_indices(n)):
-        return None
-    rho = {}
-    for g in I.generators:
-        terms = list(_laurent_terms(g, n))
-        if not terms:
-            continue
-        if len(terms) != 2:
-            return None
-        (a, c1), (b, c2) = terms
-        value = field.neg(field.div(c2, c1))
-        if rho.setdefault(tuple(x - y for x, y in zip(a, b)), value) != value:
-            return None
-    return partial_character(field, rho)
 
 
 def _in_lattice_ideal(f: SparsePoly, n: int, lattice: PartialCharacter) -> bool:
@@ -540,46 +551,44 @@ def _capped_solves(fs, I: LaurentIdeal, cap: int) -> list:
     """One cofactor solve of f = sum h_i g_i, deg h_i <= cap, over the
     generators of I and the relation ideal, for the fs in order: f's
     cofactors in the kept variables (`_lift_witness` lifts them), or None
-    when it has none. A zero f gets () and no solve. The solve has one
-    work-budget test, from the top degree of the generators (a target adds
-    only right-hand-side rows); over the budget the list stops at the first
-    nonzero f. One elimination serves every nonzero f, one right-hand side
-    each, but an f outside I's lattice ideal (`_lattice`) has no cofactors
-    at any cap and gets None unsolved; no elimination is built when no
+    when it has none. A zero f gets () and no solve; an entry None, an f
+    known to have no cofactors at any cap, gets None and no solve. The
+    solve has one work-budget test, from the top degree of the generators
+    (a target adds only right-hand-side rows); over the budget the list
+    stops at the first entry that is not a zero f. One elimination serves
+    every nonzero f, one right-hand side each; none is built when no
     nonzero f is left. Every f's ring is checked first.
 
     The generators come reduced into the variables that I's single-variable
-    generators leave (`_reduction`), and repeated reductions are dropped."""
+    generators leave (`I.reduction`), and repeated reductions are dropped."""
     field, n = I.field, I.n
-    if any((f.field, f.nvars) != (field, 2 * n * n) for f in fs):
+    if any(f is not None and (f.field, f.nvars) != (field, 2 * n * n) for f in fs):
         raise ValueError("f is not in the ring of the ideal")
     if cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
-    _, kept, _, distinct = _reduction(I)
+    _, kept, _, distinct = I.reduction
     reduced = [r for _, r in distinct]
     top = max(r.degree() for r in reduced)  # a diagonal relation keeps its -1
     if _solve_work_estimate(len(kept), len(reduced), cap, top) > _work_budget(field):
-        fs = list(itertools.takewhile(SparsePoly.is_zero, fs))
-    lattice = _lattice(I)
+        fs = list(itertools.takewhile(lambda f: f is not None and f.is_zero(), fs))
     targets = {
-        k: _eliminate(f, kept)
-        for k, f in enumerate(fs)
-        if not f.is_zero() and (lattice is None or _in_lattice_ideal(f, n, lattice))
+        k: _eliminate(f, kept) for k, f in enumerate(fs) if f is not None and not f.is_zero()
     }
     solved = _solve_cofactors(field, reduced, list(targets.values()), cap) if targets else ()
     answers = dict(zip(targets, solved))
-    return [() if f.is_zero() else answers.get(k) for k, f in enumerate(fs)]
+    return [answers.get(k, None if f is None else ()) for k, f in enumerate(fs)]
 
 
 def _lift_witness(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
-    """The `member` result of f from its cofactors in the kept variables
-    (`_capped_solves`): the cofactors embedded in k[Z, W], and each term of
-    the remainder f - sum h_i g_i assigned to the generator of its
-    lowest-index eliminated variable, so the cap bounds the cofactors of the
-    generators that are not single variables, and an eliminated generator's
-    cofactor may exceed it. The lifted witness must re-verify."""
+    """The `member` result of f from an entry `cofs` of `_capped_solves`,
+    its cofactors in the kept variables (() for a zero f): the cofactors
+    embedded in k[Z, W], and each term of the remainder f - sum h_i g_i
+    assigned to the generator of its lowest-index eliminated variable, so
+    the cap bounds the cofactors of the generators that are not single
+    variables, and an eliminated generator's cofactor may exceed it. The
+    lifted witness must re-verify."""
     field, nvars = f.field, f.nvars
-    eliminated, kept, _, distinct = _reduction(I)
+    eliminated, kept, _, distinct = I.reduction
     pairs = [
         (g, _embed(h, kept, nvars))
         for (g, _), h in zip(distinct, cofs)
@@ -608,13 +617,6 @@ def _lift_witness(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
     return result
 
 
-def _member(f, I: LaurentIdeal, cap: int, cofs) -> MembershipResult:
-    """The `member` result of an entry `cofs` of `_capped_solves`."""
-    if not cofs:
-        return MembershipResult("member", cap, ())
-    return _lift_witness(f, I, cap, cofs)
-
-
 def ideal_membership(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResult:
     """Decide f = sum h_i g_i over the generators of I and the relation
     ideal by one capped solve (`_capped_solves`): `member` with expandable
@@ -623,7 +625,7 @@ def ideal_membership(f: SparsePoly, I: LaurentIdeal, cap: int) -> MembershipResu
     a point makes it a definitive `not_member_up_to` at this cap."""
     solved = _capped_solves([f], I, cap)
     if solved and solved[0] is not None:
-        return _member(f, I, cap, solved[0])
+        return _lift_witness(f, I, cap, solved[0])
     pt = find_refutation_point(f, I)
     if pt is not None:
         return MembershipResult("not_member_up_to", cap, None, pt, True)
@@ -647,26 +649,33 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
 
     One ladder climbs caps 0..max_cap with every undecided f at once: one
     `_capped_solves` elimination per cap, and after cap 0 one refutation
-    scan per non-member, in order, through one shared `PointScan` of I, up
-    to the first point found; an f in I's lattice ideal (`_lattice`) is a
-    member and is not scanned. A refuted f, or the first f left undecided
-    by a solve over the work budget (every larger cap is over it too), is
-    no member, so no f after it is solved again. Each f gets the answer of
-    its own ladder: a member at its least cap with the cofactors of that
-    solve, a definitive negative at cap 0 with the first point of the
-    stream, or its answer at max_cap (`unknown` over the budget). Only the
-    witnesses returned are lifted, once, at the end."""
+    scan per non-member, in order, through `I.scan`, up to the first point
+    found. On a lattice ideal (`I.lattice`) each nonzero f's verdict is
+    read once, after every f's ring is checked: an f outside it enters no
+    solve, and an f inside it is a member and is not scanned. A refuted f,
+    or the first f left undecided by a solve over the work budget (every
+    larger cap is over it too), is no member, so no f after it is solved
+    again. Each f gets the answer of its own ladder: a member at its least
+    cap with the cofactors of that solve, a definitive negative at cap 0
+    with the first point of the stream, or its answer at max_cap
+    (`unknown` over the budget). Only the witnesses returned are lifted,
+    once, at the end."""
     fs = tuple(fs)
     if max_cap < 0:
         raise ValueError("cofactor degree cap must be >= 0")
-    scan = PointScan(I)
+    if any((f.field, f.nvars) != (I.field, 2 * I.n * I.n) for f in fs):
+        raise ValueError("f is not in the ring of the ideal")
+    lattice = I.lattice
+    outside = set() if lattice is None else {
+        k for k, f in enumerate(fs) if not (f.is_zero() or _in_lattice_ideal(f, I.n, lattice))
+    }
     found = {}  # k -> (least cap, cofactors) of a member
     failed = {}  # k -> the answer of an f refuted or over the budget
     todo = list(range(len(fs)))  # undecided, in order
     for cap in range(max_cap + 1):
         if not todo:
             break
-        solved = _capped_solves([fs[k] for k in todo], I, cap)
+        solved = _capped_solves([None if k in outside else fs[k] for k in todo], I, cap)
         over = todo[len(solved) : len(solved) + 1]
         if over:
             failed[over[0]] = MembershipResult("unknown", max_cap)
@@ -675,11 +684,10 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
                 found[k] = (cap, cofs)
         todo = [k for k, cofs in zip(todo, solved) if cofs is None]
         if cap == 0:
-            lattice = _lattice(I)
             for k in todo + over:
-                if lattice is not None and _in_lattice_ideal(fs[k], I.n, lattice):
+                if lattice is not None and k not in outside:
                     continue  # a member has no refutation point
-                pt = find_refutation_point(fs[k], I, scan)
+                pt = find_refutation_point(fs[k], I)
                 if pt is not None:
                     failed[k] = MembershipResult("not_member_up_to", 0, None, pt, True)
                     todo = [j for j in todo if j < k]
@@ -689,7 +697,7 @@ def all_members(fs, I: LaurentIdeal, max_cap: int) -> tuple[tuple, tuple | None]
         if k not in found:
             capped = MembershipResult("not_member_up_to", max_cap)
             return tuple(witnesses), (f, failed.get(k, capped))
-        witnesses.append((f, _member(f, I, *found[k])))
+        witnesses.append((f, _lift_witness(f, I, *found[k])))
     return tuple(witnesses), None
 
 
@@ -770,8 +778,8 @@ def _point_columns(field: ExactField, n: int) -> tuple:
 
 class PointScan:
     """The points of `_point_list(I.field, I.n)` where every generator of I
-    vanishes, found lazily in stream order and shared by every
-    `find_refutation_point` call given this scan.
+    vanishes, found lazily in stream order. `I.scan` is the one scan of I,
+    which every `find_refutation_point(f, I)` call reads and extends.
 
     The stream is tested in windows of 1, 2, 4, ... points. In a window each
     generator is evaluated, column-wise, only at the points the generators
@@ -779,14 +787,12 @@ class PointScan:
     at most once; the next window tries first the generators that ruled out
     the most points in this one. Whether every generator vanishes at a point
     does not depend on that order, so `find_refutation_point` gives the same
-    answer as with a fresh scan: the first point, in `_point_list` order,
-    where every generator of I vanishes and f does not. A fresh scan whose
-    first such point is stream point k has tested at most 2k + 1 points.
-    A scan holds no state outside itself; make one per ideal inside the call
-    that asks about several f, as `all_members` does."""
+    answer from a warm scan as from a fresh one: the first point, in
+    `_point_list` order, where every generator of I vanishes and f does
+    not. A fresh scan whose first such point is stream point k has tested
+    at most 2k + 1 points."""
 
     def __init__(self, I: LaurentIdeal):
-        self.ideal = I
         self.points = _point_list(I.field, I.n)
         self.columns = _point_columns(I.field, I.n)
         self._order = list(I.generators)
@@ -823,20 +829,14 @@ class PointScan:
             k += 1
 
 
-def find_refutation_point(
-    f: SparsePoly, I: LaurentIdeal, scan: PointScan | None = None
-):
+def find_refutation_point(f: SparsePoly, I: LaurentIdeal):
     """A point (g, g^{-1}) where every generator of I vanishes and f does
     not, which certifies that f is not in I + relations; None when the
     stream has no such point. The answer is the first such point in
     `_point_list` order, whatever the order of I's generators. f is
-    evaluated column-wise at each window's zero points in turn. `scan`, a
-    `PointScan` of I, reuses the zero points earlier calls found; without
-    it a one-off scan is made."""
-    if scan is None:
-        scan = PointScan(I)
-    elif scan.ideal != I:
-        raise ValueError("the point scan belongs to another ideal")
+    evaluated column-wise at each window's zero points in turn, from
+    `I.scan`, which keeps the zero points that earlier calls found."""
+    scan = I.scan
     for rows in scan.zero_batches():
         for r, v in zip(rows, f.evaluate_columns(scan.columns, rows)):
             if v:
@@ -901,7 +901,7 @@ def graded_truncation(I: LaurentIdeal, work_cap: int):
     degree d <= work_cap (see `truncated_ideal_part`).
 
     The span is that of the monomial multiples m*g of degree <= work_cap.
-    It holds every monomial that a variable eliminated by `_reduction`
+    It holds every monomial that a variable eliminated by `I.reduction`
     divides. Its other rows are the products m*r, for m free of those
     variables and r the reduction of g; they are echeloned once, with the
     columns ordered by degree, highest first. The rows whose pivot has
@@ -913,7 +913,7 @@ def graded_truncation(I: LaurentIdeal, work_cap: int):
     field, n = I.field, I.n
     nvars = 2 * n * n
     gens = (*I.generators, *relation_generators(field, n))
-    eliminated, kept, reductions, _ = _reduction(I)
+    eliminated, kept, reductions, _ = I.reduction
     monos = sp.monomials_up_to(nvars, work_cap)
     free = [e for e in monos if not any(e[k] for k in eliminated)]
     graded = free[::-1]  # highest degree first

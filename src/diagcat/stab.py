@@ -398,14 +398,15 @@ def defining_degree(
     """Smallest d <= d_max with I(G_{<= d}) containing every presented
     generator, certified by membership witnesses; smaller degrees carry
     refutation evidence (definitive when the slice is exact and a point
-    certificate was found). Every slice is read from one
-    `la.truncation_chain(G, work_cap)`: `chain`, when the caller reads the
-    slices again afterwards, or one of its own."""
+    certificate was found). `exceeds` needs that evidence at d_max: since
+    I_{<= d} is inside I_{<= d_max}, a point of G_{<= d_max} outside G lies
+    in every G_{<= d}. Without it the answer is `unknown`. Every slice is
+    read from one `la.truncation_chain(G, work_cap)`: `chain`, when the
+    caller reads the slices again afterwards, or one of its own."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     refutations: list[DegreeRefutation] = []
     slices_exact = G.weights is not None
-    saw_unknown = False
     if chain is None:
         chain = la.truncation_chain(G, work_cap)
     for d in range(d_max + 1):
@@ -423,14 +424,12 @@ def defining_degree(
                 work_cap,
             )
         g, res = failed
-        if res.status == "unknown":
-            saw_unknown = True
         refutations.append(
             DegreeRefutation(
                 d, g, res.refutation_point, res.definitive and trunc.complete
             )
         )
-    status = "unknown" if saw_unknown else "exceeds"
+    status = "exceeds" if refutations[-1].definitive else "unknown"
     return DefiningDegreeResult(
         status, None, (), tuple(refutations), False, slices_exact, work_cap
     )

@@ -1,6 +1,6 @@
 """The capped-membership ladder as it ran before membership had one path,
 kept as an independent reference for the tests: caps 0 and 1 each solved
-and refuted (one cached point scan), then the scan alone if neither was
+and refuted (one point scan), then the scan alone if neither was
 definitive, then caps 2..max_cap. A definitive negative carries the cap of
 the solve it followed (1 once max_cap >= 1), or max_cap when the scan alone
 found the point; an answer over the work budget is never refuted."""
@@ -21,12 +21,12 @@ def _capped_solve(f, I, cap):
     return la._lift_witness(f, I, cap, solved[0])
 
 
-def reference_ascending(f, I, max_cap, scan=None):
+def reference_ascending(f, I, max_cap):
     points = []
 
     def refute():
         if not points:
-            points.append(la.find_refutation_point(f, I, scan))
+            points.append(la.find_refutation_point(f, I))
         return points[0]
 
     def membership(cap):

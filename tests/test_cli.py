@@ -418,7 +418,7 @@ def test_every_group_file_and_catalog_group_loads(tmp_path):
 
     data = Path(__file__).resolve().parent / "data" / "groups"
     paths = sorted(data.glob("*.json"))
-    assert len(paths) == 10
+    assert len(paths) == 11
     for p in (None, 5, 101):
         for name, pres in la.catalog(ExactField(p)).items():
             path = tmp_path / f"{name}-{p}.json"

@@ -2,8 +2,8 @@
 
 `tests/data/cli_golden.json` records, for every command in `CASES`, what
 `diagcat.cli.main` prints and returns. A `--group-file` path is relative
-to `tests/data`; the weight-stripped GL_2 groups there run the general
-(Macaulay) path of `stab`. A refactor that claims identical
+to `tests/data`; the weight-stripped GL_2 and GL_3 groups there run the
+general (Macaulay) path of `stab`. A refactor that claims identical
 output must leave this file unchanged; an intended output change rewrites
 it with
 
@@ -58,6 +58,12 @@ CASES = [
     *(["stab", "defining-degree", "--group-file", f"groups/{g}.json",
        "--dmax", "3", "--cap", "4", "--json"]
       for g in WEIGHTS_FILES),
+    # `exceeds` needs a definitive refutation at d_max: mu5 over F5 has one;
+    # mu2 over F2 (one point) and the weight-stripped GL_3 group do not
+    ["stab", "defining-degree", "--catalog", "mu5", "--field", "F5", "--dmax", "1", "--json"],
+    ["stab", "defining-degree", "--catalog", "mu2", "--field", "F2", "--dmax", "0", "--json"],
+    ["stab", "defining-degree", "--group-file", "groups/gl3-Z-1-3-5-F101.json",
+     "--dmax", "3", "--cap", "4", "--json"],
     ["paren", "encode", "--pattern", "((( _ _ _ )( _ ))( _ _ ))", "--json"],
     ["paren", "decode", "--bits", "10 10 10 00 00 00 01 10 00 01 01 10 00 00 01 01",
      "--json"],

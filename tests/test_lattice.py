@@ -1,6 +1,7 @@
 """The lattice verdict of a binomial presentation: `abelian.PartialCharacter`
-and `laurent._lattice`, checked against the membership ladder, a sympy
-Groebner oracle and hand cases, and the work it lets the ladder skip."""
+and `laurent.LaurentIdeal.lattice`, checked against the membership ladder,
+a sympy Groebner oracle and hand cases, and the work it lets the ladder
+skip."""
 
 import random
 import sys
@@ -135,13 +136,13 @@ def _offdiag_texts(n):
 def test_recognizer_reads_the_catalog_as_lattice_ideals():
     for field in (QQ, F5, F101):
         for name, G in la.catalog(field).items():
-            chi = la._lattice(G.ideal)
+            chi = G.ideal.lattice
             assert chi is not None, (field, name)
     G = la.catalog(QQ)["torus-t-t2-gl2"]
     # Z[1,1]^2 - Z[2,2]: u = (2, -1), rho = 1
-    assert la._lattice(G.ideal) == ab.PartialCharacter(QQ, ((2, -1),), (1,))
+    assert G.ideal.lattice == ab.PartialCharacter(QQ, ((2, -1),), (1,))
     # mu_4: Z^2 - W^2 is z^4 - 1
-    assert la._lattice(la.catalog(F5)["mu4"].ideal).basis == ((4,),)
+    assert la.catalog(F5)["mu4"].ideal.lattice.basis == ((4,),)
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)
@@ -167,17 +168,17 @@ def test_recognizer_declines_what_is_not_a_lattice_ideal(field):
     }
     assert declined["d = 0 slice"].generators == ()
     for name, I in declined.items():
-        assert la._lattice(I) is None, name
+        assert I.lattice is None, name
     # the same shapes with their binomials are recognised
-    assert la._lattice(_ideal(field, 2, *off, "Z[1,1]*Z[2,2] - 1")) is not None
-    assert la._lattice(_ideal(field, 1, "Z[1,1] - 2", "Z[1,1]^2 - 4")) is not None
+    assert _ideal(field, 2, *off, "Z[1,1]*Z[2,2] - 1").lattice is not None
+    assert _ideal(field, 1, "Z[1,1] - 2", "Z[1,1]^2 - 4").lattice is not None
 
 
 def test_ring_check_comes_before_any_verdict(monkeypatch):
     """A target outside the ideal's ring raises ValueError before a lattice
     is built or read, wherever the target stands."""
     calls = []
-    monkeypatch.setattr(la, "_lattice", lambda I: calls.append(I))
+    monkeypatch.setattr(la.LaurentIdeal, "lattice", property(calls.append))
     I = la.catalog(QQ)["torus-t-t2-gl2"].ideal
     member = la.parse_element(QQ, 2, "Z[1,1]^2 - Z[2,2]")
     for wrong in (la.z_var(QQ, 1, 0, 0), la.z_var(F101, 2, 0, 0)):
@@ -205,7 +206,7 @@ def _ladder_answers(monkeypatch, run):
         return witnesses, failure
 
     with monkeypatch.context() as m:
-        m.setattr(la, "_lattice", lambda I: None)
+        m.setattr(la.LaurentIdeal, "lattice", property(lambda I: None))
         m.setattr(la, "all_members", recording)
         run()
     return seen
@@ -216,7 +217,7 @@ def _check_against_ladder(seen):
     found a refutation point; returns the counts of each."""
     members = refuted = 0
     for I, f, res in seen:
-        chi = la._lattice(I)
+        chi = I.lattice
         if chi is None:
             continue
         verdict = la._in_lattice_ideal(f, I.n, chi)
@@ -247,7 +248,7 @@ def test_verdict_agrees_with_the_ladder_on_the_catalog(monkeypatch, field):
 
 
 def test_verdict_agrees_with_the_ladder_on_the_group_files(monkeypatch):
-    assert len(GROUP_FILES) == 10
+    assert len(GROUP_FILES) == 11
 
     def run():
         for path in GROUP_FILES:
@@ -271,7 +272,7 @@ def test_verdict_agrees_with_the_ladder_on_the_benchmark_jobs(monkeypatch):
                 job.run()
 
     seen = _ladder_answers(monkeypatch, run)
-    recognised = {I for I, _, _ in seen if la._lattice(I) is not None}
+    recognised = {I for I, _, _ in seen if I.lattice is not None}
     assert len(recognised) > 30
     members, refuted = _check_against_ladder(seen)
     assert members > 100 and refuted > 50
@@ -318,7 +319,7 @@ def test_verdict_matches_a_groebner_basis(field):
     }
     outcomes = set()
     for I in ideals:
-        chi = la._lattice(I)
+        chi = I.lattice
         assert chi is not None, I.generators
         for text in texts[I.n]:
             f = la.parse_element(field, I.n, text)
@@ -350,17 +351,45 @@ def test_a_lone_non_member_builds_no_elimination(monkeypatch, field):
     when no point refutes it, and the answer stays the ladder's."""
     I = la.catalog(field)["torus-t-t2-gl2"].ideal
     f = la.parse_element(field, 2, "Z[1,1]^3 - Z[2,2]")
+    zero = la.lau_zero(field, 2)
     monkeypatch.setattr(la, "find_refutation_point", lambda *args: None)
     solves = _counting(monkeypatch, la, "_solve_cofactors")
     echelons = _counting(monkeypatch, fm, "echelon")
     res = la.ideal_membership_ascending(f, I, 4)
     assert res == la.MembershipResult("not_member_up_to", 4)
-    assert la._capped_solves([f, la.lau_zero(field, 2)], I, 2) == [None, ()]
+    witnesses, failure = la.all_members([zero, f, zero], I, 2)
+    assert len(witnesses) == 1 and failure == (f, la.MembershipResult("not_member_up_to", 2))
     assert solves == [] and echelons == []
-    # next to a member, the member alone is solved
+    # next to a member, the member alone is solved, once per cap until found
     member = la.parse_element(field, 2, "Z[1,1]^3 - Z[1,1]*Z[2,2]")
-    assert la._capped_solves([f, member], I, 1)[0] is None
-    assert len(solves) == 1 and solves[0][2] == [la._eliminate(member, la._reduction(I)[1])]
+    witnesses, failure = la.all_members([member, f], I, 3)
+    assert witnesses[0][1].cap == 1 and failure[0] is f
+    reduced = [la._eliminate(member, I.reduction[1])]
+    assert [args[2] for args in solves] == [reduced, reduced]
+    # `ideal_membership`, one solve, solves whatever it is asked
+    assert not la.ideal_membership(f, I, 1).is_member
+    assert solves[-1][2] == [la._eliminate(f, I.reduction[1])]
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_one_lattice_verdict_per_target(monkeypatch, field):
+    """`all_members` reads each nonzero target's lattice verdict once per
+    call, however many caps it stays undecided: a member of
+    torus-t-t2-gl2 with no cofactors of degree <= 4 stays undecided
+    through caps 0-4, next to a non-member and a zero target."""
+    I = la.catalog(field)["torus-t-t2-gl2"].ideal
+    slow = la.parse_element(field, 2, "Z[1,1]^12 - Z[2,2]^6")
+    outside = la.parse_element(field, 2, "Z[1,1]^3 - Z[2,2]")
+    zero = la.lau_zero(field, 2)
+    verdicts = _counting(monkeypatch, la, "_in_lattice_ideal")
+    solves = _counting(monkeypatch, la, "_solve_cofactors")
+    res = la.ideal_membership_ascending(slow, I, 4)
+    assert (res.status, res.cap, res.definitive) == ("not_member_up_to", 4, False)
+    assert len(solves) == 5 and [args[0] for args in verdicts] == [slow]
+    del verdicts[:]
+    witnesses, failure = la.all_members([zero, slow, outside], I, 4)
+    assert len(witnesses) == 1 and failure[0] is slow
+    assert [args[0] for args in verdicts] == [slow, outside]
 
 
 @pytest.mark.parametrize("field", [QQ, F101], ids=str)

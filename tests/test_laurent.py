@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -595,17 +596,17 @@ def _scan_cases(field):
 
 @pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
 def test_point_scan_matches_reference_loop(field):
+    """In either order of the fs, the scan of an ideal gives the reference
+    loop's point: warm from the other order on the same ideal, and fresh on
+    an equal ideal built apart, which has a scan of its own."""
     for name, I, fs in _scan_cases(field):
         expected = [_reference_refutation_point(f, I) for f in fs]
         for order in (range(len(fs)), reversed(range(len(fs)))):
-            scan = la.PointScan(I)
-            for k in order:
-                got = la.find_refutation_point(fs[k], I, scan)
-                assert got == expected[k], (name, I.name, k)
-    cat = la.catalog(field)
-    other_scan = la.PointScan(cat["mu3"].ideal)
-    with pytest.raises(ValueError):
-        la.find_refutation_point(fs[0], cat["mu2"].ideal, other_scan)
+            for J in (I, la.LaurentIdeal(I.field, I.n, I.generators, I.name)):
+                for k in order:
+                    got = la.find_refutation_point(fs[k], J)
+                    assert got == expected[k], (name, I.name, k)
+        assert I.scan is not la.LaurentIdeal(I.field, I.n, I.generators, I.name).scan
 
 
 def _diagonal_entries(field):
@@ -691,10 +692,9 @@ def test_tail_keeps_every_prefix_refutation(field):
     new = 0
     for name, I, fs in _scan_cases(field):
         prefix = la._point_list(field, I.n)[:3000]
-        scan = la.PointScan(I)
         for f in fs:
             want = _reference_refutation_point(f, I, prefix)
-            got = la.find_refutation_point(f, I, scan)
+            got = la.find_refutation_point(f, I)
             if want is not None:
                 assert got == want, (name, I.name)
             elif got is not None:
@@ -748,10 +748,9 @@ def test_point_scan_evaluates_each_generator_once(monkeypatch):
         # fresh objects, so that a call on f is never counted as one on a
         # generator equal to it
         fs = [SparsePoly(f.field, f.nvars, f.terms) for f in fs]
-        scan = la.PointScan(I)
         del calls[:]
         for f in fs + fs:
-            la.find_refutation_point(f, I, scan)
+            la.find_refutation_point(f, I)
         gens = {id(g) for g in I.generators}
         pairs = [c for c in calls if c[0] in gens]
         assert pairs or not I.generators, (name, I.name)
@@ -763,7 +762,7 @@ def test_point_scan_evaluates_each_generator_once(monkeypatch):
     monkeypatch.setattr(
         la,
         "find_refutation_point",
-        lambda f, I, scan=None: _reference_refutation_point(f, I),
+        lambda f, I: _reference_refutation_point(f, I),
     )
     assert stab.defining_degree(G, 4, 6) == result
     assert result.degree == 3 and all(r.definitive for r in result.refutations)
@@ -781,7 +780,8 @@ def test_point_scan_is_lazy(monkeypatch):
         points = la._point_list(F101, I.n)
         for f in fs:
             del calls[:]
-            pt = la.find_refutation_point(f, I)
+            fresh = la.LaurentIdeal(I.field, I.n, I.generators, I.name)
+            pt = la.find_refutation_point(f, fresh)
             if pt is not None:
                 k = points.index(pt)
                 assert len({r for _, r in calls}) <= 2 * k + 1, (name, I.name, k)
@@ -838,7 +838,7 @@ def _over_budget_from(monkeypatch, I, cap):
     if cap is None:
         monkeypatch.setattr(la, "_work_budget", _WORK_BUDGET)
         return
-    _, kept, _, distinct = la._reduction(I)
+    _, kept, _, distinct = I.reduction
     top = max(r.degree() for _, r in distinct)
     budget = la._solve_work_estimate(len(kept), len(distinct), cap, top) - 1
     monkeypatch.setattr(la, "_work_budget", lambda field: budget)
@@ -865,7 +865,7 @@ def test_budget_ignores_the_target_degree():
     in `unknown`."""
     I = la.catalog(QQ)["torus-t-t2-gl2"].ideal
     f = la.parse_element(QQ, 2, "Z[1,1]^60 - Z[1,1]^58*Z[2,2]")
-    _, kept, _, distinct = la._reduction(I)
+    _, kept, _, distinct = I.reduction
     per_target = la._solve_work_estimate(len(kept), len(distinct), 1, f.degree())
     assert per_target == 152_334_000 > la._work_budget(QQ)
     assert la._capped_solves([f], I, 1) == [None]
@@ -881,10 +881,9 @@ def test_ladder_matches_reference_ladder(field):
     outcomes = set()
     for name, I, fs in _scan_cases(field):
         for max_cap in range(4):
-            ref_scan = la.PointScan(I)
             for f in fs:
                 got = la.ideal_membership_ascending(f, I, max_cap)
-                want = reference_ascending(f, I, max_cap, ref_scan)
+                want = reference_ascending(f, I, max_cap)
                 case = (name, I.name, max_cap, la.format_element(f))
                 assert got.status == want.status, case
                 assert got.definitive == want.definitive, case
@@ -1012,7 +1011,7 @@ def test_truncation_matches_full_ring_reference(field):
     checked = 0
     for I, d_max, caps in _truncation_cases(field):
         if I.n == 1:
-            assert not la._reduction(I)[0]  # GL_1: nothing is eliminated
+            assert not I.reduction[0]  # GL_1: nothing is eliminated
         for d in range(d_max + 1):
             for cap in sorted({d, *caps}):
                 got = la.truncated_ideal_part(I, d, cap)
@@ -1021,18 +1020,45 @@ def test_truncation_matches_full_ring_reference(field):
     assert checked == 8 * 11 + 2 * 8 + 2 * 11
 
 
+def _count_builds(monkeypatch, name):
+    """Record the ideal each time `LaurentIdeal.<name>` is built."""
+    builds = []
+    build = getattr(la.LaurentIdeal, name).func
+
+    def counting(I):
+        builds.append(I)
+        return build(I)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(la.LaurentIdeal, name)
+    monkeypatch.setattr(la.LaurentIdeal, name, prop)
+    return builds
+
+
 def test_ladder_reduces_the_ideal_once(monkeypatch):
-    """A five-cap ladder (caps 0..4) builds the reduction of its ideal once
-    and reads it from the cache on every later cap."""
+    """Each ideal object builds its reduction, lattice and point scan once:
+    across a five-cap ladder (caps 0..4), which reads the reduction at every
+    cap, and across two more `all_members` calls on that ideal. An equal
+    ideal built apart builds its own."""
     field = ExactField(101)
     I = la.catalog(field)["mu2"].ideal
     f = la.parse_element(field, 1, "Z[1,1] - 1")
-    monkeypatch.setattr(la, "find_refutation_point", lambda *args: None)
-    la._reduction.cache_clear()
-    res = la.ideal_membership_ascending(f, I, 4)
+    member = la.parse_element(field, 1, "Z[1,1]^2 - 1")
+    names = ("reduction", "lattice", "scan")
+    builds = {name: _count_builds(monkeypatch, name) for name in names}
+    with monkeypatch.context() as m:
+        m.setattr(la, "find_refutation_point", lambda *args: None)
+        res = la.ideal_membership_ascending(f, I, 4)
     assert res.status == "not_member_up_to" and res.cap == 4
-    info = la._reduction.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    assert builds["reduction"] == builds["lattice"] == [I] and builds["scan"] == []
+    witnesses, (g, res) = la.all_members([member, f], I, 4)
+    assert witnesses[0][1].is_member and g is f and res.definitive
+    assert la.all_members([f], I, 4)[1][1] == res
+    for name in names:
+        assert len(builds[name]) == 1 and builds[name][0] is I, name
+    J = la.LaurentIdeal(I.field, I.n, I.generators, I.name)
+    assert J == I and la.ideal_membership(member, J, 2).is_member
+    assert len(builds["reduction"]) == 2 and builds["reduction"][1] is J
 
 
 def _conjugated(I, g, ginv):
@@ -1128,10 +1154,9 @@ def test_all_members_matches_separate_ladders(monkeypatch, field):
             for max_cap in range(4):
                 witnesses, failure = la.all_members(fs, I, max_cap)
                 got = [res for _, res in witnesses] + ([failure[1]] if failure else [])
-                ref_scan = la.PointScan(I)
                 for f, res in zip(fs, got):
                     want = la.ideal_membership_ascending(f, I, max_cap)
-                    ref = reference_ascending(f, I, max_cap, ref_scan)
+                    ref = reference_ascending(f, I, max_cap)
                     case = (over_from, max_cap, la.format_element(f))
                     alone, failed = la.all_members([f], I, max_cap)
                     assert want == (failed[1] if failed else alone[0][1]), case
@@ -1199,8 +1224,8 @@ def test_all_members_checks_every_ring_before_any_solve(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, ExactField(101)], ids=str)
 def test_all_members_lifts_only_the_witnesses_it_returns(monkeypatch, field):
     """A shared solve lifts a later target's witness only when that target's
-    own ladder reads it: one lift per nonzero member returned, none for the
-    targets after the first failure."""
+    own ladder reads it: one lift per member returned (a zero target's is
+    the empty witness), none for the targets after the first failure."""
     lifts = []
     lift = la._lift_witness
 
@@ -1215,7 +1240,7 @@ def test_all_members_lifts_only_the_witnesses_it_returns(monkeypatch, field):
             del lifts[:]
             witnesses, failure = la.all_members(fs, I, max_cap)
             got = [(f, res) for f, res in witnesses] + ([failure] if failure else [])
-            read = [f for f, res in got if res.is_member and not f.is_zero()]
+            read = [f for f, res in got if res.is_member]
             assert lifts == read, (max_cap, len(got))
 
 
