@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Print one sha256 over the answers of the `exact-queries` and
-`degree-general` benchmark jobs for seeds 1-3, and check that running
-every job again gives the same answers.
+"""Print one sha256 per benchmark workload over the answers of its jobs for
+seeds 1-3, `exact-queries` then `degree-general`, one line each as
+`<workload> <sha256>`, and check that running every job again gives the
+same answers.
 
 Usage:
     python scripts/answer_digest.py
 
-Every job is run once, in job-list order. The digest covers the repr of
-each job's answer and of every `laurent.all_members` result the jobs make,
-so cofactors and refutation points are included: two versions of the
-library that print the same digest gave byte-identical answers.
-`tests/data/answer_digest.txt` holds the digest that the library must keep.
+Every job is run once, in job-list order. A workload's digest covers the
+repr of each of its jobs' answers and of every `laurent.all_members`
+result those jobs make, so cofactors and refutation points are included:
+two versions of the library that print the same line for a workload gave
+byte-identical answers on it. `tests/data/answer_digest.txt` holds the
+lines that the library must keep.
 
-Then every job is run a second time on the same inputs, whose ideals now
-hold the reductions, lattices and point scans that the first pass built.
-The script exits 1 if any answer's repr differs from the first pass; the
-digest printed is the first pass's.
+Then every job of the workload is run a second time on the same inputs,
+whose ideals now hold the reductions, lattices and point scans that the
+first pass built. The script exits 1 if any answer's repr differs from the
+first pass; the digest printed is the first pass's.
 """
 
 import hashlib
@@ -54,23 +56,25 @@ def _answers(runs) -> list[str]:
 
 
 def answer_digest() -> str:
-    """The sha256 of the first pass's answers; ValueError when the second,
-    warm pass answers differently."""
-    runs = [
-        (seed, job)
-        for seed in SEEDS
-        for workload in WORKLOADS
-        for job in jobs.WORKLOADS[workload](random.Random(seed))
-    ]
-    cold = _answers(runs)
-    warm = _answers(runs)
-    if warm != cold:
-        raise ValueError("the warm pass answers differently from the first")
-    return hashlib.sha256("".join(cold).encode()).hexdigest()
+    """One line `<workload> <sha256 of the first pass's answers>` per
+    workload; ValueError when a second, warm pass answers differently."""
+    lines = []
+    for workload in WORKLOADS:
+        runs = [
+            (seed, job)
+            for seed in SEEDS
+            for job in jobs.WORKLOADS[workload](random.Random(seed))
+        ]
+        cold = _answers(runs)
+        if _answers(runs) != cold:
+            raise ValueError(f"the warm pass of {workload} answers differently")
+        digest = hashlib.sha256("".join(cold).encode()).hexdigest()
+        lines.append(f"{workload} {digest}\n")
+    return "".join(lines)
 
 
 if __name__ == "__main__":
     try:
-        print(answer_digest())
+        print(answer_digest(), end="")
     except ValueError as err:
         sys.exit(str(err))

@@ -39,6 +39,8 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def _load_group_file(path: str) -> laurent.SubgroupPresentation:
+    """The presentation in a schema-1 group file. Its optional `weights` are
+    parsed and kept, but no answer reads them: the generators decide."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

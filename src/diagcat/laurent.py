@@ -40,12 +40,13 @@ On a lattice ideal f is a member exactly when its coset sums vanish;
 `all_members` reads that verdict once per f, and it skips only work whose
 outcome it proves, so every answer is the ladder's.
 
-The degree <= d slices of an ideal at one cap come from one graded
-elimination (`graded_truncation`): the multiples m*g are echeloned once with
-the columns ordered by degree, and each slice re-echelons the rows whose
-pivot has degree <= d. What solves or slices share lives on the ideal, in
-the call that makes them, or in the `truncation_chain` its caller holds;
-a module-level cache is keyed by the ring (field, n) alone.
+A lattice ideal's degree <= d slice is exact, the kernel of the reduction
+of monomials by `I.lattice`; other slices at one cap come from one graded
+elimination (`graded_truncation`), which echelons the multiples m*g once,
+columns by degree, and re-echelons the rows of pivot degree <= d per slice.
+What solves or slices share lives on the ideal, in the call that makes
+them, or in the `truncation_chain` its caller holds; a module-level cache
+is keyed by the ring (field, n) alone.
 """
 
 from __future__ import annotations
@@ -372,10 +373,9 @@ def _reaches_hermann_bound(work_cap: int, d: int, n: int) -> bool:
 class SubgroupPresentation:
     """A closed subgroup of GL_n presented by an ideal of k[Z, W].
 
-    `weights` is set when the group is presented as the image of a
-    diagonalizable group acting with the given characters; it enables exact
-    degree-slice computation.
-    """
+    `weights` records the characters of a diagonalizable group whose image
+    the group is, when it was built as one; no answer reads it, since the
+    ideal itself says whether its slices are exact (`truncation_chain`)."""
 
     field: ExactField
     n: int
@@ -470,15 +470,17 @@ def _embed(p: SparsePoly, kept: list[int], nvars: int) -> SparsePoly:
     return sp.from_dict(p.field, nvars, terms)
 
 
-def _laurent_terms(f: SparsePoly, n: int):
-    """The terms of f modulo the off-diagonal variables, each as (its
-    z-exponent minus its w-exponent on the diagonal, its coefficient): f's
-    image in the Laurent ring k[Z, W] / (off-diagonal variables, ZW - I).
-    Z[i,i] and then W[i,i] sit every n + 1 variables (`z_index`)."""
-    for e, c in f.terms:
-        z, w = e[: n * n : n + 1], e[n * n :: n + 1]
-        if sum(z) + sum(w) == sum(e):
-            yield [a - b for a, b in zip(z, w)], c
+def _laurent_exponent(e, n: int) -> list[int] | None:
+    """e's z-exponent minus its w-exponent on the diagonal (Z[i,i], W[i,i]
+    sit every n + 1 variables), or None when e has an off-diagonal one."""
+    z, w = e[: n * n : n + 1], e[n * n :: n + 1]
+    return [a - b for a, b in zip(z, w)] if sum(z) + sum(w) == sum(e) else None
+
+
+def _laurent_terms(f: SparsePoly, n: int) -> list:
+    """f's image in the Laurent ring k[Z, W] / (off-diagonal variables,
+    ZW - I): its diagonal terms, each as (`_laurent_exponent`, coefficient)."""
+    return [(v, c) for e, c in f.terms if (v := _laurent_exponent(e, n)) is not None]
 
 
 def _in_lattice_ideal(f: SparsePoly, n: int, lattice: PartialCharacter) -> bool:
@@ -851,7 +853,7 @@ def find_refutation_point(f: SparsePoly, I: LaurentIdeal):
 @dataclass(frozen=True)
 class TruncationResult:
     """A degree <= d slice at one cap. `slice_basis` is its basis, or a
-    function that builds it (the weights path, where only
+    function that builds it (the exact slice of a lattice ideal, where only
     `stab.degrees_equal_check` reads a basis); `basis` calls that function
     on the first read and keeps the basis it returns."""
 
@@ -968,76 +970,71 @@ def truncated_ideal_part(I: LaurentIdeal, d: int, work_cap: int) -> TruncationRe
     return graded_truncation(I, work_cap)(d)
 
 
-def _character_kernel(field: ExactField, weights, monos) -> list[SparsePoly]:
-    """Basis of the kernel of the character evaluation on the span of the
+def _character_kernel(I: LaurentIdeal, monos) -> list[SparsePoly]:
+    """Basis of the part of the lattice ideal I (`I.lattice`) spanned by the
     monomials `monos` (exponent tuples of k[Z, W], in order). A monomial
-    with an off-diagonal exponent maps to 0 and is a basis element alone;
-    every later diagonal monomial m of a character chi gives m - m0, with
-    m0 the first monomial of chi. This is the basis `field.kernel` returns
-    for the monomial-by-character incidence matrix (Eisenbud-Sturmfels)."""
-    n = len(weights)
-    nvars = 2 * n * n
-    offdiag = _offdiag_indices(n)
-    one, minus_one = field.one(), field.neg(field.one())
-    first: dict[GroupElement, tuple] = {}
+    with an off-diagonal exponent lies in I and is a basis element alone. A
+    diagonal monomial m is x z^r modulo I, for (r, x) the `reduce` of its
+    Laurent exponent; every later m of a coset r gives m - (x/x0) m0, with
+    m0 the first monomial of r. This is the basis `field.kernel` returns
+    for the monomial-by-coset matrix of the values x (Eisenbud-Sturmfels)."""
+    field, n = I.field, I.n
+    first: dict[tuple, tuple] = {}
     basis = []
     for e in monos:
-        if any(e[idx] for idx in offdiag):
+        v = _laurent_exponent(e, n)
+        if v is None:
             basis.append(lau_monomial(field, n, e))
             continue
-        chi = weights[0].group.zero()
-        for i, w in enumerate(weights):
-            k = e[z_index(n, i, i)] - e[w_index(n, i, i)]
-            if k:
-                chi = chi + w.scale(k)
-        if chi not in first:
-            first[chi] = e
-            continue
-        terms = {e: one, first[chi]: minus_one}
-        basis.append(sp.from_dict(field, nvars, terms))
+        r, x = I.lattice.reduce(v)
+        e0, x0 = first.setdefault(r, (e, x))
+        if e0 != e:
+            terms = {e: field.one(), e0: field.neg(field.div(x, x0))}
+            basis.append(sp.from_dict(field, 2 * n * n, terms))
     return basis
 
 
-def character_slice(
-    field: ExactField, weights, d: int
-) -> tuple[SparsePoly, ...]:
-    """Exact basis of I(G) intersected with the degree <= d slice, for G the
-    image of the diagonalizable group acting by the given weights: the kernel
-    of the evaluation of monomials in the group algebra of A."""
-    weights = list(weights)
-    monos = sp.monomials_up_to(2 * len(weights) ** 2, d)
-    return tuple(_character_kernel(field, weights, monos))
+def _lattice_slice(I: LaurentIdeal, d: int) -> tuple[SparsePoly, ...]:
+    """Exact basis of the degree <= d slice of the lattice ideal I."""
+    return tuple(_character_kernel(I, sp.monomials_up_to(2 * I.n * I.n, d)))
+
+
+def _lattice_slice_generators(I: LaurentIdeal, d: int) -> tuple[SparsePoly, ...]:
+    """A small generating set of the ideal of `_lattice_slice(I, d)`: the
+    off-diagonal variables (for d >= 1) plus the kernel on the diagonal
+    monomials of degree <= d."""
+    n = I.n
+    gens = _offdiag_variables(I.field, n) if d >= 1 else []
+    diag_monos = [_diagonal_exponents(n, e) for e in sp.monomials_up_to(2 * n, d)]
+    return tuple(gens + _character_kernel(I, diag_monos))
+
+
+def character_slice(field: ExactField, weights, d: int) -> tuple[SparsePoly, ...]:
+    """`_lattice_slice` of the image of the group acting by `weights`."""
+    return _lattice_slice(diagonalizable_image_ideal(field, weights).ideal, d)
 
 
 def character_slice_generators(
     field: ExactField, weights, d: int
 ) -> tuple[SparsePoly, ...]:
-    """A small generating set of the ideal generated by the exact degree <= d
-    slice: the off-diagonal variables (for d >= 1) plus the kernel of the
-    character evaluation restricted to diagonal monomials of degree <= d.
-    Generates the same ideal as the full slice."""
-    weights = list(weights)
-    n = len(weights)
-    gens = _offdiag_variables(field, n) if d >= 1 else []
-    diag_monos = [_diagonal_exponents(n, e) for e in sp.monomials_up_to(2 * n, d)]
-    return tuple(gens + _character_kernel(field, weights, diag_monos))
+    """`_lattice_slice_generators` of that image."""
+    return _lattice_slice_generators(diagonalizable_image_ideal(field, weights).ideal, d)
 
 
 def truncation_chain(G: SubgroupPresentation, work_cap: int):
-    """`read(d)`, the degree <= d slice of I(G) for each d: exact (complete)
-    when weight data is attached, with its basis built on the first read;
-    otherwise the generator-multiple lower bound, read from one
-    `graded_truncation` of the ideal at `work_cap`. Each d is read once for
-    the life of the chain."""
-    if G.weights is None:
-        return cache(graded_truncation(G.ideal, work_cap))
+    """`read(d)`, the degree <= d slice of I(G) for each d, chosen from the
+    ideal alone: exact (complete) when it is a lattice ideal (`I.lattice`),
+    with its basis built on the first read; otherwise the generator-multiple
+    lower bound, read from one `graded_truncation` of the ideal at
+    `work_cap`. Each d is read once for the life of the chain."""
+    I = G.ideal
+    if I.lattice is None:
+        return cache(graded_truncation(I, work_cap))
 
     @cache
     def read(d: int) -> TruncationResult:
-        gens = character_slice_generators(G.field, G.weights, d)
-        return TruncationResult(
-            lambda: character_slice(G.field, G.weights, d), True, d, work_cap, gens
-        )
+        gens = _lattice_slice_generators(I, d)
+        return TruncationResult(lambda: _lattice_slice(I, d), True, d, work_cap, gens)
 
     return read
 

@@ -397,16 +397,17 @@ def defining_degree(
 ) -> DefiningDegreeResult:
     """Smallest d <= d_max with I(G_{<= d}) containing every presented
     generator, certified by membership witnesses; smaller degrees carry
-    refutation evidence (definitive when the slice is exact and a point
-    certificate was found). `exceeds` needs that evidence at d_max: since
-    I_{<= d} is inside I_{<= d_max}, a point of G_{<= d_max} outside G lies
-    in every G_{<= d}. Without it the answer is `unknown`. Every slice is
-    read from one `la.truncation_chain(G, work_cap)`: `chain`, when the
-    caller reads the slices again afterwards, or one of its own."""
+    refutation evidence (definitive when the slice is exact, as on a
+    lattice ideal (`LaurentIdeal.lattice`), and a point certificate was
+    found). `exceeds` needs that evidence at d_max: since I_{<= d} is inside
+    I_{<= d_max}, a point of G_{<= d_max} outside G lies in every G_{<= d}.
+    Without it the answer is `unknown`. Every slice is read from one
+    `la.truncation_chain(G, work_cap)`: `chain`, when the caller reads the
+    slices again afterwards, or one of its own."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     refutations: list[DegreeRefutation] = []
-    slices_exact = G.weights is not None
+    slices_exact = G.ideal.lattice is not None
     if chain is None:
         chain = la.truncation_chain(G, work_cap)
     for d in range(d_max + 1):

@@ -211,6 +211,30 @@ def test_defining_degree_group_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_group_file_weights_do_not_decide_the_answer(tmp_path, capsys):
+    """The `weights` of a group file are parsed but no answer reads them:
+    the torus (t, t^2) declared with the weights (1,0), (0,1) of the full
+    diagonal torus still has defining degree 2, with exact slices and
+    certified minimality, the same answer as without weights."""
+    data = Path(__file__).resolve().parent / "data" / "groups"
+    group = json.loads((data / "torus-t-t2-gl2-Q.json").read_text())
+    path = tmp_path / "g.json"
+    outs = []
+    for weights in (None, {"group": "Z^2", "elements": ["(1,0)", "(0,1)"]}):
+        group["weights"] = weights
+        path.write_text(json.dumps(group))
+        code, out, _ = run_cli(
+            capsys, "stab", "defining-degree", "--group-file", str(path), "--json"
+        )
+        assert code == 0
+        outs.append(out)
+    payload = json.loads(outs[1])
+    assert payload["status"] == "found" and payload["defining_degree"] == 2
+    assert payload["slices_exact"] and payload["minimality_certified"]
+    assert all(r["definitive"] for r in payload["refuted_degrees"])
+    assert outs[1] == outs[0]
+
+
 @pytest.mark.parametrize("key", ["field", "n"])
 def test_group_file_missing_key_exit_2(tmp_path, capsys, key):
     group = {"schema": 1, "n": 1, "field": "Q", "generators": ["Z[1,1] - 1"]}

@@ -254,20 +254,20 @@ def test_character_slice_matches_truncation_route():
 
 
 def _incidence_kernel(field, n, monos, lift):
-    """Reference route: the kernel of the monomial-by-character incidence
-    matrix by row reduction; `monos` pairs each exponent tuple with its
-    character (None for monomials that evaluate to 0)."""
+    """Reference route: the kernel of the monomial-by-coset matrix by row
+    reduction; `monos` pairs each exponent tuple with (its coset, its value
+    there), or None for monomials that lie in the ideal."""
     from diagcat import field as fieldmod
     from diagcat import sparsepoly as sp
 
     cols = {}
     for _, img in monos:
         if img is not None:
-            cols.setdefault(img, len(cols))
+            cols.setdefault(img[0], len(cols))
     mat = [[field.zero()] * len(cols) for _ in monos]
     for r, (_, img) in enumerate(monos):
         if img is not None:
-            mat[r][cols[img]] = field.one()
+            mat[r][cols[img[0]]] = img[1]
     out = []
     for v in fieldmod.kernel(field, fieldmod.transpose(mat)):
         terms = {lift(e): c for (e, _), c in zip(monos, v) if c != field.zero()}
@@ -275,25 +275,20 @@ def _incidence_kernel(field, n, monos, lift):
     return out
 
 
-def _reference_slices(field, weights, d):
+def _reference_slices(field, n, char, d):
+    """The degree <= d slice of a lattice ideal of GL_n that contains the
+    off-diagonal variables, and its small generating set, by row reduction:
+    `char(v)` is (the coset, the value x) of a Laurent exponent v, so that
+    z^v is x times the coset's representative modulo the ideal."""
     from diagcat import sparsepoly as sp
-
-    n = len(weights)
-    zero = weights[0].group.zero()
-
-    def char(zexp, wexp):
-        acc = zero
-        for i in range(n):
-            acc = acc + weights[i].scale(zexp[i]) + weights[i].scale(-wexp[i])
-        return acc
 
     diag_z = [la.z_index(n, i, i) for i in range(n)]
     diag_w = [la.w_index(n, i, i) for i in range(n)]
     full = []
     for e in sp.monomials_up_to(2 * n * n, d):
         off = any(e[k] for k in range(2 * n * n) if k not in diag_z + diag_w)
-        img = None if off else char([e[k] for k in diag_z], [e[k] for k in diag_w])
-        full.append((e, img))
+        v = [e[z] - e[w] for z, w in zip(diag_z, diag_w)]
+        full.append((e, None if off else char(v)))
     basis = _incidence_kernel(field, n, full, lambda e: e)
     gens = []
     if d >= 1:
@@ -301,7 +296,10 @@ def _reference_slices(field, weights, d):
             for j in range(n):
                 if i != j:
                     gens += [la.z_var(field, n, i, j), la.w_var(field, n, i, j)]
-    small = [(e, char(e[:n], e[n:])) for e in sp.monomials_up_to(2 * n, d)]
+    small = [
+        (e, char([a - b for a, b in zip(e[:n], e[n:])]))
+        for e in sp.monomials_up_to(2 * n, d)
+    ]
 
     def lift(e):
         big = [0] * (2 * n * n)
@@ -311,6 +309,18 @@ def _reference_slices(field, weights, d):
 
     gens += _incidence_kernel(field, n, small, lift)
     return tuple(basis), tuple(gens)
+
+
+def _weights_character(field, weights):
+    """`char` of the image of the diagonalizable group acting by `weights`:
+    the character sum of v and the value 1."""
+    def char(v):
+        acc = weights[0].group.zero()
+        for w, k in zip(weights, v):
+            acc = acc + w.scale(k)
+        return acc, field.one()
+
+    return char
 
 
 def test_character_slices_match_incidence_kernel():
@@ -327,10 +337,35 @@ def test_character_slices_match_incidence_kernel():
     ]
     for field in (QQ, ExactField(101), ExactField(2)):
         for weights, dmax in weight_sets:
+            char = _weights_character(field, weights)
             for d in range(dmax + 1):
-                basis, gens = _reference_slices(field, weights, d)
+                basis, gens = _reference_slices(field, len(weights), char, d)
                 assert la.character_slice(field, weights, d) == basis
                 assert la.character_slice_generators(field, weights, d) == gens
+
+
+@pytest.mark.parametrize("field", [QQ, F5, ExactField(101)], ids=str)
+def test_lattice_slices_with_values_match_incidence_kernel(field):
+    """On lattice ideals whose character rho is not 1, Z11 - 2 in GL_1 and
+    Z11 + Z22 (rho = -1 on (1, -1)) in GL_2, the slices read from the
+    ideal equal the row-reduction reference with the values of rho: z^v is
+    2^v modulo the first, and (-1)^v1 z22^(v1 + v2) modulo the second."""
+    two, minus_one = field.of(2), field.neg(field.one())
+    offdiag = ["Z[1,2]", "W[1,2]", "Z[2,1]", "W[2,1]"]
+    cases = [
+        (1, ["Z[1,1] - 2"], lambda v: ((), field.pow(two, v[0])), 3),
+        (2, [*offdiag, "Z[1,1] + Z[2,2]"],
+         lambda v: (v[0] + v[1], field.pow(minus_one, v[0])), 2),
+    ]
+    for n, texts, char, dmax in cases:
+        gens = tuple(la.parse_element(field, n, t) for t in texts)
+        I = la.LaurentIdeal(field, n, gens)
+        assert I.lattice is not None and I.lattice.values != (field.one(),)
+        for d in range(dmax + 1):
+            basis, small = _reference_slices(field, n, char, d)
+            assert la._lattice_slice(I, d) == basis, (texts, d)
+            assert la._lattice_slice_generators(I, d) == small, (texts, d)
+            assert all(la._in_lattice_ideal(b, n, I.lattice) for b in basis)
 
 
 def _span_equal(field, basis_a, basis_b, n):

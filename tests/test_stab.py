@@ -14,6 +14,7 @@ from diagcat import stab
 from diagcat.field import ExactField, QQ
 from dense_reference import dense_echelon
 from stab_reference import reference_stabilizer_polys
+from test_laurent import _conjugated
 
 F5 = ExactField(5)
 Z = ab.parse_group("Z")
@@ -340,9 +341,15 @@ def test_degrees_equal():
         stab.degrees_equal_check(cat["mu2"], -1, 0, 4)
 
 
-def _weights_stripped(field, name):
-    pres = la.catalog(field)[name]
-    return la.SubgroupPresentation(field, pres.n, pres.ideal, None, "bare")
+def _conjugated_group(field, name):
+    """The catalog group moved by g = [[1,1],[0,1]] (`_conjugated`), with no
+    weights: its generators are no binomials in the diagonal, so its ideal
+    is no lattice ideal and its slices take the Macaulay route."""
+    g = [[field.of(x) for x in row] for row in ([1, 1], [0, 1])]
+    ginv = [[field.of(x) for x in row] for row in ([1, -1], [0, 1])]
+    ideal = _conjugated(la.catalog(field)[name].ideal, g, ginv)
+    assert ideal.lattice is None
+    return la.SubgroupPresentation(field, ideal.n, ideal, None, "conjugated")
 
 
 @pytest.mark.parametrize(
@@ -352,17 +359,28 @@ def _weights_stripped(field, name):
 def test_general_path_degree_matches_dense_reference(monkeypatch, p, name, dmax, cap):
     """Defining degrees on the Macaulay path are the same through the sparse
     `echelon` core and through the dense reference loop."""
-    bare = _weights_stripped(ExactField(p), name)
-    sparse = repr(stab.defining_degree(bare, dmax, cap))
+    moved = _conjugated_group(ExactField(p), name)
+    sparse = repr(stab.defining_degree(moved, dmax, cap))
     monkeypatch.setattr(fm, "echelon", dense_echelon)
-    assert repr(stab.defining_degree(bare, dmax, cap)) == sparse
+    assert repr(stab.defining_degree(moved, dmax, cap)) == sparse
 
 
 @pytest.mark.parametrize("p", [101, None])
 def test_general_path_torus_at_cap_6(p):
-    res = stab.defining_degree(_weights_stripped(ExactField(p), "torus-t-t2-gl2"), 3, 6)
+    res = stab.defining_degree(_conjugated_group(ExactField(p), "torus-t-t2-gl2"), 3, 6)
     assert res.status == "found" and res.degree == 2
-    assert res.witness_ok()
+    assert res.witness_ok() and not res.slices_exact
+
+
+@pytest.mark.parametrize("p, cap", [(None, 3), (101, 4)])
+def test_conjugated_catalog_groups_keep_their_degrees(p, cap):
+    """Conjugation is an automorphism of k[Z, W] that keeps degrees, so the
+    conjugated GL_2 catalog groups keep their defining degrees 2 and 1 on
+    the Macaulay route."""
+    for name, degree in (("torus-t-t2-gl2", 2), ("diagonal-torus-gl2", 1)):
+        res = stab.defining_degree(_conjugated_group(ExactField(p), name), 3, cap)
+        assert (res.status, res.degree) == ("found", degree), name
+        assert res.witness_ok() and not res.slices_exact, name
 
 
 def test_general_path_eliminates_once_per_call(monkeypatch):
@@ -377,14 +395,14 @@ def test_general_path_eliminates_once_per_call(monkeypatch):
         return graded(*args)
 
     monkeypatch.setattr(la, "graded_truncation", counted)
-    bare = _weights_stripped(ExactField(101), "torus-t-t2-gl2")
-    res = stab.defining_degree(bare, 3, 4)
+    moved = _conjugated_group(ExactField(101), "torus-t-t2-gl2")
+    res = stab.defining_degree(moved, 3, 4)
     assert res.degree == 2 and len(res.refutations) == 2 and len(built) == 1
-    assert stab.degrees_equal_check(bare, 1, 2, 4).status == "unknown"
+    assert stab.degrees_equal_check(moved, 1, 2, 4).status == "unknown"
     assert len(built) == 2
-    want = [la.truncated_ideal_part(bare.ideal, d, 4) for d in range(3)]
-    chain = la.truncation_chain(bare, 4)
-    res = stab.defining_degree(bare, 3, 4, chain)
+    want = [la.truncated_ideal_part(moved.ideal, d, 4) for d in range(3)]
+    chain = la.truncation_chain(moved, 4)
+    res = stab.defining_degree(moved, 3, 4, chain)
     assert len(built) == 6
     monkeypatch.setattr(fm, "echelon", None)  # a further elimination raises
     assert [chain(d) for d in range(res.degree + 1)] == want
@@ -417,27 +435,64 @@ def test_stabilizer_polys_match_the_constant_polynomial_products(monkeypatch):
     assert len(compared) == 192
 
 
+def _stripped(G):
+    """G without weights, its ideal rebuilt from the generators as a new
+    `LaurentIdeal`, so it shares nothing that G's ideal built."""
+    ideal = la.LaurentIdeal(G.field, G.n, G.ideal.generators)
+    return la.SubgroupPresentation(G.field, G.n, ideal, None, "bare")
+
+
 def test_weights_path_builds_a_slice_basis_only_when_read(monkeypatch):
-    """A weights-path chain reads its slices' generators without a basis;
+    """A lattice-ideal chain reads its slices' generators without a basis;
     `basis` builds it on the first read, once, and it is the character
-    slice."""
-    built = []
-    character_slice = la.character_slice
-
-    def counted(*args):
-        built.append(args)
-        return character_slice(*args)
-
-    monkeypatch.setattr(la, "character_slice", counted)
+    slice. A weights presentation and its weight-stripped copy, a new
+    `LaurentIdeal` of the same generators, build the same slices."""
     G = la.catalog(QQ)["torus-t-t2-gl2"]
-    assert stab.defining_degree(G, 3, 4).degree == 2
-    chain = la.truncation_chain(G, 4)
-    trunc = chain(2)
-    assert built == []
-    basis = trunc.basis
-    assert built == [(QQ, G.weights, 2)]
-    assert chain(2).basis is basis and basis == character_slice(QQ, G.weights, 2)
-    assert len(built) == 1
-    del built[:]
-    assert stab.degrees_equal_check(G, 2, 3, 4).status == "equal"
-    assert built == [(QQ, G.weights, 3)]
+    want = la.character_slice(QQ, G.weights, 2)
+    built = []
+    lattice_slice = la._lattice_slice
+
+    def counted(I, d):
+        built.append((I, d))
+        return lattice_slice(I, d)
+
+    monkeypatch.setattr(la, "_lattice_slice", counted)
+    for H in (G, _stripped(G)):
+        del built[:]
+        assert stab.defining_degree(H, 3, 4).degree == 2
+        chain = la.truncation_chain(H, 4)
+        trunc = chain(2)
+        assert built == []
+        basis = trunc.basis
+        assert len(built) == 1 and built[0][0] is H.ideal and built[0][1] == 2
+        assert chain(2).basis is basis and basis == want
+        assert len(built) == 1
+        del built[:]
+        assert stab.degrees_equal_check(H, 2, 3, 4).status == "equal"
+        assert len(built) == 1 and built[0][0] is H.ideal and built[0][1] == 3
+
+
+def _weights_files():
+    groups = Path(__file__).resolve().parent / "data" / "groups"
+    return sorted(groups.glob("weights-gl*.json"))
+
+
+@pytest.mark.parametrize("p", [None, 2, 5, 101])
+def test_weights_and_stripped_presentations_give_one_answer(p):
+    """The slices come from the ideal, not from the weights: every catalog
+    group and its weight-stripped copy, rebuilt from its generators as a new
+    `LaurentIdeal`, have the same defining-degree result."""
+    for name, G in la.catalog(ExactField(p)).items():
+        want = repr(stab.defining_degree(G, 3, 4))
+        assert repr(stab.defining_degree(_stripped(G), 3, 4)) == want, name
+
+
+@pytest.mark.parametrize("path", _weights_files(), ids=lambda p: p.stem)
+def test_weights_group_files_and_stripped_copies_give_one_answer(path):
+    """The same for the six GL_3 and GL_4 group files with weights."""
+    from diagcat import cli
+
+    G = cli._load_group_file(str(path))
+    assert G.weights is not None
+    want = repr(stab.defining_degree(G, 3, 4))
+    assert repr(stab.defining_degree(_stripped(G), 3, 4)) == want
