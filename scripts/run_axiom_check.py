@@ -3,7 +3,8 @@
 the full corrupted-model sweep in this one process: the first corrupted model
 runs every check, and each later one reruns only the checks that read the
 symbol it reinterprets (see `diagcat.axioms._run_checks`). Each line gives the
-model's elapsed seconds.
+model's elapsed seconds; with `--mutations` the last line gives the whole
+sweep's, the cold one-process figure.
 
 Usage:
     python scripts/run_axiom_check.py
@@ -57,6 +58,7 @@ def main() -> int:
         field, group = ExactField(5), parse_group("Z/4")
         small = ax.bounds(2, 2)
         print("\ncorrupted models (each should fail exactly its target):")
+        sweep_start = time.perf_counter()
         for name, mut in ax.MUTATIONS.items():
             t0 = time.perf_counter()
             model = ax.mutated_model(field, group, small, name)
@@ -67,6 +69,8 @@ def main() -> int:
             ok = ok and failed == [mut.axiom]
             print(f"  {name:32s} -> failed {failed} (target {mut.axiom}) "
                   f"[{elapsed:.2f}s] {verdict}")
+        print(f"sweep: {len(ax.MUTATIONS)} corrupted models "
+              f"[{time.perf_counter() - sweep_start:.2f}s]")
     return 0 if ok else 1
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import ExactField, PolyRing, mat_mul, transpose
 from .hashcons import Interned
@@ -86,11 +87,23 @@ class GroupElement(metaclass=Interned):
     coords: tuple[int, ...]
 
     def __add__(self, other: GroupElement) -> GroupElement:
-        if self.group != other.group:
+        group = self.group
+        if other.group is not group and other.group != group:
             raise ValueError("elements of different groups")
-        return self.group._reduce(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        if group.rank:
+            return group._reduce(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        # in a finite group each sum is reduced once, then read from `_sums`
+        total = self._sums.get(other)
+        if total is None:
+            total = self._sums[other] = group._reduce(
+                tuple(a + b for a, b in zip(self.coords, other.coords))
+            )
+        return total
+
+    @cached_property
+    def _sums(self) -> dict[GroupElement, GroupElement]:
+        """self + other by other; copies and pickles leave it out."""
+        return {}
 
     def __neg__(self) -> GroupElement:
         return self.group._reduce(tuple(-a for a in self.coords))

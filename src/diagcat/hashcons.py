@@ -8,17 +8,34 @@ its `__post_init__` as before and gets a stored hash, the hash of its field
 tuple. That is the value the dataclass hash would give, and it derives from
 values only, never from `id()`, so dict and set orders do not change.
 
-Each class has one table, which holds its instances weakly: an object lives
-as long as something else refers to it. The memos of `diagrep.basis_weights`
-and `diagrep.weight_slots` (`lru_cache(maxsize=None)`) are such referrers, so
-every object passed to them stays in the table for the life of the process.
-They are kept on purpose: per-object `cached_property` caches instead made
-the serial canonical axiom check over F5, Z/4 at N=3 about 25% slower.
+Each class has one table, keyed by the stored hash, so a call hashes its
+field tuple once and a dying value rehashes nothing. A slot lists weak
+references that carry their value's hash and field tuple; it holds more
+than one when live values share a hash (in CPython `hash(-1) == hash(-2)`).
+A lookup compares field tuples, which is identity on interned fields, and a
+dying value's reference leaves its slot by the int key (the weak table of
+Filliâtre and Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).
+
+A value lives as long as something else refers to it. Four memos do so,
+each bounded by what the fragment builds:
+- `diagrep.basis_weights` and `diagrep.weight_slots` keep every object
+  passed to them (per-object `cached_property` caches made the serial
+  canonical axiom check over F5, Z/4 at N=3 about 25% slower);
+- `paren.pair` keeps every product shape: Catalan(m - 1) shapes of m leaves,
+  with m at most twice the longest tensor word;
+- an element of a finite group A keeps its sums, at most |A|² in all.
 """
 
 from __future__ import annotations
 
-from weakref import KeyedRef
+from weakref import ref
+
+
+class _Ref(ref):
+    """A weak reference to an interned value, with the value's stored hash
+    `h` and field tuple `fields`, which outlive the value."""
+
+    __slots__ = ("h", "fields")
 
 
 class Interned(type):
@@ -26,12 +43,14 @@ class Interned(type):
         super().__init__(name, bases, namespace)
         # the dataclass fields, in declaration order
         cls._fields = tuple(namespace.get("__annotations__", ()))
-        # field tuple -> weak reference to the instance
+        # stored hash -> the `_Ref`s of the live values with that hash
         table = cls._table = {}
 
-        def drop(ref):
-            if table.get(ref.key) is ref:
-                del table[ref.key]
+        def drop(r):
+            bucket = table[r.h]
+            bucket.remove(r)  # a dead reference equals only itself
+            if not bucket:
+                del table[r.h]
 
         cls._drop = staticmethod(drop)
         cls._key = lambda self: tuple(getattr(self, f) for f in cls._fields)
@@ -46,13 +65,19 @@ class Interned(type):
             # field tuple whatever the call form
             obj = super().__call__(*args, **kwargs)
             args = obj._key()
-        ref = cls._table.get(args)
-        if ref is not None:
-            found = ref()
-            if found is not None:
-                return found
+        h = hash(args)
+        bucket = cls._table.get(h)
+        if bucket is not None:
+            for r in bucket:
+                if r.fields == args:
+                    found = r()
+                    if found is not None:
+                        return found
         if obj is None:
             obj = super().__call__(*args)
-        object.__setattr__(obj, "_h", hash(args))
-        cls._table[args] = KeyedRef(obj, cls._drop, args)
+        object.__setattr__(obj, "_h", h)
+        new = _Ref(obj, cls._drop)
+        new.h = h
+        new.fields = args
+        cls._table.setdefault(h, []).append(new)
         return obj

@@ -40,6 +40,7 @@ class ParenShape(metaclass=Interned):
 LEAF = ParenShape()
 
 
+@lru_cache(maxsize=None)
 def pair(left: ParenShape, right: ParenShape) -> ParenShape:
     return ParenShape((left, right))
 

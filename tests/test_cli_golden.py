@@ -72,6 +72,9 @@ CASES = [
     *(["axioms", "check", "--field", k, "--group", g,
        "--max-dim", "2", "--max-len", "2", "--json"]
       for k, g in (("F5", "Z/4"), ("F3", "Z/2"))),
+    # the model the `axiom-sweep` benchmark workload checks
+    ["axioms", "check", "--field", "F5", "--group", "Z/4", "--max-dim", "3",
+     "--max-len", "2", "--json"],
     *(["axioms", "check", "--field", "F5", "--group", "Z/4", "--max-dim", "2",
        "--max-len", "2", "--mutate", name, "--json"]
       for name in axioms.MUTATIONS),

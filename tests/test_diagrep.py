@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import weakref
 from typing import NamedTuple
 
 import pytest
@@ -843,3 +844,66 @@ def test_dropped_products_leave_the_table():
     del products
     gc.collect()
     assert len(dr.BaseObject._table) == before
+
+
+# hash(-1) == hash(-2) == hash(-2**61) in CPython, so each maker gives three
+# values with one stored hash; nothing else builds the third, so it dies as
+# soon as it is dropped
+COLLIDING = (-1, -2, -(2**61))
+
+MAKERS = {
+    "element": lambda c: Z.element([c]),
+    "multiset": lambda c: dr.weight_multiset(Z, [Z.element([c])]),
+    "irreducible": lambda c: _irr(Z, c),
+    "product": lambda c: dr.tensor_obj(_irr(Z, c), _irr(Z, c)),
+}
+
+INTERNED = (ParenShape, ab.GroupElement, dr.WeightMultiset, dr.BaseObject)
+
+
+def _live_copies(value):
+    """The live values in the table of value's class with value's fields."""
+    refs = type(value)._table.get(hash(value), [])
+    return [r() for r in refs if r.fields == value._key() and r() is not None]
+
+
+def _assert_tables_hold_live_values():
+    gc.collect()
+    for cls in INTERNED:
+        for h, refs in cls._table.items():
+            assert refs
+            for r in refs:
+                value = r()
+                assert value is not None, f"dead {cls.__name__} in the table"
+                assert r.h == h == hash(value) and r.fields == value._key()
+            assert len({r.fields for r in refs}) == len(refs)
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+def test_values_sharing_a_hash_stay_distinct(make):
+    values = [make(c) for c in COLLIDING]
+    assert len({hash(v) for v in values}) == 1
+    assert len({id(v) for v in values}) == len(values)
+    assert all(make(c) is v for c, v in zip(COLLIDING, values))
+    assert all(_live_copies(v) == [v] for v in values)
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+def test_dropping_a_value_keeps_the_ones_sharing_its_hash(make):
+    a, b = make(-1), make(-2)
+    dropped = weakref.ref(make(COLLIDING[2]))
+    gc.collect()
+    assert dropped() is None
+    assert make(-1) is a and make(-2) is b
+    assert _live_copies(a) == [a] and _live_copies(b) == [b]
+    again = make(COLLIDING[2])
+    assert again is not a and again is not b and hash(again) == hash(a)
+    del a, again
+    gc.collect()
+    assert make(-2) is b and _live_copies(b) == [b]
+    _assert_tables_hold_live_values()
+
+
+def test_intern_tables_hold_only_live_values_after_a_check():
+    assert ax.check_axioms(F5, Z4, ax.bounds(2, 2)).all_pass
+    _assert_tables_hold_live_values()

@@ -44,6 +44,12 @@ def test_run_axiom_check_script():
     assert len(ok) == 3
 
 
+def test_run_axiom_check_script_times_the_sweep():
+    lines = _run("run_axiom_check.py", "--max-dim", "2", "--max-len", "1", "--mutations")
+    assert sum(line.endswith("] ok") for line in lines) == 3 + len(ax.MUTATIONS)
+    assert re.fullmatch(rf"sweep: {len(ax.MUTATIONS)} corrupted models \[\d+\.\d\ds\]", lines[-1])
+
+
 def _script_main(script, monkeypatch, *args):
     """The script's `main`, run in this process with the given arguments."""
     monkeypatch.setattr(sys, "argv", [script, *args])
